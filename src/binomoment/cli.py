@@ -20,7 +20,7 @@ import re
 import sys
 from typing import Callable, Optional, Sequence, Tuple
 
-from .closedform import closed_form_for, eval_closed
+from .closedform import density_function
 from .core import (
     DomainError,
     Params,
@@ -36,7 +36,6 @@ from .core import (
 from .freeconv import identity_suite
 from .mellin import factorize, sample
 from .series import binomial_series
-from .slater import build_slater_expansion, eval_density
 from .verify import InconclusiveWitnessError, certify_measure, find_negativity_witness
 
 __all__ = ["main"]
@@ -55,21 +54,6 @@ def _fmt_float(x: float) -> str:
 
 
 # -- evaluation helpers --------------------------------------------------------
-
-
-def _density_evaluator(params: Params) -> Tuple[Callable[[float], float], float]:
-    """Evaluator for the density function at (p, r) plus its support endpoint.
-
-    Uses the elementary form when one covers the pair and the
-    hypergeometric expansion otherwise.  Works for any r at rational
-    p > 1; outside the positive-definite region the function takes
-    negative values but is still well defined.
-    """
-    cid = closed_form_for(params)
-    if cid is not None:
-        return (lambda x: eval_closed(cid, x)), float(support_endpoint(params.p))
-    expansion = build_slater_expansion(params)
-    return (lambda x: eval_density(expansion, x)), expansion.domain_upper
 
 
 def _curve_has_negative(evaluate: Callable[[float], float], upper: float,
@@ -108,7 +92,9 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    evaluate, upper = _density_evaluator(Params(args.p, args.r))
+    params = Params(args.p, args.r)
+    evaluate = density_function(params)
+    upper = float(support_endpoint(params.p))
     if args.x is not None:
         print(_fmt_float(evaluate(float(args.x))))
         return 0
@@ -180,11 +166,18 @@ def _cmd_witness(args) -> int:
 
 
 def _load_figure_config(path: Optional[str]) -> dict:
-    if path is not None:
+    if path is None:
+        text = importlib.resources.files("binomoment").joinpath("figures.json").read_text()
+        return json.loads(text)
+    try:
         with open(path) as fh:
-            return json.load(fh)
-    text = importlib.resources.files("binomoment").joinpath("figures.json").read_text()
-    return json.loads(text)
+            config = json.load(fh)
+    # ValueError covers malformed JSON and undecodable bytes
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read figure config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise DomainError(f"figure config {path} must hold a JSON object")
+    return config
 
 
 def _emit_raster(cfg: dict, writer) -> None:
@@ -211,7 +204,8 @@ def _emit_curves(cfg: dict, writer) -> None:
     writer.writerow(["p", "r", "x", "V", "has_negative"])
     for p_text, r_text in cfg["pairs"]:
         params = Params(parse_scalar(p_text), parse_scalar(r_text))
-        evaluate, upper = _density_evaluator(params)
+        evaluate = density_function(params)
+        upper = float(support_endpoint(params.p))
         xs = [upper * i / (points + 1) for i in range(1, points + 1)]
         values = [evaluate(x) for x in xs]
         flag = 1 if _curve_has_negative(evaluate, upper, values) else 0
@@ -225,7 +219,11 @@ def _cmd_figure(args) -> int:
     if key not in config:
         raise DomainError(f"no figure with id {args.id}; known ids: {sorted(config)}")
     cfg = config[key]
-    with open(args.out, "w", newline="") as fh:
+    try:
+        fh = open(args.out, "w", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.out}: {exc}") from exc
+    with fh:
         writer = csv.writer(fh, lineterminator="\n")
         if cfg.get("kind") == "raster":
             _emit_raster(cfg, writer)

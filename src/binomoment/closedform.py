@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     DomainError,
@@ -25,9 +25,15 @@ from .core import (
     support_endpoint,
 )
 from .mellin import MeasureModel
-from .slater import SlaterExpansion, build_slater_expansion, eval_density
+from .slater import build_slater_expansion, eval_density
 
-__all__ = ["ClosedFormId", "eval_closed", "measure_model", "closed_form_for"]
+__all__ = [
+    "ClosedFormId",
+    "eval_closed",
+    "measure_model",
+    "closed_form_for",
+    "density_function",
+]
 
 _V3_RS = (Fraction(0), Fraction(1), Fraction(2))
 _V32_RS = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
@@ -194,6 +200,22 @@ def closed_form_for(params: Params) -> Optional[ClosedFormId]:
     return None
 
 
+def density_function(params: Params) -> Callable[..., float]:
+    """Evaluator (x, dist_upper=None) -> V(x) of the density at (p, r).
+
+    Uses the elementary form when one covers the pair and the
+    hypergeometric expansion otherwise.  Works for any r at rational
+    p > 1; outside the positive-definite region the function takes
+    negative values but is still well defined.  ``dist_upper`` carries the
+    distance to the support endpoint when the caller knows it exactly.
+    """
+    cid = closed_form_for(params)
+    if cid is not None:
+        return lambda x, dist_upper=None: eval_closed(cid, x, dist_upper)
+    expansion = build_slater_expansion(params)
+    return lambda x, dist_upper=None: eval_density(expansion, x, dist_upper=dist_upper)
+
+
 def measure_model(params: Params) -> MeasureModel:
     """The probability measure with moments C(n*p+r, n) for p = k/l > 1.
 
@@ -224,15 +246,10 @@ def measure_model(params: Params) -> MeasureModel:
         weight = 1.0
         base_params = params
 
-    cid = closed_form_for(base_params)
-    if cid is not None:
-        def density(x: float, dist_upper: float) -> float:
-            return weight * eval_closed(cid, x, dist_upper)
-    else:
-        expansion = build_slater_expansion(base_params)
+    base_density = density_function(base_params)
 
-        def density(x: float, dist_upper: float) -> float:
-            return weight * eval_density(expansion, x, dist_upper=dist_upper)
+    def density(x: float, dist_upper: float) -> float:
+        return weight * base_density(x, dist_upper)
 
     return MeasureModel(
         atom_at_zero=atom, density=density, upper=upper, moment_fn=exact_moment

@@ -3,15 +3,14 @@
 Three layers of evidence about a parameter pair: quadrature showing that
 the computed density reproduces the exact moment sequence, Hankel matrix
 eigenvalue probes on moment vectors, and a budgeted search for negativity
-certificates outside the positive-definite region.  The quadrature types
-live in :mod:`binomoment.quadrature` and are re-exported here.
+certificates outside the positive-definite region.  ``QuadratureSpec`` and
+``IntegralResult`` live in :mod:`binomoment.quadrature` and are re-exported
+here for callers of ``integrate_density``.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -20,11 +19,10 @@ from .closedform import measure_model
 from .core import DomainError, Params, RegionError, classify_binomial, gen_binomial
 from .freeconv import MomentVector
 from .mellin import MeasureModel
-from .quadrature import IntegralResult, QuadratureMethod, QuadratureSpec, integrate
+from .quadrature import IntegralResult, QuadratureSpec, integrate
 from .slater import build_slater_expansion, eval_density
 
 __all__ = [
-    "QuadratureMethod",
     "QuadratureSpec",
     "IntegralResult",
     "Witness",
@@ -90,38 +88,6 @@ def integrate_density(m: MeasureModel, n: int, spec: QuadratureSpec) -> Integral
     return integrate(f, m.lower, m.upper, spec)
 
 
-class _CachedDensity:
-    """Memoizes density values; quadrature nodes repeat across moments."""
-
-    def __init__(self, density):
-        self._density = density
-        self._cache = {}
-
-    def __call__(self, x: float, dist_upper: float) -> float:
-        key = (x, dist_upper)
-        v = self._cache.get(key)
-        if v is None:
-            v = self._density(x, dist_upper)
-            self._cache[key] = v
-        return v
-
-
-def _worker_count(n_tasks: int) -> int:
-    # BINOMOMENT_THREADS caps the pool; unparseable values are ignored
-    limit = os.cpu_count() or 1
-    env = os.environ.get("BINOMOMENT_THREADS")
-    if env:
-        try:
-            limit = min(limit, max(1, int(env)))
-        except ValueError:
-            pass
-    return max(1, min(n_tasks, limit))
-
-
-def _scalar_str(x) -> str:
-    return str(x)
-
-
 def certify_measure(
     params: Params, n_max: int, spec: Optional[QuadratureSpec] = None
 ) -> dict:
@@ -132,11 +98,11 @@ def certify_measure(
     CERTIFY_REL_TOL relative to max(1, |moment|).  Needs rational p > 1
     inside the positive-definite region.
 
-    Returns a JSON-ready report with one row per moment.  The moment loop
-    runs on a thread pool capped by BINOMOMENT_THREADS with a density
-    cache shared across moments, so each abscissa is evaluated once; the
-    summation order inside the quadrature is fixed, which makes the
-    report identical for every worker count.
+    Returns a JSON-ready report with one row per moment.  The moments are
+    integrated one after another over a density memo local to the call:
+    quadrature nodes repeat across moments, and each (x, dist_upper) is
+    evaluated once.  The summation order inside the quadrature is fixed,
+    so the report apart from ``runtime_seconds`` is the same on every run.
 
     Without an explicit ``spec`` the quadrature target for each moment is
     scaled to its magnitude, keeping the absolute stopping rule aligned
@@ -145,16 +111,19 @@ def certify_measure(
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     model = measure_model(params)
-    probe = MeasureModel(
-        atom_at_zero=model.atom_at_zero,
-        density=_CachedDensity(model.density),
-        upper=model.upper,
-        moment_fn=model.moment_fn,
-        lower=model.lower,
-    )
-    t0 = time.perf_counter()
+    memo = {}
 
-    def one(n: int) -> dict:
+    def density(x: float, dist_upper: float) -> float:
+        key = (x, dist_upper)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = model.density(x, dist_upper)
+        return v
+
+    probe = replace(model, density=density)
+    t0 = time.perf_counter()
+    rows = []
+    for n in range(n_max + 1):
         exact = gen_binomial(params.p, params.r, n)
         target = float(exact)
         qspec = spec or QuadratureSpec(
@@ -164,7 +133,7 @@ def certify_measure(
         atom_part = model.atom_at_zero if n == 0 else 0.0
         err = abs(res.value + atom_part - target)
         tol = CERTIFY_REL_TOL * max(1.0, abs(target))
-        return {
+        rows.append({
             "n": n,
             "expected": target,
             "quadrature": res.value,
@@ -174,18 +143,10 @@ def certify_measure(
             "error_estimate": res.error_estimate,
             "converged": res.converged,
             "pass": bool(err <= tol),
-        }
-
-    ns = range(n_max + 1)
-    workers = _worker_count(n_max + 1)
-    if workers == 1:
-        rows = [one(n) for n in ns]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, ns))
+        })
 
     return {
-        "params": {"p": _scalar_str(params.p), "r": _scalar_str(params.r)},
+        "params": {"p": str(params.p), "r": str(params.r)},
         "n_max": n_max,
         "atom_at_zero": model.atom_at_zero,
         "support_upper": model.upper,

@@ -288,6 +288,33 @@ class TestFigure:
         assert code == 1
         assert "error" in err
 
+    def test_missing_params_file(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "figure", "--id", "2", "--out", str(tmp_path / "x.csv"),
+            "--params", str(tmp_path / "absent.json"),
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_malformed_params_file(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        code, _, err = run(
+            capsys, "figure", "--id", "2", "--out", str(tmp_path / "x.csv"),
+            "--params", str(cfg_path),
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out_path = tmp_path / "missing-dir" / "fig2.csv"
+        code, _, err = run(capsys, "figure", "--id", "2", "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not out_path.exists()
+
 
 class TestUsage:
     def test_missing_flag_exits_one(self, capsys):

@@ -1,11 +1,14 @@
 """Tests for measure certification and negativity witnesses."""
 
+import dataclasses
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from binomoment import verify
 from binomoment.closedform import measure_model
 from binomoment.core import (
     DomainError,
@@ -122,17 +125,42 @@ class TestCertifyMeasure:
         decoded = json.loads(json.dumps(report))
         assert decoded["params"] == {"p": "2", "r": "1"}
 
-    def test_worker_count_does_not_change_report(self, monkeypatch):
+    def test_report_is_reproducible(self):
         def run():
             report = certify_measure(Params(F(3), F(1)), 6)
             report.pop("runtime_seconds")
             return report
 
-        monkeypatch.setenv("BINOMOMENT_THREADS", "1")
-        serial = run()
-        monkeypatch.setenv("BINOMOMENT_THREADS", "4")
-        parallel = run()
-        assert serial == parallel
+        assert run() == run()
+
+    def test_each_node_evaluated_once(self, monkeypatch):
+        # nodes repeat across moments; the per-call memo must absorb every
+        # repeat, so the density sees each (x, dist_upper) exactly once
+        seen = Counter()
+        node_visits = []
+        original_integrate = verify.integrate
+
+        def counting_model(params):
+            model = measure_model(params)
+
+            def density(x, dist_upper):
+                seen[(x, dist_upper)] += 1
+                return model.density(x, dist_upper)
+
+            return dataclasses.replace(model, density=density)
+
+        def counting_integrate(f, a, b, spec):
+            res = original_integrate(f, a, b, spec)
+            node_visits.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(verify, "measure_model", counting_model)
+        monkeypatch.setattr(verify, "integrate", counting_integrate)
+        report = certify_measure(Params(F(5, 3), F(1, 3)), 6)
+        assert report["passed"]
+        assert max(seen.values()) == 1
+        assert len(node_visits) == 7
+        assert sum(node_visits) > len(seen)
 
     def test_outside_region_rejected(self):
         with pytest.raises(RegionError):
