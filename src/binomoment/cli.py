@@ -18,7 +18,7 @@ import importlib.resources
 import json
 import re
 import sys
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .closedform import density_function
 from .core import (
@@ -180,37 +180,72 @@ def _load_figure_config(path: Optional[str]) -> dict:
     return config
 
 
-def _emit_raster(cfg: dict, writer) -> None:
-    p_min, p_max = parse_scalar(cfg["p_min"]), parse_scalar(cfg["p_max"])
-    r_min, r_max = parse_scalar(cfg["r_min"]), parse_scalar(cfg["r_max"])
-    step = parse_scalar(cfg["step"])
+def _config_scalar(text, what: str):
+    if not isinstance(text, str):
+        raise DomainError(f"figure config: {what} must be a string such as \"7/2\", got {text!r}")
+    try:
+        return parse_scalar(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"figure config: bad {what} {text!r}: {exc}") from exc
+
+
+def _raster_rows(cfg: dict) -> Iterator[list]:
+    # the entry is checked here; the rows are computed as they are written
+    keys = ("p_min", "p_max", "r_min", "r_max", "step")
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise DomainError(f"figure config: raster entry lacks {', '.join(missing)}")
+    p_min, p_max, r_min, r_max, step = (_config_scalar(cfg[key], key) for key in keys)
     if not step > 0:
         raise DomainError("raster step must be positive")
-    writer.writerow(["p", "r", "verdict"])
-    p_count = int((p_max - p_min) / step) + 1
-    r_count = int((r_max - r_min) / step) + 1
-    for i in range(p_count):
-        p = p_min + i * step
-        for j in range(r_count):
-            r = r_min + j * step
-            verdict = classify_binomial(p, r)
-            writer.writerow([f"{float(p):g}", f"{float(r):g}", verdict.branch.value])
+    try:
+        p_count = int((p_max - p_min) / step) + 1
+        r_count = int((r_max - r_min) / step) + 1
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"figure config: raster bounds must be finite: {exc}") from exc
+
+    def rows():
+        yield ["p", "r", "verdict"]
+        for i in range(p_count):
+            p = p_min + i * step
+            for j in range(r_count):
+                r = r_min + j * step
+                verdict = classify_binomial(p, r)
+                yield [f"{float(p):g}", f"{float(r):g}", verdict.branch.value]
+
+    return rows()
 
 
-def _emit_curves(cfg: dict, writer) -> None:
-    points = int(cfg.get("points", 200))
+def _curve_rows(cfg: dict) -> Iterator[list]:
+    # the entry is checked here; the rows are computed as they are written
+    try:
+        points = int(cfg.get("points", 200))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"figure config: bad points {cfg.get('points')!r}") from exc
     if points < 2:
         raise DomainError("curve grids need at least 2 points")
-    writer.writerow(["p", "r", "x", "V", "has_negative"])
-    for p_text, r_text in cfg["pairs"]:
-        params = Params(parse_scalar(p_text), parse_scalar(r_text))
-        evaluate = density_function(params)
-        upper = float(support_endpoint(params.p))
-        xs = [upper * i / (points + 1) for i in range(1, points + 1)]
-        values = [evaluate(x) for x in xs]
-        flag = 1 if _curve_has_negative(evaluate, upper, values) else 0
-        for x, v in zip(xs, values):
-            writer.writerow([p_text, r_text, _fmt_float(x), _fmt_float(v), flag])
+    pairs = cfg.get("pairs")
+    if not isinstance(pairs, list):
+        raise DomainError("figure config: curves entry needs a list of pairs")
+    curves = []
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DomainError(f"figure config: pair {pair!r} is not [p, r]")
+        p_text, r_text = pair
+        params = Params(_config_scalar(p_text, "p"), _config_scalar(r_text, "r"))
+        curves.append((p_text, r_text, params, density_function(params)))
+
+    def rows():
+        yield ["p", "r", "x", "V", "has_negative"]
+        for p_text, r_text, params, evaluate in curves:
+            upper = float(support_endpoint(params.p))
+            xs = [upper * i / (points + 1) for i in range(1, points + 1)]
+            values = [evaluate(x) for x in xs]
+            flag = 1 if _curve_has_negative(evaluate, upper, values) else 0
+            for x, v in zip(xs, values):
+                yield [p_text, r_text, _fmt_float(x), _fmt_float(v), flag]
+
+    return rows()
 
 
 def _cmd_figure(args) -> int:
@@ -219,16 +254,15 @@ def _cmd_figure(args) -> int:
     if key not in config:
         raise DomainError(f"no figure with id {args.id}; known ids: {sorted(config)}")
     cfg = config[key]
+    if not isinstance(cfg, dict):
+        raise DomainError(f"figure config: entry {key} must be a JSON object")
+    rows = _raster_rows(cfg) if cfg.get("kind") == "raster" else _curve_rows(cfg)
     try:
         fh = open(args.out, "w", newline="")
     except OSError as exc:
         raise DomainError(f"cannot write {args.out}: {exc}") from exc
     with fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if cfg.get("kind") == "raster":
-            _emit_raster(cfg, writer)
-        else:
-            _emit_curves(cfg, writer)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return 0
 
 

@@ -1,35 +1,30 @@
 """Moment-sequence transforms for noncommutative convolutions.
 
-Everything here operates on truncated moment sequences, so the contract
-of each transform is a coefficientwise identity modulo a fixed power of
-the formal variable rather than any analytic statement.  Computations
-stay in exact rational arithmetic whenever the inputs are exact.
+A law enters every transform as its moment generating series
+sum_n m_n z^n, a ``TruncatedSeries`` with m_0 = 1, and every transform
+returns one.  The contract of each transform is therefore a
+coefficientwise identity modulo a fixed power of the formal variable
+rather than any analytic statement.  Computations stay in exact rational
+arithmetic whenever the inputs are exact.
 
-The transforms: moment generating series, Boolean convolution power,
-monotonic convolution, the S-transform with its inverse (carrying free
-multiplicative and additive convolution powers), dilation, and a
-read-only free cumulant series for diagnostics.  A small suite of named
-convolution identities between binomial and Raney moment sequences is
-exposed for the command line and the tests.
+The transforms: Boolean convolution power, monotonic convolution, the
+S-transform with its inverse (carrying free multiplicative and additive
+convolution powers), dilation, and a read-only free cumulant series for
+diagnostics.  A small suite of named convolution identities between
+binomial and Raney moment sequences is exposed for the command line and
+the tests.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
-from .core import DomainError, Scalar, as_scalar, gen_binomial, is_exact, raney_number
-from .series import TruncatedSeries
+from .core import DomainError, Scalar, as_scalar, is_exact
+from .series import DEFAULT_ORDER, TruncatedSeries, binomial_series, raney_series
 
 __all__ = [
-    "DEFAULT_ORDER",
-    "MomentVector",
-    "STransformSeries",
-    "binomial_moment_vector",
-    "raney_moment_vector",
-    "bernoulli_moment_vector",
-    "m_series",
-    "moments_from_series",
+    "bernoulli_series",
     "boolean_power",
     "monotonic_convolve",
     "s_transform",
@@ -42,168 +37,80 @@ __all__ = [
     "identity_suite",
 ]
 
-DEFAULT_ORDER = 16
 
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Moments m_0..m_N of a (possibly signed) probability law, m_0 = 1."""
-
-    moments: Tuple[Scalar, ...]
-
-    def __post_init__(self):
-        ms = tuple(as_scalar(c) for c in self.moments)
-        if not ms:
-            raise DomainError("moment vector needs at least m_0")
-        if not ms[0] == 1:
-            raise DomainError("m_0 must equal 1")
-        object.__setattr__(self, "moments", ms)
-
-    @property
-    def order(self) -> int:
-        return len(self.moments) - 1
-
-    def __getitem__(self, n: int) -> Scalar:
-        return self.moments[n]
-
-    def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.moments)
-
-    def truncate(self, order: int) -> "MomentVector":
-        if order >= self.order:
-            return self
-        return MomentVector(self.moments[: order + 1])
-
-    def to_json_list(self) -> list:
-        out = []
-        for c in self.moments:
-            if is_exact(c):
-                out.append({"num": str(c.numerator), "den": str(c.denominator)})
-            else:
-                out.append(c)
-        return out
-
-    @classmethod
-    def from_json_list(cls, items: Sequence) -> "MomentVector":
-        ms = []
-        for c in items:
-            if isinstance(c, dict):
-                ms.append(Fraction(int(c["num"]), int(c["den"])))
-            else:
-                ms.append(float(c))
-        return cls(tuple(ms))
-
-
-def binomial_moment_vector(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> MomentVector:
-    """Moments C(n*p+r, n) up to the given order, exact for exact inputs."""
-    return MomentVector(tuple(gen_binomial(p, r, n) for n in range(order + 1)))
-
-
-def raney_moment_vector(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> MomentVector:
-    """Raney moments r/(n*p+r)*C(n*p+r, n) up to the given order."""
-    return MomentVector(tuple(raney_number(p, r, n) for n in range(order + 1)))
-
-
-def bernoulli_moment_vector(alpha: Scalar, a: Scalar = 1, order: int = DEFAULT_ORDER) -> MomentVector:
-    """Moments of the two-point law alpha*delta_0 + (1-alpha)*delta_a."""
+def bernoulli_series(alpha: Scalar, a: Scalar = 1, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Moment series of the two-point law alpha*delta_0 + (1-alpha)*delta_a."""
     alpha = as_scalar(alpha)
     a = as_scalar(a)
     if not 0 <= alpha <= 1:
         raise DomainError("weight must lie in [0, 1]")
     weight = 1 - alpha
-    return MomentVector((as_scalar(1),) + tuple(weight * a**n for n in range(1, order + 1)))
+    return TruncatedSeries((as_scalar(1),) + tuple(weight * a**n for n in range(1, order + 1)))
 
 
-# -- generating series -------------------------------------------------------
-
-
-def m_series(m: MomentVector) -> TruncatedSeries:
-    """The moment generating series sum_n m_n z^n at the vector's order."""
-    return TruncatedSeries.from_coeffs(m.moments)
-
-
-def moments_from_series(s: TruncatedSeries) -> MomentVector:
-    return MomentVector(s.coeffs)
-
-
-def _one_plus_z(order: int) -> TruncatedSeries:
-    cs = [Fraction(1)] + [Fraction(0)] * order
-    if order >= 1:
-        cs[1] = Fraction(1)
-    return TruncatedSeries(tuple(cs))
+def _check_mass(m: TruncatedSeries) -> None:
+    # every transform takes the moment series of a (possibly signed)
+    # probability law, whose total mass m_0 is 1
+    if not m[0] == 1:
+        raise DomainError("m_0 must equal 1")
 
 
 # -- Boolean and monotonic convolution ---------------------------------------
 
 
-def boolean_power(m: MomentVector, u: Scalar) -> MomentVector:
+def boolean_power(m: TruncatedSeries, u: Scalar) -> TruncatedSeries:
     """u-fold Boolean convolution power via M -> M/(u - (u-1)M).
 
     The quotient is a well-defined series for every u since the
     denominator has constant term 1.
     """
+    _check_mass(m)
     u = as_scalar(u)
     if not u > 0:
         raise DomainError("Boolean power needs u > 0")
-    big_m = m_series(m)
-    return moments_from_series(big_m / (u - (u - 1) * big_m))
+    return m / (u - (u - 1) * m)
 
 
-def monotonic_convolve(m1: MomentVector, m2: MomentVector) -> MomentVector:
+def monotonic_convolve(m1: TruncatedSeries, m2: TruncatedSeries) -> TruncatedSeries:
     """Monotonic convolution through M(z) = M_1(z*M_2(z)) * M_2(z)."""
+    _check_mass(m1)
+    _check_mass(m2)
     n = min(m1.order, m2.order)
-    big1 = m_series(m1.truncate(n))
-    big2 = m_series(m2.truncate(n))
-    return moments_from_series(big1.compose(big2.shift_up()) * big2)
+    big1 = m1.truncate(n)
+    big2 = m2.truncate(n)
+    return big1.compose(big2.shift_up()) * big2
 
 
 # -- the S-transform and its consequences -------------------------------------
 
 
-@dataclass(frozen=True)
-class STransformSeries:
-    """Truncated expansion of an S-transform around 0; S(0) = 1/m_1 != 0."""
-
-    coeffs: TruncatedSeries
-
-    def __post_init__(self):
-        if self.coeffs.coeffs[0] == 0:
-            raise DomainError("S-transform must not vanish at 0")
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.order
-
-    def __getitem__(self, n: int) -> Scalar:
-        return self.coeffs[n]
-
-
-def s_transform(m: MomentVector) -> STransformSeries:
-    """S-transform of a moment sequence with m_1 != 0.
+def s_transform(m: TruncatedSeries) -> TruncatedSeries:
+    """S-transform of a moment series with m_1 != 0; S(0) = 1/m_1.
 
     Writing psi = M - 1 and chi for the compositional inverse of psi,
     the transform is S(z) = chi(z)*(1+z)/z.  One order is consumed by
     the division, so the result has order one less than the input.
     """
+    _check_mass(m)
     if m.order < 1 or m[1] == 0:
         raise DomainError("S-transform needs a nonzero first moment")
-    psi = m_series(m) - 1
-    chi = psi.compositional_inverse()
+    chi = (m - 1).compositional_inverse()
     shifted = TruncatedSeries(chi.coeffs[1:])
-    return STransformSeries(shifted * _one_plus_z(shifted.order))
+    return shifted * (TruncatedSeries.identity(shifted.order) + 1)
 
 
-def from_s_transform(s: STransformSeries) -> MomentVector:
-    """Moment sequence whose S-transform is the given series.
+def from_s_transform(s: TruncatedSeries) -> TruncatedSeries:
+    """Moment series whose S-transform is the given series.
 
     Exact inverse of ``s_transform`` modulo truncation: the returned
-    vector has order one more than the input series.
+    series has order one more than the input series.
     """
+    if s[0] == 0:
+        raise DomainError("S-transform must not vanish at 0")
     n = s.order + 1
-    top = TruncatedSeries((Fraction(0),) + s.coeffs.coeffs)
-    chi = top / _one_plus_z(n)
-    psi = chi.compositional_inverse()
-    return moments_from_series(psi + 1)
+    top = TruncatedSeries((Fraction(0),) + s.coeffs)
+    chi = top / (TruncatedSeries.identity(n) + 1)
+    return chi.compositional_inverse() + 1
 
 
 def _scalar_power(base: Scalar, expo: Scalar) -> Scalar:
@@ -225,7 +132,7 @@ def _check_power_domain(w: Scalar, formal: bool, what: str) -> Scalar:
     return w
 
 
-def free_mult_power(m: MomentVector, w: Scalar, formal: bool = False) -> MomentVector:
+def free_mult_power(m: TruncatedSeries, w: Scalar, formal: bool = False) -> TruncatedSeries:
     """w-fold free multiplicative convolution power, S -> S^w.
 
     Exponents below 1 need the ``formal`` flag: the result is then a
@@ -234,31 +141,31 @@ def free_mult_power(m: MomentVector, w: Scalar, formal: bool = False) -> MomentV
     it equals 1.
     """
     w = _check_power_domain(w, formal, "free multiplicative power")
-    s = s_transform(m).coeffs
-    s0 = s.coeffs[0]
-    powed = (s / s0).pow_scalar(w) * _scalar_power(s0, w)
-    return from_s_transform(STransformSeries(powed))
+    s = s_transform(m)
+    s0 = s[0]
+    return from_s_transform((s / s0).pow_scalar(w) * _scalar_power(s0, w))
 
 
-def free_add_power(m: MomentVector, t: Scalar, formal: bool = False) -> MomentVector:
+def free_add_power(m: TruncatedSeries, t: Scalar, formal: bool = False) -> TruncatedSeries:
     """t-fold free additive convolution power, S(z) -> S(z/t)/t."""
     t = _check_power_domain(t, formal, "free additive power")
-    s = s_transform(m).coeffs
+    s = s_transform(m)
     scaled = TruncatedSeries(
         tuple(c / t ** (n + 1) for n, c in enumerate(s.coeffs))
     )
-    return from_s_transform(STransformSeries(scaled))
+    return from_s_transform(scaled)
 
 
-def dilate(m: MomentVector, c: Scalar) -> MomentVector:
+def dilate(m: TruncatedSeries, c: Scalar) -> TruncatedSeries:
     """Pushforward under x -> c*x: the n-th moment picks up c^n."""
+    _check_mass(m)
     c = as_scalar(c)
     if not c > 0:
         raise DomainError("dilation needs c > 0")
-    return MomentVector(tuple(c**n * mn for n, mn in enumerate(m.moments)))
+    return TruncatedSeries(tuple(c**n * mn for n, mn in enumerate(m.coeffs)))
 
 
-def r_transform(m: MomentVector) -> TruncatedSeries:
+def r_transform(m: TruncatedSeries) -> TruncatedSeries:
     """Free cumulant series R(z) = sum_n kappa_{n+1} z^n, diagnostics only.
 
     Obtained by inverting the Cauchy transform in its formal-series
@@ -267,9 +174,9 @@ def r_transform(m: MomentVector) -> TruncatedSeries:
     these series; the library's additive power itself runs through the
     S-transform scaling rule.
     """
-    big_m = m_series(m)
-    w = TruncatedSeries((Fraction(0),) + big_m.coeffs)
-    c = (big_m - 1).compose(w.compositional_inverse().truncate(m.order))
+    _check_mass(m)
+    w = TruncatedSeries((Fraction(0),) + m.coeffs)
+    c = (m - 1).compose(w.compositional_inverse().truncate(m.order))
     return TruncatedSeries(c.coeffs[1:])
 
 
@@ -285,7 +192,7 @@ class IdentityCheck:
     run: Callable[[], bool]
 
 
-def _vectors_agree(a: MomentVector, b: MomentVector, rel: float = 1e-12) -> bool:
+def _rows_agree(a: TruncatedSeries, b: TruncatedSeries, rel: float = 1e-12) -> bool:
     n = min(a.order, b.order)
     for i in range(n + 1):
         x, y = a[i], b[i]
@@ -301,8 +208,8 @@ def _check_boolean_row(order: int) -> bool:
     # the full binomial row at r = 0 is the p-fold Boolean power of the
     # Raney law at r = 1
     for p in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        got = boolean_power(raney_moment_vector(p, 1, order), p)
-        if not _vectors_agree(got, binomial_moment_vector(p, 0, order)):
+        got = boolean_power(raney_series(p, 1, order), p)
+        if not _rows_agree(got, binomial_series(p, 0, order)):
             return False
     return True
 
@@ -315,9 +222,9 @@ def _check_raney_monotonic(order: int) -> bool:
         (Fraction(3), Fraction(2), Fraction(3, 2)),
     ):
         got = monotonic_convolve(
-            raney_moment_vector(p, a, order), raney_moment_vector(p + b, b, order)
+            raney_series(p, a, order), raney_series(p + b, b, order)
         )
-        if not _vectors_agree(got, raney_moment_vector(p + b, a + b, order)):
+        if not _rows_agree(got, raney_series(p + b, a + b, order)):
             return False
     return True
 
@@ -331,9 +238,9 @@ def _check_binomial_monotonic(order: int) -> bool:
         (Fraction(3), Fraction(1, 2)),
         (Fraction(3, 2), Fraction(1, 2)),
     ):
-        base = boolean_power(binomial_moment_vector(p, 0, order), (p + s) / p)
-        got = monotonic_convolve(base, raney_moment_vector(p + s, s, order))
-        if not _vectors_agree(got, binomial_moment_vector(p + s, s, order)):
+        base = boolean_power(binomial_series(p, 0, order), (p + s) / p)
+        got = monotonic_convolve(base, raney_series(p + s, s, order))
+        if not _rows_agree(got, binomial_series(p + s, s, order)):
             return False
     return True
 
@@ -341,9 +248,9 @@ def _check_binomial_monotonic(order: int) -> bool:
 def _check_mixed_factorization(order: int) -> bool:
     # Binomial(p, r) = Raney(p-r, 1)^{Boolean p} |> Raney(p, r)
     for p, r in ((Fraction(3), Fraction(1)), (Fraction(5, 2), Fraction(1, 2))):
-        left = boolean_power(raney_moment_vector(p - r, 1, order), p)
-        got = monotonic_convolve(left, raney_moment_vector(p, r, order))
-        if not _vectors_agree(got, binomial_moment_vector(p, r, order)):
+        left = boolean_power(raney_series(p - r, 1, order), p)
+        got = monotonic_convolve(left, raney_series(p, r, order))
+        if not _rows_agree(got, binomial_series(p, r, order)):
             return False
     return True
 
@@ -354,13 +261,13 @@ def _nu0_s_reference(p: Fraction, order: int) -> TruncatedSeries:
     # rearranged as (1/p) * ((1 + (1-1/p)z)/(1 + z))^(p-1) so the base
     # series has unit constant term
     q = p - 1
-    num = TruncatedSeries((Fraction(1), q / p) + (Fraction(0),) * (order - 1))
-    return (num / _one_plus_z(order)).pow_scalar(q) / p
+    z = TruncatedSeries.identity(order)
+    return ((z * (q / p) + 1) / (z + 1)).pow_scalar(q) / p
 
 
 def _check_s_formula_row0(order: int) -> bool:
     for p in (Fraction(2), Fraction(3)):
-        got = s_transform(binomial_moment_vector(p, 0, order)).coeffs
+        got = s_transform(binomial_series(p, 0, order))
         want = _nu0_s_reference(p, got.order)
         for n in range(got.order + 1):
             if not math.isclose(
@@ -372,18 +279,15 @@ def _check_s_formula_row0(order: int) -> bool:
 
 def _check_defining_relation(order: int) -> bool:
     # M(z/(1+z) * S(z)) = 1 + z, coefficientwise and exact
-    vectors = (
-        raney_moment_vector(Fraction(2), 1, order),
-        binomial_moment_vector(Fraction(3), 1, order),
-        bernoulli_moment_vector(Fraction(1, 3), 2, order),
+    rows = (
+        raney_series(Fraction(2), 1, order),
+        binomial_series(Fraction(3), 1, order),
+        bernoulli_series(Fraction(1, 3), 2, order),
     )
-    for m in vectors:
-        s = s_transform(m).coeffs
-        big_m = m_series(m).truncate(s.order)
-        inner = TruncatedSeries((Fraction(0),) + s.coeffs[:-1]) / _one_plus_z(
-            s.order
-        )
-        resid = big_m.compose(inner) - _one_plus_z(s.order)
+    for m in rows:
+        s = s_transform(m)
+        one_plus_z = TruncatedSeries.identity(s.order) + 1
+        resid = m.truncate(s.order).compose(s.shift_up() / one_plus_z) - one_plus_z
         if any(c != 0 for c in resid.coeffs):
             return False
     return True
@@ -392,16 +296,16 @@ def _check_defining_relation(order: int) -> bool:
 def _check_bernoulli_mult(order: int) -> bool:
     # the boundary binomial row at p = 2 is a dilated free multiplicative
     # square of the symmetric two-point law
-    bern = bernoulli_moment_vector(Fraction(1, 2), 1, order)
+    bern = bernoulli_series(Fraction(1, 2), 1, order)
     got = dilate(free_mult_power(bern, 2), 4)
-    return _vectors_agree(got, binomial_moment_vector(Fraction(2), -1, order))
+    return _rows_agree(got, binomial_series(Fraction(2), -1, order))
 
 
 def _check_bernoulli_add(order: int) -> bool:
     # the arcsine row is a dilated free additive square of the same law
-    bern = bernoulli_moment_vector(Fraction(1, 2), 1, order)
+    bern = bernoulli_series(Fraction(1, 2), 1, order)
     got = dilate(free_add_power(bern, 2), 2)
-    return _vectors_agree(got, binomial_moment_vector(Fraction(2), 0, order))
+    return _rows_agree(got, binomial_series(Fraction(2), 0, order))
 
 
 def _check_bernoulli_general(order: int) -> bool:
@@ -409,10 +313,10 @@ def _check_bernoulli_general(order: int) -> bool:
     # free additive power p/(p-1), then multiplicative power p-1,
     # then dilation by p
     p = Fraction(3)
-    bern = bernoulli_moment_vector(1 / p, 1, order)
+    bern = bernoulli_series(1 / p, 1, order)
     boosted = free_mult_power(free_add_power(bern, p / (p - 1)), p - 1)
     got = dilate(boosted, p)
-    return _vectors_agree(got, binomial_moment_vector(p, 0, order))
+    return _rows_agree(got, binomial_series(p, 0, order))
 
 
 def identity_suite(order: int = 12) -> Tuple[IdentityCheck, ...]:

@@ -25,7 +25,7 @@ from .core import (
 __all__ = [
     "TruncatedSeries",
     "DEFAULT_ORDER",
-    "fuss_series",
+    "raney_series",
     "binomial_series",
     "binomial_series_via_fuss",
     "fuss_functional_equation_holds",
@@ -64,10 +64,8 @@ class TruncatedSeries:
 
     @classmethod
     def identity(cls, order: int) -> "TruncatedSeries":
-        # the series z
-        if order < 1:
-            raise DomainError("identity needs order >= 1")
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
+        # the series z, which truncates to 0 at order 0
+        return cls.from_function(lambda n: Fraction(int(n == 1)), order)
 
     @classmethod
     def from_function(cls, f: Callable[[int], Scalar], order: int) -> "TruncatedSeries":
@@ -193,8 +191,8 @@ class TruncatedSeries:
         g = [Fraction(0), (Fraction(1) / f1 if is_exact(f1) else 1.0 / f1)]
         for m in range(2, n + 1):
             s = sum((g[j] * powers[j].coeffs[m] for j in range(1, m)), start=Fraction(0))
-            g.append(-s / powers[m].coeffs[m] if powers[m].coeffs[m] != 0 else -s * 0)
             # powers[m].coeffs[m] == f1**m, nonzero by precondition
+            g.append(-s / powers[m].coeffs[m])
         return TruncatedSeries(tuple(g))
 
     # -- transcendental (exact over rationals) ------------------------------
@@ -260,13 +258,13 @@ class TruncatedSeries:
 # -- generating functions ---------------------------------------------------
 
 
-def fuss_series(p: Scalar, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Fuss generating function: coefficient n is C(n*p+1, n)/(n*p+1).
+def raney_series(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Raney generating function: coefficient n is r/(n*p+r) * C(n*p+r, n).
 
-    Satisfies B = 1 + z*B**p.  Catalan numbers at p = 2; 1+z at p = 0;
-    the all-ones geometric coefficients at p = 1.
+    At r = 1 this is the Fuss series B with B = 1 + z*B**p: Catalan
+    numbers at p = 2, 1+z at p = 0, the all-ones coefficients at p = 1.
     """
-    return TruncatedSeries.from_function(lambda n: raney_number(p, 1, n), order)
+    return TruncatedSeries.from_function(lambda n: raney_number(p, r, n), order)
 
 
 def binomial_series(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -282,7 +280,7 @@ def binomial_series_via_fuss(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -
     """
     p = as_scalar(p)
     r = as_scalar(r)
-    b = fuss_series(p, order)
+    b = raney_series(p, 1, order)
     numer = b.pow_scalar(1 + r)
     denom = b * (1 - p) + p  # constant term p - (p-1)*1 = 1
     return numer * denom.reciprocal()
@@ -290,7 +288,7 @@ def binomial_series_via_fuss(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -
 
 def fuss_functional_equation_holds(p: Scalar, order: int = DEFAULT_ORDER) -> bool:
     """Check B = 1 + z*B**p termwise (exact for rational p)."""
-    b = fuss_series(p, order)
+    b = raney_series(p, 1, order)
     rhs = (b.pow_scalar(p)).shift_up() + 1
     return b.coeffs == rhs.coeffs
 
@@ -317,9 +315,9 @@ def boundary_series_relations_hold(p: Scalar, order: int = DEFAULT_ORDER) -> boo
 
 def lambert_composition_holds(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> bool:
     """Check B_{p-r}(z * B_p(z)**r) = B_p(z) termwise."""
-    bp = fuss_series(p, order)
+    bp = raney_series(p, 1, order)
     inner = (bp.pow_scalar(r)).shift_up()
-    lhs = fuss_series(as_scalar(p) - as_scalar(r), order).compose(inner)
+    lhs = raney_series(as_scalar(p) - as_scalar(r), 1, order).compose(inner)
     return lhs.coeffs == bp.coeffs
 
 

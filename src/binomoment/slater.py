@@ -23,7 +23,6 @@ from .core import (
     RegionError,
     Scalar,
     as_scalar,
-    comparable,
     gamma_real,
     gen_binomial,
     is_exact,
@@ -208,14 +207,12 @@ _HEAD_TERMS = 16384
 
 def _validate_params(num, den):
     for b in den:
-        m = _pole_order(as_scalar(b) if not isinstance(b, float) else b)
-        if m is not None:
+        if _pole_order(as_scalar(b)) is not None:
             raise DomainError(f"lower parameter {b} is a nonpositive integer")
 
 
 def _terminates(num) -> bool:
-    return any(_pole_order(a if isinstance(a, float) else as_scalar(a)) is not None
-               for a in num)
+    return any(_pole_order(as_scalar(a)) is not None for a in num)
 
 
 def _pfq_direct(num, den, z, rel_tol, max_terms) -> PfqResult:
@@ -434,21 +431,6 @@ def _coef_denominator_args(r, h: int, k: int, l: int):
     return args
 
 
-def _is_gamma_zeroing(arg) -> bool:
-    # nonpositive-integer denominator gamma argument kills the coefficient;
-    # floats get a proximity test backed by rational reconstruction
-    if is_exact(arg):
-        a = Fraction(arg)
-        return a.denominator == 1 and a <= 0
-    near = round(arg)
-    if near > 0 or abs(arg - near) >= 1e-9:
-        return False
-    rec = comparable(arg)
-    if is_exact(rec):
-        return Fraction(rec).denominator == 1 and rec <= 0
-    return True
-
-
 def build_slater_expansion(params: Params) -> SlaterExpansion:
     """Construct the k-term hypergeometric expansion of the density.
 
@@ -471,7 +453,7 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
     terms = []
     for h in range(1, k + 1):
         den_args = _coef_denominator_args(r, h, k, l)
-        if any(_is_gamma_zeroing(a) for a in den_args):
+        if any(_pole_order(a) is not None for a in den_args):
             coef = 0.0
         else:
             num = 1.0

@@ -2,7 +2,7 @@
 
 Three layers of evidence about a parameter pair: quadrature showing that
 the computed density reproduces the exact moment sequence, Hankel matrix
-eigenvalue probes on moment vectors, and a budgeted search for negativity
+eigenvalue probes on moment series, and a budgeted search for negativity
 certificates outside the positive-definite region.  ``QuadratureSpec`` and
 ``IntegralResult`` live in :mod:`binomoment.quadrature` and are re-exported
 here for callers of ``integrate_density``.
@@ -17,9 +17,9 @@ import numpy as np
 
 from .closedform import measure_model
 from .core import DomainError, Params, RegionError, classify_binomial, gen_binomial
-from .freeconv import MomentVector
 from .mellin import MeasureModel
 from .quadrature import IntegralResult, QuadratureSpec, integrate
+from .series import TruncatedSeries, binomial_series
 from .slater import build_slater_expansion, eval_density
 
 __all__ = [
@@ -157,7 +157,7 @@ def certify_measure(
     }
 
 
-def hankel_matrix_min_eig(moments: MomentVector, d: int) -> float:
+def hankel_matrix_min_eig(moments: TruncatedSeries, d: int) -> float:
     """Smallest eigenvalue of the (d+1)x(d+1) Hankel matrix (m_{i+j})."""
     if d < 0:
         raise DomainError("Hankel size must be nonnegative")
@@ -189,9 +189,7 @@ def scan_for_witness(params: Params) -> Optional[Witness]:
         if v < -WITNESS_TOL:
             return Witness("NegativeDensityPoint", x, v)
     order = 2 * _SCAN_HANKEL_MAX
-    moments = MomentVector(
-        tuple(gen_binomial(params.p, params.r, n) for n in range(order + 1))
-    )
+    moments = binomial_series(params.p, params.r, order)
     for n in range(2, order + 1, 2):
         v = float(moments[n])
         if v < -WITNESS_TOL:

@@ -16,19 +16,14 @@ import numpy as np
 from binomoment.cli import main
 from binomoment.closedform import closed_form_for, eval_closed
 from binomoment.core import Params, classify_binomial, gen_binomial, support_endpoint
-from binomoment.freeconv import (
-    STransformSeries,
-    binomial_moment_vector,
-    from_s_transform,
-    identity_suite,
-    raney_moment_vector,
-    s_transform,
-)
+from binomoment.freeconv import from_s_transform, identity_suite, s_transform
 from binomoment.mellin import factorize, mellin_product_moments, sample
 from binomoment.series import (
     TruncatedSeries,
+    binomial_series,
     binomial_series_via_fuss,
     fuss_functional_equation_holds,
+    raney_series,
 )
 from binomoment.slater import build_slater_expansion, eval_density
 from binomoment.verify import certify_measure, scan_for_witness, find_negativity_witness
@@ -154,18 +149,18 @@ def test_criterion_6_convolution_identity_suite():
         for check in identity_suite(order=12):
             assert check.run(), check.name
         # closed S-transform forms at 12 moments, exact arithmetic
-        s = s_transform(raney_moment_vector(F(2), 1, 12)).coeffs
+        s = s_transform(raney_series(F(2), 1, 12))
         assert all(s[n] == (-1) ** n for n in range(s.order + 1))
-        s = s_transform(raney_moment_vector(F(3), 1, 12)).coeffs
+        s = s_transform(raney_series(F(3), 1, 12))
         assert all(s[n] == (-1) ** n * (n + 1) for n in range(s.order + 1))
         order = 12
         one_plus = TruncatedSeries((F(1), F(1)) + (F(0),) * (order - 1))
         half_plus = TruncatedSeries((F(1, 2), F(1)) + (F(0),) * (order - 1))
         ratio = one_plus / half_plus
-        boundary = from_s_transform(STransformSeries(ratio * ratio / 4))
-        want = binomial_moment_vector(F(2), F(-1), order)
+        boundary = from_s_transform(ratio * ratio / 4)
+        want = binomial_series(F(2), F(-1), order)
         shared = min(boundary.order, want.order) + 1
-        assert boundary.moments[:shared] == want.moments[:shared]
+        assert boundary.coeffs[:shared] == want.coeffs[:shared]
 
 
 def test_criterion_7_classification_and_witnesses():

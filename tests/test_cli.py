@@ -308,6 +308,25 @@ class TestFigure:
         assert code == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("entry", [
+        {"kind": "curves"},
+        {"kind": "curves", "pairs": [["2"]]},
+        {"kind": "raster", "p_min": "1", "r_min": "0", "r_max": "1", "step": "1/2"},
+        {"kind": "curves", "pairs": [["2", "x"]]},
+        "nope",
+    ], ids=["no-pairs", "short-pair", "raster-no-p_max", "bad-scalar", "not-an-object"])
+    def test_malformed_params_entry(self, tmp_path, capsys, entry):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"9": entry}))
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "figure", "--id", "9", "--out", str(out_path),
+            "--params", str(cfg_path),
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not out_path.exists()
+
     def test_unwritable_out_path(self, tmp_path, capsys):
         out_path = tmp_path / "missing-dir" / "fig2.csv"
         code, _, err = run(capsys, "figure", "--id", "2", "--out", str(out_path))

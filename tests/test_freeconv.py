@@ -7,30 +7,24 @@ from hypothesis import given, settings, strategies as st
 
 from binomoment.core import DomainError, gen_binomial, raney_number
 from binomoment.freeconv import (
-    MomentVector,
-    STransformSeries,
-    bernoulli_moment_vector,
-    binomial_moment_vector,
+    bernoulli_series,
     boolean_power,
     dilate,
     free_add_power,
     free_mult_power,
     from_s_transform,
     identity_suite,
-    m_series,
     monotonic_convolve,
-    moments_from_series,
     r_transform,
-    raney_moment_vector,
     s_transform,
 )
-from binomoment.series import TruncatedSeries
+from binomoment.series import TruncatedSeries, binomial_series, raney_series
 
 
 F = Fraction
 
 
-def exact_vectors(min_order=3, max_order=8):
+def exact_rows(min_order=3, max_order=8):
     scalars = st.fractions(
         min_value=F(-4), max_value=F(4), max_denominator=6
     )
@@ -42,113 +36,126 @@ def exact_vectors(min_order=3, max_order=8):
         rest = draw(
             st.lists(scalars, min_size=order - 1, max_size=order - 1)
         )
-        return MomentVector((F(1), draw(nonzero), *rest))
+        return TruncatedSeries((F(1), draw(nonzero), *rest))
 
     return build()
 
 
 class TestMomentVector:
+    # a moment row is a TruncatedSeries with m_0 = 1; its JSON form is the
+    # series' one
+
+    def test_json_roundtrip_exact(self):
+        m = TruncatedSeries((F(1), F(-3, 7), F(22, 5)))
+        data = m.to_json_dict()
+        assert data["coeffs"][1] == {"num": "-3", "den": "7"}
+        back = TruncatedSeries.from_json_dict(data)
+        assert back.coeffs == m.coeffs
+        assert back.is_exact()
+
+    def test_json_roundtrip_float(self):
+        m = TruncatedSeries((F(1), 0.25, 1.75))
+        back = TruncatedSeries.from_json_dict(m.to_json_dict())
+        assert back[1] == 0.25 and back[2] == 1.75
+        assert isinstance(back[1], float) and isinstance(back[2], float)
+
+
+class TestMSeries:
     def test_rejects_wrong_mass(self):
+        # every transform checks m_0 = 1 on its input
+        bad = TruncatedSeries((F(2), F(1), F(3)))
+        good = raney_series(F(2), 1, 2)
+        transforms = (
+            lambda m: boolean_power(m, 2),
+            lambda m: monotonic_convolve(m, good),
+            lambda m: monotonic_convolve(good, m),
+            s_transform,
+            lambda m: free_mult_power(m, 2),
+            lambda m: free_add_power(m, 2),
+            lambda m: dilate(m, 2),
+            r_transform,
+        )
+        for transform in transforms:
+            with pytest.raises(DomainError):
+                transform(bad)
         with pytest.raises(DomainError):
-            MomentVector((F(2), F(1)))
-        with pytest.raises(DomainError):
-            MomentVector(())
+            TruncatedSeries(())
 
     def test_exactness_preserved(self):
-        m = binomial_moment_vector(F(3), F(1), 6)
+        m = binomial_series(F(3), F(1), 6)
         assert m.is_exact()
         assert m[2] == 21
 
     def test_truncate(self):
-        m = binomial_moment_vector(F(2), F(0), 8)
+        m = binomial_series(F(2), F(0), 8)
         t = m.truncate(3)
         assert t.order == 3
-        assert t.moments == m.moments[:4]
+        assert t.coeffs == m.coeffs[:4]
 
-    def test_json_roundtrip_exact(self):
-        m = MomentVector((F(1), F(-3, 7), F(22, 5)))
-        data = m.to_json_list()
-        assert data[1] == {"num": "-3", "den": "7"}
-        back = MomentVector.from_json_list(data)
-        assert back.moments == m.moments
-
-    def test_json_roundtrip_float(self):
-        m = MomentVector((F(1), 0.25, 1.75))
-        back = MomentVector.from_json_list(m.to_json_list())
-        assert back[1] == 0.25 and back[2] == 1.75
-
-
-class TestMSeries:
     def test_point_mass_at_one_gives_geometric(self):
-        m = MomentVector((F(1),) * 7)
-        s = m_series(m)
+        s = bernoulli_series(F(0), 1, 6)
         assert all(s[n] == 1 for n in range(7))
 
     def test_two_point_law(self):
-        m = bernoulli_moment_vector(F(1, 2), 1, 6)
-        s = m_series(m)
+        s = bernoulli_series(F(1, 2), 1, 6)
         assert s[0] == 1
         assert all(s[n] == F(1, 2) for n in range(1, 7))
 
     def test_catalan_row(self):
-        s = m_series(raney_moment_vector(F(2), 1, 5))
+        s = raney_series(F(2), 1, 5)
         assert [s[n] for n in range(6)] == [1, 1, 2, 5, 14, 42]
-
-    def test_series_vector_roundtrip(self):
-        m = binomial_moment_vector(F(5, 2), F(1, 2), 5)
-        assert moments_from_series(m_series(m)).moments == m.moments
 
 
 class TestBooleanPower:
     def test_unit_exponent_is_identity(self):
-        m = binomial_moment_vector(F(3), F(1), 8)
-        assert boolean_power(m, 1).moments == m.moments
+        m = binomial_series(F(3), F(1), 8)
+        assert boolean_power(m, 1).coeffs == m.coeffs
 
     def test_catalan_square_gives_central_binomials(self):
-        got = boolean_power(raney_moment_vector(F(2), 1, 8), 2)
-        assert got.moments == binomial_moment_vector(F(2), F(0), 8).moments
+        got = boolean_power(raney_series(F(2), 1, 8), 2)
+        assert got.coeffs == binomial_series(F(2), F(0), 8).coeffs
 
     def test_fuss_cube_gives_cubic_binomials(self):
-        got = boolean_power(raney_moment_vector(F(3), 1, 8), 3)
-        assert got.moments == binomial_moment_vector(F(3), F(0), 8).moments
+        got = boolean_power(raney_series(F(3), 1, 8), 3)
+        assert got.coeffs == binomial_series(F(3), F(0), 8).coeffs
 
     def test_rejects_nonpositive_exponent(self):
-        m = raney_moment_vector(F(2), 1, 4)
+        m = raney_series(F(2), 1, 4)
         with pytest.raises(DomainError):
             boolean_power(m, 0)
 
     @settings(max_examples=40, deadline=None)
-    @given(m=exact_vectors(), u=st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4))
+    @given(m=exact_rows(), u=st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4))
     def test_group_law(self, m, u):
         back = boolean_power(boolean_power(m, u), 1 / u)
-        assert back.moments == m.moments
+        assert back.coeffs == m.coeffs
 
 
 class TestMonotonicConvolve:
     def test_point_mass_at_zero_is_neutral(self):
-        m = binomial_moment_vector(F(5, 2), F(1, 2), 7)
-        delta0 = MomentVector((F(1),) + (F(0),) * 7)
-        assert monotonic_convolve(m, delta0).moments == m.moments
-        assert monotonic_convolve(delta0, m).moments == m.moments
+        m = binomial_series(F(5, 2), F(1, 2), 7)
+        delta0 = TruncatedSeries((F(1),) + (F(0),) * 7)
+        assert monotonic_convolve(m, delta0).coeffs == m.coeffs
+        assert monotonic_convolve(delta0, m).coeffs == m.coeffs
 
     def test_raney_parameter_shift(self):
         got = monotonic_convolve(
-            raney_moment_vector(F(2), 1, 10), raney_moment_vector(F(3), 1, 10)
+            raney_series(F(2), 1, 10), raney_series(F(3), 1, 10)
         )
-        assert got.moments == raney_moment_vector(F(3), 2, 10).moments
+        assert got.coeffs == raney_series(F(3), 2, 10).coeffs
 
     def test_associative(self):
-        a = raney_moment_vector(F(2), 1, 9)
-        b = binomial_moment_vector(F(3), F(1), 9)
-        c = bernoulli_moment_vector(F(1, 3), 2, 9)
+        a = raney_series(F(2), 1, 9)
+        b = binomial_series(F(3), F(1), 9)
+        c = bernoulli_series(F(1, 3), 2, 9)
         left = monotonic_convolve(monotonic_convolve(a, b), c)
         right = monotonic_convolve(a, monotonic_convolve(b, c))
-        assert left.moments == right.moments
+        assert left.coeffs == right.coeffs
 
     def test_not_commutative(self):
-        a = raney_moment_vector(F(2), 1, 6)
-        b = bernoulli_moment_vector(F(1, 3), 2, 6)
-        assert monotonic_convolve(a, b).moments != monotonic_convolve(b, a).moments
+        a = raney_series(F(2), 1, 6)
+        b = bernoulli_series(F(1, 3), 2, 6)
+        assert monotonic_convolve(a, b).coeffs != monotonic_convolve(b, a).coeffs
 
 
 def _series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
@@ -158,37 +165,37 @@ def _series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
 
 class TestSTransform:
     def test_catalan_s_is_geometric(self):
-        s = s_transform(raney_moment_vector(F(2), 1, 10)).coeffs
+        s = s_transform(raney_series(F(2), 1, 10))
         assert all(s[n] == (-1) ** n for n in range(s.order + 1))
 
     def test_fuss_s_is_binomial_power(self):
         # Raney row r = 1 at p = 3 has S = (1+z)^(-2)
-        s = s_transform(raney_moment_vector(F(3), 1, 10)).coeffs
+        s = s_transform(raney_series(F(3), 1, 10))
         assert all(s[n] == (-1) ** n * (n + 1) for n in range(s.order + 1))
 
     def test_two_point_law_closed_form(self):
         # alpha*delta_0 + (1-alpha)*delta_a has S = (1+z)/(a(1-alpha+z))
         alpha, a = F(1, 3), F(2)
-        s = s_transform(bernoulli_moment_vector(alpha, a, 10)).coeffs
+        s = s_transform(bernoulli_series(alpha, a, 10))
         order = s.order
         one_plus = TruncatedSeries((F(1), F(1)) + (F(0),) * (order - 1))
         denom = TruncatedSeries((a * (1 - alpha), a) + (F(0),) * (order - 1))
         assert _series_equal(s, one_plus / denom)
 
     def test_leading_value_is_reciprocal_first_moment(self):
-        m = binomial_moment_vector(F(3), F(1), 8)
+        m = binomial_series(F(3), F(1), 8)
         assert s_transform(m)[0] == F(1, 4)
 
     def test_rejects_vanishing_first_moment(self):
-        delta0 = MomentVector((F(1), F(0), F(0)))
+        delta0 = TruncatedSeries((F(1), F(0), F(0)))
         with pytest.raises(DomainError):
             s_transform(delta0)
 
     def test_defining_relation_holds_exactly(self):
         # M(z/(1+z) * S(z)) = 1 + z coefficientwise
-        m = binomial_moment_vector(F(5, 2), F(3, 2), 9)
-        s = s_transform(m).coeffs
-        big_m = m_series(m).truncate(s.order)
+        m = binomial_series(F(5, 2), F(3, 2), 9)
+        s = s_transform(m)
+        big_m = m.truncate(s.order)
         inner = TruncatedSeries((F(0),) + s.coeffs[:-1]) / TruncatedSeries(
             (F(1), F(1)) + (F(0),) * (s.order - 1)
         )
@@ -199,17 +206,17 @@ class TestSTransform:
 
 class TestFromSTransform:
     @settings(max_examples=40, deadline=None)
-    @given(m=exact_vectors())
+    @given(m=exact_rows())
     def test_roundtrip(self, m):
         back = from_s_transform(s_transform(m))
         n = min(back.order, m.order)
-        assert back.moments[: n + 1] == m.moments[: n + 1]
+        assert back.coeffs[: n + 1] == m.coeffs[: n + 1]
 
     def test_geometric_s_gives_catalan(self):
         s = TruncatedSeries(tuple(F((-1) ** n) for n in range(10)))
-        got = from_s_transform(STransformSeries(s))
-        want = raney_moment_vector(F(2), 1, 10)
-        assert got.moments[:11] == want.moments[: got.order + 1]
+        got = from_s_transform(s)
+        want = raney_series(F(2), 1, 10)
+        assert got.coeffs[:11] == want.coeffs[: got.order + 1]
 
     def test_boundary_row_formula(self):
         # S for the r = -1 binomial row at p = 2:
@@ -219,125 +226,129 @@ class TestFromSTransform:
         half_plus = TruncatedSeries((F(1, 2), F(1)) + (F(0),) * (order - 1))
         ratio = one_plus / half_plus
         s = ratio * ratio / 4
-        got = from_s_transform(STransformSeries(s))
+        got = from_s_transform(s)
         for n in range(got.order + 1):
             assert got[n] == gen_binomial(F(2), F(-1), n)
+
+    def test_rejects_vanishing_leading_value(self):
+        with pytest.raises(DomainError):
+            from_s_transform(TruncatedSeries((F(0), F(1), F(1))))
 
 
 class TestFreeMultPower:
     def test_unit_power_is_identity(self):
-        m = raney_moment_vector(F(2), 1, 9)
-        assert free_mult_power(m, 1).moments[:9] == m.moments[:9]
+        m = raney_series(F(2), 1, 9)
+        assert free_mult_power(m, 1).coeffs[:9] == m.coeffs[:9]
 
     def test_catalan_square_is_fuss(self):
-        got = free_mult_power(raney_moment_vector(F(2), 1, 12), 2)
-        want = raney_moment_vector(F(3), 1, 12)
-        assert got.moments[: got.order + 1] == want.moments[: got.order + 1]
+        got = free_mult_power(raney_series(F(2), 1, 12), 2)
+        want = raney_series(F(3), 1, 12)
+        assert got.coeffs[: got.order + 1] == want.coeffs[: got.order + 1]
 
     def test_dilated_square_of_two_point_law(self):
         # the r = -1 binomial row at p = 2
-        bern = bernoulli_moment_vector(F(1, 2), 1, 12)
+        bern = bernoulli_series(F(1, 2), 1, 12)
         got = dilate(free_mult_power(bern, 2), 4)
-        want = binomial_moment_vector(F(2), F(-1), 12)
-        assert got.moments[: got.order + 1] == want.moments[: got.order + 1]
+        want = binomial_series(F(2), F(-1), 12)
+        assert got.coeffs[: got.order + 1] == want.coeffs[: got.order + 1]
 
     def test_fractional_power_needs_formal_flag(self):
-        m = raney_moment_vector(F(2), 1, 6)
+        m = raney_series(F(2), 1, 6)
         with pytest.raises(DomainError):
             free_mult_power(m, F(1, 2))
 
     def test_formal_fractional_power_inverts_square(self):
-        m = raney_moment_vector(F(3), 1, 9)
+        m = raney_series(F(3), 1, 9)
         sq = free_mult_power(m, 2)
         back = free_mult_power(sq, F(1, 2), formal=True)
         n = back.order
-        assert back.moments[: n + 1] == m.moments[: n + 1]
+        assert back.coeffs[: n + 1] == m.coeffs[: n + 1]
 
     def test_rejects_nonpositive_power(self):
-        m = raney_moment_vector(F(2), 1, 4)
+        m = raney_series(F(2), 1, 4)
         with pytest.raises(DomainError):
             free_mult_power(m, 0, formal=True)
 
 
 class TestFreeAddPower:
     def test_unit_power_is_identity(self):
-        m = binomial_moment_vector(F(2), F(0), 9)
-        assert free_add_power(m, 1).moments[:9] == m.moments[:9]
+        m = binomial_series(F(2), F(0), 9)
+        assert free_add_power(m, 1).coeffs[:9] == m.coeffs[:9]
 
     def test_dilated_additive_square_of_two_point_law(self):
         # the arcsine row
-        bern = bernoulli_moment_vector(F(1, 2), 1, 12)
+        bern = bernoulli_series(F(1, 2), 1, 12)
         got = dilate(free_add_power(bern, 2), 2)
-        want = binomial_moment_vector(F(2), F(0), 12)
-        assert got.moments[: got.order + 1] == want.moments[: got.order + 1]
+        want = binomial_series(F(2), F(0), 12)
+        assert got.coeffs[: got.order + 1] == want.coeffs[: got.order + 1]
 
     def test_general_two_point_construction(self):
         # binomial row (3, 0) built from the (1/3, 2/3) two-point law
         p = F(3)
-        bern = bernoulli_moment_vector(1 / p, 1, 11)
+        bern = bernoulli_series(1 / p, 1, 11)
         got = dilate(free_mult_power(free_add_power(bern, p / (p - 1)), p - 1), p)
-        want = binomial_moment_vector(p, F(0), 11)
-        assert got.moments[:10] == want.moments[:10]
+        want = binomial_series(p, F(0), 11)
+        assert got.coeffs[:10] == want.coeffs[:10]
 
     def test_fractional_power_needs_formal_flag(self):
-        m = raney_moment_vector(F(2), 1, 6)
+        m = raney_series(F(2), 1, 6)
         with pytest.raises(DomainError):
             free_add_power(m, F(2, 3))
 
     def test_formal_fractional_power_inverts_double(self):
-        m = bernoulli_moment_vector(F(1, 4), 1, 9)
+        m = bernoulli_series(F(1, 4), 1, 9)
         back = free_add_power(free_add_power(m, 2), F(1, 2), formal=True)
         n = back.order
-        assert back.moments[: n + 1] == m.moments[: n + 1]
+        assert back.coeffs[: n + 1] == m.coeffs[: n + 1]
 
 
 class TestDilate:
     def test_unit_is_identity(self):
-        m = binomial_moment_vector(F(3), F(1), 6)
-        assert dilate(m, 1).moments == m.moments
+        m = binomial_series(F(3), F(1), 6)
+        assert dilate(m, 1).coeffs == m.coeffs
 
     def test_moment_action(self):
-        m = raney_moment_vector(F(2), 1, 5)
+        m = raney_series(F(2), 1, 5)
         got = dilate(m, F(3))
         assert all(got[n] == 3**n * m[n] for n in range(6))
 
     def test_s_transform_rule(self):
         # dilation divides the S-transform by the factor
-        m = raney_moment_vector(F(2), 1, 8)
+        m = raney_series(F(2), 1, 8)
         c = F(3)
-        s_dilated = s_transform(dilate(m, c)).coeffs
-        s_base = s_transform(m).coeffs
+        s_dilated = s_transform(dilate(m, c))
+        s_base = s_transform(m)
         assert all(
             s_dilated[n] == s_base[n] / c for n in range(s_dilated.order + 1)
         )
 
     def test_rejects_nonpositive_factor(self):
-        m = raney_moment_vector(F(2), 1, 4)
+        m = raney_series(F(2), 1, 4)
         with pytest.raises(DomainError):
             dilate(m, 0)
 
 
 class TestRTransform:
     def test_marchenko_pastur_cumulants_all_one(self):
-        r = r_transform(raney_moment_vector(F(2), 1, 10))
+        r = r_transform(raney_series(F(2), 1, 10))
         assert all(r[n] == 1 for n in range(r.order + 1))
 
     def test_two_point_law_cumulants(self):
         # hand-computed from the moment-cumulant recursion
-        r = r_transform(bernoulli_moment_vector(F(1, 2), 1, 8))
+        r = r_transform(bernoulli_series(F(1, 2), 1, 8))
         assert [r[n] for n in range(4)] == [F(1, 2), F(1, 4), F(0), F(-1, 16)]
 
     def test_additivity_matches_s_route(self):
         # the additive square computed through the S-transform has
         # exactly doubled free cumulants
-        bern = bernoulli_moment_vector(F(1, 2), 1, 10)
+        bern = bernoulli_series(F(1, 2), 1, 10)
         r1 = r_transform(bern)
         r2 = r_transform(free_add_power(bern, 2))
         n = min(r1.order, r2.order)
         assert all(r2[i] == 2 * r1[i] for i in range(n + 1))
 
     def test_dilation_scales_cumulants(self):
-        m = bernoulli_moment_vector(F(1, 3), 1, 8)
+        m = bernoulli_series(F(1, 3), 1, 8)
         r1 = r_transform(m)
         r3 = r_transform(dilate(m, 3))
         n = min(r1.order, r3.order)
@@ -365,8 +376,8 @@ class TestRaneyLinkage:
         # generating function of the Raney row at (p, r) is the r-th
         # power of the row at (p, 1)
         for p, r in ((F(2), 2), (F(3), 3)):
-            base = m_series(raney_moment_vector(p, 1, 9))
-            target = m_series(raney_moment_vector(p, r, 9))
+            base = raney_series(p, 1, 9)
+            target = raney_series(p, r, 9)
             assert _series_equal(base.pow_scalar(r), target)
 
     def test_boolean_row_raney_consistency(self):

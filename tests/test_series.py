@@ -15,9 +15,9 @@ from binomoment.series import (
     boundary_series_relations_hold,
     closed_form_radius,
     fuss_functional_equation_holds,
-    fuss_series,
     gf_reflection_holds,
     lambert_composition_holds,
+    raney_series,
 )
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -53,6 +53,12 @@ class TestSeriesRing:
         g = f.compositional_inverse()
         assert g.compose(f).coeffs == TruncatedSeries.identity(f.order).coeffs
         assert f.compose(g).coeffs == TruncatedSeries.identity(f.order).coeffs
+
+    def test_identity_is_z(self):
+        assert TruncatedSeries.identity(3).coeffs == (0, 1, 0, 0)
+        assert TruncatedSeries.identity(0).coeffs == (0,)
+        with pytest.raises(DomainError):
+            TruncatedSeries.identity(-1)
 
     @given(f=series_strategy(zero_const=True))
     def test_exp_log_roundtrip(self, f):
@@ -90,11 +96,11 @@ class TestSeriesRing:
 
 class TestGeneratingFunctions:
     def test_fuss_catalan(self):
-        assert fuss_series(2, 4).coeffs == (1, 1, 2, 5, 14)
+        assert raney_series(2, 1, 4).coeffs == (1, 1, 2, 5, 14)
 
     def test_fuss_degenerate_rows(self):
-        assert fuss_series(0, 4).coeffs == (1, 1, 0, 0, 0)  # 1 + z
-        assert fuss_series(1, 4).coeffs == (1, 1, 1, 1, 1)
+        assert raney_series(0, 1, 4).coeffs == (1, 1, 0, 0, 0)  # 1 + z
+        assert raney_series(1, 1, 4).coeffs == (1, 1, 1, 1, 1)
 
     def test_binomial_series_row_p1(self):
         assert binomial_series(1, 1, 4).coeffs == (1, 2, 3, 4, 5)

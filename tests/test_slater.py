@@ -278,6 +278,10 @@ class TestExpansionStructure:
         assert build_slater_expansion(Params(F(3), F(0))).terms[2].coef == 0.0
         assert build_slater_expansion(Params(F(3), F(1))).terms[1].coef == 0.0
         assert build_slater_expansion(Params(F(3, 2), F(0))).terms[2].coef == 0.0
+        # float r lands on the same poles through the proximity test
+        for p, r, h in ((F(3), 0.0, 2), (F(3), 1.0, 1), (F(3, 2), 0.0, 2)):
+            coef = build_slater_expansion(Params(p, r)).terms[h].coef
+            assert coef == 0.0 and isinstance(coef, float), (p, r)
 
     def test_float_r_matches_exact_r(self):
         a = build_slater_expansion(Params(F(3), F(1)))

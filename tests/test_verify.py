@@ -17,7 +17,7 @@ from binomoment.core import (
     gen_binomial,
     support_endpoint,
 )
-from binomoment.freeconv import MomentVector, binomial_moment_vector
+from binomoment.series import TruncatedSeries, binomial_series
 from binomoment.verify import (
     InconclusiveWitnessError,
     QuadratureSpec,
@@ -177,13 +177,13 @@ class TestCertifyMeasure:
 
 class TestHankelMinEig:
     def test_arcsine_positive(self):
-        mv = binomial_moment_vector(F(2), F(0), 8)
+        mv = binomial_series(F(2), F(0), 8)
         assert hankel_matrix_min_eig(mv, 4) > 0
 
     def test_two_by_two_closed_form(self):
         # min eigenvalue of [[1, a], [a, b]] is ((1+b) - sqrt((1-b)^2+4a^2))/2
         p, r = F(9, 10), F(-1, 2)
-        mv = binomial_moment_vector(p, r, 2)
+        mv = binomial_series(p, r, 2)
         a, b = float(mv[1]), float(mv[2])
         want = 0.5 * ((1 + b) - math.sqrt((1 - b) ** 2 + 4 * a * a))
         got = hankel_matrix_min_eig(mv, 1)
@@ -194,18 +194,18 @@ class TestHankelMinEig:
         assert float(gen_binomial(p, r, 6)) < 0
 
     def test_point_mass_at_zero_is_psd_boundary(self):
-        mv = MomentVector((F(1),) + (F(0),) * 8)
+        mv = TruncatedSeries((F(1),) + (F(0),) * 8)
         for d in range(1, 5):
             assert abs(hankel_matrix_min_eig(mv, d)) <= 1e-12
 
     def test_needs_enough_moments(self):
-        mv = binomial_moment_vector(F(2), F(0), 5)
+        mv = binomial_series(F(2), F(0), 5)
         with pytest.raises(DomainError):
             hankel_matrix_min_eig(mv, 3)
 
     def test_in_region_rows_stay_nonnegative(self):
         for p, r in ((F(2), F(1)), (F(3), F(2)), (F(3, 2), F(1, 2))):
-            mv = binomial_moment_vector(p, r, 10)
+            mv = binomial_series(p, r, 10)
             for d in range(1, 6):
                 assert hankel_matrix_min_eig(mv, d) >= -1e-9
 
