@@ -4,7 +4,7 @@ Library layout:
 
 - ``core``       scalars, parameters, binomial/Raney numbers, region classifiers
 - ``series``     exact truncated power series and the generating functions
-- ``slater``     hypergeometric density expansions and pointwise evaluation
+- ``slater``     binomial and Raney density expansions and pointwise evaluation
 - ``closedform`` elementary closed-form densities and assembled measure models
 - ``mellin``     beta-factor Mellin factorizations and sampling
 - ``freeconv``   moment-series transforms and convolution identities

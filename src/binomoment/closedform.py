@@ -3,7 +3,8 @@
 The p = 2 family is elementary for every r; p = 3 and p = 3/2 reduce to
 two-term algebraic expressions in z for three r values each; two rescalings
 of the p = 3/2 case give the integer moment sequences 1, 4, 30, 256, ... and
-their even-indexed subsequence.
+their even-indexed subsequence.  ``measure_model`` assembles the measure
+with moments C(n*p+r, n) from these forms or the hypergeometric expansion.
 """
 from __future__ import annotations
 
@@ -20,15 +21,14 @@ from .core import (
     as_scalar,
     classify_binomial,
     comparable,
-    gen_binomial,
     is_exact,
     support_endpoint,
 )
-from .mellin import MeasureModel
 from .slater import build_slater_expansion, eval_density
 
 __all__ = [
     "ClosedFormId",
+    "MeasureModel",
     "eval_closed",
     "measure_model",
     "closed_form_for",
@@ -187,6 +187,20 @@ def eval_closed(cid: ClosedFormId, x: float, dist_upper: Optional[float] = None)
     return eval_closed(sub, root, dist_upper / (c + root)) / (2.0 * root)
 
 
+@dataclass(frozen=True)
+class MeasureModel:
+    """A measure on [0, upper]: an atom at 0 plus a density.
+
+    ``density`` is an evaluator (x, dist_to_upper) -> value on (0, upper);
+    the second argument lets quadrature supply the distance to the endpoint
+    at full precision.
+    """
+
+    atom_at_zero: float
+    density: Callable[[float, float], float]
+    upper: float
+
+
 def closed_form_for(params: Params) -> Optional[ClosedFormId]:
     """The elementary form covering V at (p, r), if one exists."""
     p = comparable(as_scalar(params.p))
@@ -233,9 +247,6 @@ def measure_model(params: Params) -> MeasureModel:
     r = as_scalar(params.r)
     upper = float(support_endpoint(p))
 
-    def exact_moment(n: int) -> Scalar:
-        return gen_binomial(p, r, n)
-
     at_minus_one = comparable(r) == -1
     if at_minus_one:
         atom = 1.0 / float(p)
@@ -246,11 +257,9 @@ def measure_model(params: Params) -> MeasureModel:
         weight = 1.0
         base_params = params
 
-    base_density = density_function(base_params)
+    row_density = density_function(base_params)
 
     def density(x: float, dist_upper: float) -> float:
-        return weight * base_density(x, dist_upper)
+        return weight * row_density(x, dist_upper)
 
-    return MeasureModel(
-        atom_at_zero=atom, density=density, upper=upper, moment_fn=exact_moment
-    )
+    return MeasureModel(atom_at_zero=atom, density=density, upper=upper)

@@ -3,15 +3,12 @@
 The measure with moments C(n*p+r, n), p = k/l > 1 and -1 < r <= p-1, factors
 as a Mellin product of k modified beta distributions followed by a dilation
 to [0, c(p)].  This module builds that factorization, evaluates moments of
-the factors and the product, draws product samples, and provides the small
-measure algebra (power factor, reflection) used by the moment identities.
+the factors and the product, and draws product samples.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +16,6 @@ from .core import (
     DomainError,
     Params,
     Scalar,
-    as_scalar,
     gamma_real,
     is_exact,
     support_endpoint,
@@ -29,13 +25,10 @@ from .slater import build_symbol
 __all__ = [
     "BetaFactor",
     "MellinFactorization",
-    "MeasureModel",
     "beta_moment",
     "factorize",
     "mellin_product_moments",
     "sample",
-    "eta_factor",
-    "reflect",
     "SAMPLE_CHUNK",
 ]
 
@@ -68,23 +61,6 @@ class MellinFactorization:
     factors: tuple
     dilation: Scalar  # support endpoint c(p)
     params: Optional[Params] = None
-
-
-@dataclass(frozen=True)
-class MeasureModel:
-    """A measure on an interval: optional atom at 0, density, exact moments.
-
-    ``density`` is an evaluator (x, dist_to_upper) -> value on (lower, upper);
-    the second argument lets quadrature supply the distance to the endpoint
-    at full precision.  ``moment_fn`` returns the n-th moment, exact when the
-    defining parameters are exact.
-    """
-
-    atom_at_zero: float
-    density: Optional[Callable[[float, float], float]]
-    upper: float
-    moment_fn: Callable[[int], Scalar]
-    lower: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +119,9 @@ def mellin_product_moments(f: MellinFactorization, n: int) -> float:
 # sampling
 
 #: samples are generated in fixed-size chunks; chunk i of a run with seed s
-#: uses the substream SeedSequence((s, i)), so workers assigned whole chunks
-#: reproduce the serial output exactly when concatenated in chunk order
+#: uses the substream SeedSequence((s, i)), so the whole chunks at the
+#: head of a run do not depend on its count: a longer run with the same
+#: seed starts with every complete chunk of a shorter one
 SAMPLE_CHUNK = 1 << 16
 
 
@@ -177,51 +154,3 @@ def sample(f: MellinFactorization, count: int, seed: int) -> np.ndarray:
         pos += m
         chunk_index += 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# measure algebra
-
-
-def eta_factor(c: Scalar) -> MeasureModel:
-    """The power-law factor on [0, 1] with density c*x**(c-1), moments c/(n+c)."""
-    c = as_scalar(c)
-    if not c > 0:
-        raise DomainError("power factor needs c > 0")
-    cf = float(c)
-
-    def density(x: float, dist_upper: float) -> float:
-        if not (x > 0.0 and dist_upper > 0.0):
-            raise DomainError("density defined on (0, 1)")
-        return cf * x ** (cf - 1.0)
-
-    def moment(n: int) -> Scalar:
-        if n < 0:
-            raise DomainError("moment order must be nonnegative")
-        if is_exact(c):
-            return Fraction(c) / (Fraction(c) + n)
-        return cf / (cf + n)
-
-    return MeasureModel(atom_at_zero=0.0, density=density, upper=1.0, moment_fn=moment)
-
-
-def reflect(m: MeasureModel) -> MeasureModel:
-    """Pushforward under x -> -x: moment n picks up the factor (-1)^n."""
-    inner = m.density
-
-    def density(x: float, dist_upper: float) -> float:
-        if inner is None:
-            raise DomainError("measure has no density part")
-        return inner(-x, m.upper + x)
-
-    def moment(n: int) -> Scalar:
-        base = m.moment_fn(n)
-        return -base if n % 2 else base
-
-    return MeasureModel(
-        atom_at_zero=m.atom_at_zero,
-        density=density if inner is not None else None,
-        upper=-m.lower,
-        moment_fn=moment,
-        lower=-m.upper,
-    )

@@ -142,9 +142,7 @@ def tanh_sinh(f: Integrand, a: float, b: float, spec: QuadratureSpec) -> Integra
 def integrate(f: Integrand, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
     """Integral of f over (a, b) by the tanh-sinh rule.
 
-    The quadrature behind moment certification.  It is a function of its
-    own so that, when calls are counted per function, certification's
-    integrals stay apart from the nested ``tanh_sinh`` calls inside
-    ``slater.raney_density``.
+    The quadrature behind moment certification, as a named entry point
+    apart from ``tanh_sinh`` so that calls can be counted per function.
     """
     return tanh_sinh(f, a, b, spec)

@@ -191,8 +191,14 @@ class TruncatedSeries:
         g = [Fraction(0), (Fraction(1) / f1 if is_exact(f1) else 1.0 / f1)]
         for m in range(2, n + 1):
             s = sum((g[j] * powers[j].coeffs[m] for j in range(1, m)), start=Fraction(0))
-            # powers[m].coeffs[m] == f1**m, nonzero by precondition
-            g.append(-s / powers[m].coeffs[m])
+            # powers[m].coeffs[m] == f1**m: nonzero for exact f1, but a float
+            # f1**m can underflow to 0.0, where the inverse's g_m overflows
+            lead = powers[m].coeffs[m]
+            if lead == 0:
+                raise DomainError(
+                    f"float compositional inverse overflows: f'(0)**{m} underflows to 0"
+                )
+            g.append(-s / lead)
         return TruncatedSeries(tuple(g))
 
     # -- transcendental (exact over rationals) ------------------------------

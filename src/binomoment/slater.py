@@ -1,16 +1,18 @@
-"""Hypergeometric expansion of the binomial-family densities.
+"""Hypergeometric expansion of the binomial and Raney family densities.
 
 The density attached to C(n*p+r, n) with p = k/l > 1 is a finite combination
 of generalized hypergeometric series in z = (x/c)**l, c the support endpoint:
-each of the k terms is coefficient * pFq(a_h; b_h | z) * z**e_h.  This module
-builds the gamma-quotient symbol behind that expansion, evaluates pFq with a
-term recurrence (switching to an asymptotic tail form near z = 1, where the
-direct series stalls), and evaluates densities pointwise.
+each of the k terms is coefficient * pFq(a_h; b_h | z) * z**e_h.  The Raney
+density, with moments r/(n*p+r) * C(n*p+r, n), is the same expansion with
+the beta side of the gamma quotient moved from r to r - 1.  This module
+builds the gamma-quotient symbol behind these expansions, evaluates pFq with
+a term recurrence (switching to an asymptotic tail form near z = 1, where
+the direct series stalls), and evaluates densities pointwise.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +30,6 @@ from .core import (
     is_exact,
     support_endpoint,
 )
-from .quadrature import QuadratureSpec, tanh_sinh
 
 __all__ = [
     "GammaQuotientSymbol",
@@ -411,38 +412,25 @@ class SlaterExpansion:
     domain_upper: float  # support endpoint c
     z_scale: float  # c**l; z = x**l / z_scale
 
-    def density(self, x: float) -> float:
-        return eval_density(self, x)
 
+def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
+    """k-term expansion of the Meijer G-function with parameters alpha, beta.
 
-def _coef_denominator_args(r, h: int, k: int, l: int):
-    exact = is_exact(r)
-    r = as_scalar(r)
-    args = []
-    for j in range(1, l + 1):
-        v = Fraction(j, l) - (r + h) / k if exact else j / l - (r + h) / k
-        args.append(v)
-    for j in range(l + 1, k + 1):
-        if exact:
-            v = Fraction(r + j - l, 1) / (k - l) - (r + h) / k
-        else:
-            v = (r + j - l) / (k - l) - (r + h) / k
-        args.append(v)
-    return args
-
-
-def build_slater_expansion(params: Params) -> SlaterExpansion:
-    """Construct the k-term hypergeometric expansion of the density.
-
-    Valid for rational p = k/l > 1 and any real r.  Terms whose coefficient
-    carries a gamma pole in its denominator are stored with coefficient
-    exactly 0 and skipped during evaluation.
+    The alpha_j are those of the binomial symbol at (p, r); the beta side is
+    taken at ``r_beta``, beta_h = (r_beta + h)/k.  ``gamma_factor`` is the
+    binomial one at (p, r).  Terms whose coefficient carries a gamma pole in
+    its denominator are stored with coefficient exactly 0 and skipped during
+    evaluation.
     """
     k, l = params.k, params.l
     if not k > l >= 1:
         raise DomainError("density expansion needs p = k/l > 1")
     r = params.r
-    rf = float(as_scalar(r))
+    exact = is_exact(r)
+    ra = as_scalar(r)
+    rb = as_scalar(r_beta)
+    rf = float(ra)
+    rbf = float(rb)
     pf = float(params.p)
     gamma_factor = (
         l
@@ -452,7 +440,16 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
     upper = float(support_endpoint(params.p))
     terms = []
     for h in range(1, k + 1):
-        den_args = _coef_denominator_args(r, h, k, l)
+        # alpha_j - beta_h for j = 1..k: poles here zero the coefficient
+        den_args = [
+            Fraction(j, l) - (rb + h) / k if exact else j / l - (rb + h) / k
+            for j in range(1, l + 1)
+        ] + [
+            Fraction(ra + j - l, 1) / (k - l) - (rb + h) / k
+            if exact
+            else (ra + j - l) / (k - l) - (rb + h) / k
+            for j in range(l + 1, k + 1)
+        ]
         if any(_pole_order(a) is not None for a in den_args):
             coef = 0.0
         else:
@@ -465,11 +462,11 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
                 den *= gamma_real(float(a))
             coef = num / den
         a_vec = tuple(
-            (rf + h) / k - (j - l) / l if j <= l else (rf + h) / k - (rf + j - k) / (k - l)
+            (rbf + h) / k - (j - l) / l if j <= l else (rbf + h) / k - (rf + j - k) / (k - l)
             for j in range(1, k + 1)
         )
         b_vec = tuple((k + h - j) / k for j in range(1, k + 1) if j != h)
-        exponent = (rf + h) / k - 1.0 / l
+        exponent = (rbf + h) / k - 1.0 / l
         terms.append(SlaterTerm(coef, a_vec, b_vec, exponent))
     return SlaterExpansion(
         params=params,
@@ -480,6 +477,14 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
         domain_upper=upper,
         z_scale=upper**l,
     )
+
+
+def build_slater_expansion(params: Params) -> SlaterExpansion:
+    """Construct the k-term hypergeometric expansion of the density V at (p, r).
+
+    Valid for rational p = k/l > 1 and any real r.
+    """
+    return _expansion(params, params.r)
 
 
 def eval_density(
@@ -524,60 +529,24 @@ def eval_density(
 
 
 # ---------------------------------------------------------------------------
-# Raney-family density via the multiplicative power-factor integral
+# Raney-family density
 
 
-def raney_density(
-    params: Params,
-    base_density: Optional[Callable[[float, float], float]] = None,
-    spec: Optional[QuadratureSpec] = None,
-) -> Callable[[float], float]:
-    """Density of the Raney-family measure for p = k/l > 1, r > 0.
+def raney_density(params: Params) -> Callable[..., float]:
+    """Evaluator (x, dist_upper=None) -> W(x) of the Raney density at (p, r).
 
-    Multiplying the binomial-family measure at (p, r-1) by an independent
-    power-law factor with exponent c = r/(p-1) yields the Raney measure at
-    (p, r); its density is
-
-        W(x) = c * x**(c-1) * integral_x^upper V(y) y**(-c) dy.
-
-    ``base_density`` is V as a callable (y, dist_to_upper) -> value and
-    defaults to the hypergeometric expansion at (p, r-1); passing a cheaper
-    closed form is encouraged.
+    Needs p = k/l > 1 and r > 0.  The Raney moments r/(n*p+r) * C(n*p+r, n)
+    are the binomial gamma quotient at (p, r) with the beta side moved to
+    r - 1, times r/k, so W is the same k-term expansion as V with
+    beta_h = (r - 1 + h)/k (Mlotkowski, Penson and Zyczkowski, "Densities
+    of the Raney distributions").
     """
     k, l = params.k, params.l
     if not k > l >= 1:
         raise DomainError("raney density needs p = k/l > 1")
-    rf = float(as_scalar(params.r))
-    if not rf > 0.0:
+    r = params.r
+    if not float(r) > 0.0:
         raise DomainError("raney density needs r > 0")
-    c = rf / (float(params.p) - 1.0)
-    upper = float(support_endpoint(params.p))
-    if base_density is None:
-        base = build_slater_expansion(Params(params.p, as_scalar(params.r) - 1))
-
-        def base_density(y, du):
-            return eval_density(base, y, dist_upper=du)
-
-    quad = spec or QuadratureSpec(target_abs_tol=1e-11)
-
-    def w_density(x: float, dist_upper: Optional[float] = None) -> float:
-        if dist_upper is None:
-            if not 0.0 < x < upper:
-                raise DomainError(f"density defined on (0, {upper})")
-            dist_upper = upper - x
-        if not (x > 0.0 and dist_upper > 0.0):
-            raise DomainError(f"density defined on (0, {upper})")
-        # integrate in s = upper - y; the node's left distance dl is then the
-        # base density's exact distance to its endpoint singularity, and the
-        # abscissa y = x + dr never rounds to 0.  The weight y**(-c) is taken
-        # relative to x**(-c) so intermediates stay inside double range even
-        # for x near the underflow scale of the deepest quadrature nodes.
-        res = tanh_sinh(
-            lambda s, dl, dr: base_density(x + dr, dl) * (1.0 + dr / x) ** (-c),
-            0.0,
-            dist_upper,
-            quad,
-        )
-        return c * res.value / x
-
-    return w_density
+    expansion = _expansion(params, r - 1)
+    expansion = replace(expansion, gamma_factor=expansion.gamma_factor * float(r) / k)
+    return lambda x, dist_upper=None: eval_density(expansion, x, dist_upper=dist_upper)

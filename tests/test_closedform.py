@@ -252,11 +252,6 @@ class TestMeasureModel:
                 (2.0 / 3.0) * eval_closed(base, x), rel=1e-13
             )
 
-    def test_exact_moments(self):
-        m = measure_model(Params(F(5, 3), F(1, 3)))
-        for n in range(8):
-            assert m.moment_fn(n) == gen_binomial(F(5, 3), F(1, 3), n)
-
     def test_moment_integrals(self):
         m = measure_model(Params(F(2), F(1, 2)))
         for n in (1, 2, 5):

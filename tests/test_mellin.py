@@ -19,13 +19,10 @@ from binomoment.mellin import (
     BetaFactor,
     MellinFactorization,
     beta_moment,
-    eta_factor,
     factorize,
     mellin_product_moments,
-    reflect,
     sample,
 )
-from binomoment.closedform import measure_model
 
 
 F = Fraction
@@ -249,30 +246,6 @@ class TestSample:
             sample(fac, -1, seed=0)
 
 
-class TestEtaFactor:
-    def test_uniform_case(self):
-        m = eta_factor(1)
-        for n in range(6):
-            assert m.moment_fn(n) == F(1, n + 1)
-
-    def test_quadratic_case(self):
-        m = eta_factor(2)
-        assert m.moment_fn(3) == F(2, 5)
-
-    def test_density_normalizes(self):
-        m = eta_factor(2.5)
-        xs = np.linspace(1e-9, 1.0 - 1e-9, 200_001)
-        vals = np.array([m.density(float(x), float(1.0 - x)) for x in xs])
-        total = np.trapezoid(vals, xs)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_rejects_nonpositive_exponent(self):
-        with pytest.raises(DomainError):
-            eta_factor(0)
-        with pytest.raises(DomainError):
-            eta_factor(-1.5)
-
-
 class TestRaneyLink:
     @pytest.mark.parametrize(
         "p,r",
@@ -292,39 +265,3 @@ class TestRaneyLink:
         for n in range(21):
             want = gen_binomial(p, r - 1, n) * c / (n + c)
             assert raney_number(p, r, n) == want
-
-
-class TestReflect:
-    def test_moments_alternate_sign(self):
-        m = measure_model(Params(F(2), F(0)))
-        ref = reflect(m)
-        for n in range(9):
-            assert ref.moment_fn(n) == (-1) ** n * gen_binomial(F(2), F(0), n)
-
-    def test_support_swaps(self):
-        m = measure_model(Params(F(2), F(0)))
-        ref = reflect(m)
-        assert ref.lower == -4.0
-        assert ref.upper == 0.0
-
-    def test_density_is_mirrored(self):
-        m = measure_model(Params(F(2), F(0)))
-        ref = reflect(m)
-        for x in (0.5, 1.0, 2.7, 3.9):
-            got = ref.density(-x, x)
-            want = m.density(x, 4.0 - x)
-            assert got == pytest.approx(want, rel=1e-15)
-
-    def test_involution(self):
-        m = measure_model(Params(F(3), F(1)))
-        back = reflect(reflect(m))
-        for n in range(9):
-            assert back.moment_fn(n) == m.moment_fn(n)
-        for x in (0.5, 3.2, 6.0):
-            d = 6.75 - x
-            assert back.density(x, d) == pytest.approx(m.density(x, d), rel=1e-15)
-
-    def test_atom_carries_over(self):
-        m = measure_model(Params(F(3), F(-1)))
-        ref = reflect(m)
-        assert ref.atom_at_zero == m.atom_at_zero

@@ -54,6 +54,11 @@ class TestSeriesRing:
         assert g.compose(f).coeffs == TruncatedSeries.identity(f.order).coeffs
         assert f.compose(g).coeffs == TruncatedSeries.identity(f.order).coeffs
 
+    def test_compositional_inverse_float_underflow(self):
+        # f'(0)**2 underflows to 0.0: the true inverse overflows floats
+        with pytest.raises(DomainError, match="overflows"):
+            TruncatedSeries((0.0, 1e-200, 1.0)).compositional_inverse()
+
     def test_identity_is_z(self):
         assert TruncatedSeries.identity(3).coeffs == (0, 1, 0, 0)
         assert TruncatedSeries.identity(0).coeffs == (0,)

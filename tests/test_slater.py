@@ -1,4 +1,5 @@
 """Hypergeometric machinery: pfq evaluation, the moment symbol, densities."""
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from binomoment.core import (
     RegionError,
     gen_binomial,
     raney_number,
+    support_endpoint,
 )
 from binomoment.quadrature import QuadratureSpec, tanh_sinh
 from binomoment.slater import (
@@ -29,6 +31,11 @@ from binomoment.slater import (
 mp.mp.dps = 30
 
 SPEC = QuadratureSpec(target_abs_tol=1e-11)
+
+
+def _mpq(q) -> mp.mpf:
+    """An exact rational as an mpmath number."""
+    return mp.mpf(q.numerator) / q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +305,30 @@ class TestExpansionStructure:
         with pytest.raises(DomainError):
             build_slater_expansion(Params(F(2, 3), F(0)))
 
+    def test_binomial_expansion_bits_are_pinned(self):
+        # every float of the expansion feeds printed densities, so a change in
+        # any bit shows up as a digest mismatch here before it reaches stdout
+        digest = hashlib.sha256(_expansion_reprs().encode()).hexdigest()
+        assert digest == _PINNED_EXPANSION_DIGEST
+
+
+#: p values with k up to 19, crossed with exact r, float-of-exact r (one
+#: dyadic, two not) and a non-dyadic float; r = 0 and 1 hit gamma poles
+_PINNED_PS = (F(3, 2), F(2), F(5, 3), F(5, 2), F(3), F(7, 2), F(11, 3), F(19, 7), F(19, 2))
+_PINNED_RS = (F(0), 0.0, F(1, 3), 1 / 3, F(-9, 10), -0.9, F(1), 0.7071)
+_PINNED_EXPANSION_DIGEST = "3974b32f5061d6b494ce47f24c07cc26a71ec1723fa7cee5b4082c1884ebe1b3"
+
+
+def _expansion_reprs() -> str:
+    lines = []
+    for p in _PINNED_PS:
+        for r in _PINNED_RS:
+            exp = build_slater_expansion(Params(p, r))
+            lines.append(f"{p} {r!r} {exp.gamma_factor!r}")
+            for t in exp.terms:
+                lines.append(f"{t.coef!r} {t.a_vec!r} {t.b_vec!r} {t.exponent!r}")
+    return "\n".join(lines)
+
 
 class TestDensityValues:
     def test_arcsine_family(self):
@@ -376,21 +407,32 @@ class TestRaneyDensity:
             want = math.sqrt((4.0 - x) / x) / (2.0 * math.pi)
             assert w(x) == pytest.approx(want, rel=1e-10)
 
-    def test_closed_form_base_can_be_injected(self):
-        w = raney_density(
-            Params(F(2), F(1)),
-            base_density=lambda y, du: 1.0 / (math.pi * math.sqrt(y * du)),
-        )
-        assert w(2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+    @pytest.mark.parametrize(
+        "p,r", [(F(3), F(1)), (F(5, 2), F(1, 2)), (F(7, 3), F(7, 3)), (F(3, 2), F(3, 4))]
+    )
+    def test_matches_meijer_g(self, p, r):
+        # W = K z^(-1/l) G^{k,0}_{k,k}(z | alpha; beta), z = (x/c)^l, with the
+        # binomial alpha at (p, r) and beta_j = (r - 1 + j)/k
+        k, l = p.numerator, p.denominator
+        alphas = [_mpq(F(j, l)) if j <= l else _mpq((r + j - l) / (k - l))
+                  for j in range(1, k + 1)]
+        betas = [_mpq((r - 1 + j) / k) for j in range(1, k + 1)]
+        c = _mpq(p) ** _mpq(p) * (_mpq(p) - 1) ** (1 - _mpq(p))
+        scale = l * mp.fprod(map(mp.gamma, alphas)) / (c * mp.fprod(map(mp.gamma, betas)))
+        w = raney_density(Params(p, r))
+        for t in (0.05, 0.3, 0.7, 0.95):
+            z = _mpq(F(t)) ** l
+            want = scale * z ** (mp.mpf(-1) / l) * mp.meijerg([[], alphas], [betas, []], z)
+            assert w(t * float(c)) == pytest.approx(float(want), rel=1e-12), (p, r, t)
 
     def test_moments_match_raney_numbers(self):
-        w = raney_density(Params(F(3), F(1)))
-        for n in (0, 1, 3):
-            res = tanh_sinh(
-                lambda x, dl, du: w(x, du) * x**n, 0.0, 27.0 / 4.0, SPEC
-            )
-            want = float(raney_number(F(3), F(1), n))
-            assert res.value == pytest.approx(want, rel=1e-8)
+        for p, r in ((F(3), F(1)), (F(3, 2), F(3, 2)), (F(5, 3), F(1, 5)), (F(3), 0.5)):
+            w = raney_density(Params(p, r))
+            upper = float(support_endpoint(p))
+            for n in (0, 1, 3):
+                res = tanh_sinh(lambda x, dl, du: w(x, du) * x**n, 0.0, upper, SPEC)
+                want = float(raney_number(p, r, n))
+                assert res.value == pytest.approx(want, rel=1e-8), (p, r, n)
 
     def test_catalan_moments(self):
         w = raney_density(Params(F(2), F(1)))
