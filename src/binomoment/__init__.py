@@ -14,7 +14,6 @@ Library layout:
 from .core import (
     Branch,
     DomainError,
-    ExactRational,
     GammaPoleError,
     Params,
     RegionError,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Branch",
     "DomainError",
-    "ExactRational",
     "GammaPoleError",
     "Params",
     "RegionError",

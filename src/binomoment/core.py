@@ -15,11 +15,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-ExactRational = Fraction
 Scalar = Union[Fraction, float]
 
 __all__ = [
-    "ExactRational",
     "Scalar",
     "DomainError",
     "RegionError",

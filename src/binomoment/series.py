@@ -83,6 +83,10 @@ class TruncatedSeries:
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.coeffs)
 
+    def _seed(self, v: int) -> Scalar:
+        """v as a Fraction for an exact series, as a float otherwise."""
+        return Fraction(v) if self.is_exact() else float(v)
+
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self
@@ -148,12 +152,12 @@ class TruncatedSeries:
 
     def derivative(self) -> "TruncatedSeries":
         if self.order == 0:
-            return TruncatedSeries((Fraction(0),))
+            return TruncatedSeries((self._seed(0),))
         return TruncatedSeries(tuple(n * self.coeffs[n] for n in range(1, self.order + 1)))
 
     def integrate(self) -> "TruncatedSeries":
         # antiderivative with zero constant term; gains one order
-        out = [Fraction(0)]
+        out = [self._seed(0)]
         for n, c in enumerate(self.coeffs):
             out.append(c / (n + 1) if is_exact(c) else c / float(n + 1))
         return TruncatedSeries(tuple(out))
@@ -174,7 +178,7 @@ class TruncatedSeries:
 
     def shift_up(self) -> "TruncatedSeries":
         """Multiply by z (order fixed, top coefficient falls off)."""
-        return TruncatedSeries((Fraction(0),) + self.coeffs[:-1])
+        return TruncatedSeries((self._seed(0),) + self.coeffs[:-1])
 
     def compositional_inverse(self) -> "TruncatedSeries":
         """Series g with g(self(z)) = z mod z^(N+1); needs f(0)=0, f'(0)!=0."""
@@ -188,7 +192,7 @@ class TruncatedSeries:
         powers = [None, self]
         for m in range(2, n + 1):
             powers.append(powers[-1] * self)
-        g = [Fraction(0), (Fraction(1) / f1 if is_exact(f1) else 1.0 / f1)]
+        g = [self._seed(0), (Fraction(1) / f1 if is_exact(f1) else 1.0 / f1)]
         for m in range(2, n + 1):
             s = sum((g[j] * powers[j].coeffs[m] for j in range(1, m)), start=Fraction(0))
             # powers[m].coeffs[m] == f1**m: nonzero for exact f1, but a float
@@ -210,7 +214,7 @@ class TruncatedSeries:
         n = self.order
         h = (self.derivative() * self.truncate(n - 1).reciprocal()) if n >= 1 else None
         if n == 0:
-            return TruncatedSeries((Fraction(0),))
+            return TruncatedSeries((self._seed(0),))
         return h.truncate(n - 1).integrate()
 
     def exp(self) -> "TruncatedSeries":
@@ -218,7 +222,7 @@ class TruncatedSeries:
         if self.coeffs[0] != 0:
             raise DomainError("exp needs f(0) = 0")
         n = self.order
-        out = [Fraction(1)]
+        out = [self._seed(1)]
         for m in range(1, n + 1):
             s = sum((j * self.coeffs[j] * out[m - j] for j in range(1, m + 1)),
                     start=Fraction(0))

@@ -6,13 +6,15 @@ each of the k terms is coefficient * pFq(a_h; b_h | z) * z**e_h.  The Raney
 density, with moments r/(n*p+r) * C(n*p+r, n), is the same expansion with
 the beta side of the gamma quotient moved from r to r - 1.  This module
 builds the gamma-quotient symbol behind these expansions, evaluates pFq with
-a term recurrence (switching to an asymptotic tail form near z = 1, where
-the direct series stalls), and evaluates densities pointwise.
+a term recurrence, and evaluates densities pointwise.  Near z = 1, where the
+k series stall, the density comes instead from Norlund's expansion of the
+Meijer G-function the k terms add up to, in powers of 1 - z.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -195,15 +197,17 @@ class PfqResult:
     value: float
     converged: bool
     terms_used: int
-    tail_assisted: bool
 
 
-#: direct summation is abandoned in favor of the asymptotic tail once
+#: densities switch from the k direct series to the endpoint expansion once
 #: 1 - z drops below this (the series would need >~60000 terms)
 _TAIL_SWITCH = 6.5e-4
 
 _MAX_TERMS = 10**6
-_HEAD_TERMS = 16384
+
+#: Norlund coefficients kept per expansion; at 1 - z <= _TAIL_SWITCH the
+#: terms left out weigh below 1e-20 of the sum
+_ENDPOINT_TERMS = 8
 
 
 def _validate_params(num, den):
@@ -241,12 +245,12 @@ def _pfq_direct(num, den, z, rel_tol, max_terms) -> PfqResult:
             hits = np.nonzero(run3)[0]
             if hits.size:
                 stop = int(hits[0]) + 2
-                return PfqResult(float(csum[stop]), True, m0 + stop + 2, False)
+                return PfqResult(float(csum[stop]), True, m0 + stop + 2)
         acc = float(csum[-1])
         t_last = float(terms[-1])
         m0 += n
         block = min(block * 4, 1 << 19)
-    return PfqResult(acc, False, max_terms, False)
+    return PfqResult(acc, False, max_terms)
 
 
 def _pfq_pfaff(num, den, z, rel_tol, max_terms) -> PfqResult:
@@ -258,105 +262,7 @@ def _pfq_pfaff(num, den, z, rel_tol, max_terms) -> PfqResult:
     w = z / (z - 1.0)
     inner = _pfq_direct([a, c - b], [c], w, rel_tol, max_terms)
     value = (1.0 - z) ** (-a) * inner.value
-    return PfqResult(value, inner.converged, inner.terms_used, inner.tail_assisted)
-
-
-def _upper_gamma_desc(a: float, w: float) -> float:
-    # Gamma(a, w) for a = 1/2 - j by downward recursion from erfc
-    g = math.sqrt(math.pi) * math.erfc(math.sqrt(w))
-    cur = 0.5
-    while cur > a + 1e-9:
-        g = (g - w ** (cur - 1.0) * math.exp(-w)) / (cur - 1.0)
-        cur -= 1.0
-    return g
-
-
-def _upper_gamma_cf(a: float, w: float) -> float:
-    # Lentz continued fraction for Gamma(a, w); solid for w >= ~0.5, a <= 1
-    tiny = 1e-300
-    b0 = w + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / max(b0, tiny)
-    h = d
-    for i in range(1, 400):
-        an = -i * (i - a)
-        b0 += 2.0
-        d = an * d + b0
-        if abs(d) < tiny:
-            d = tiny
-        c = b0 + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-w + a * math.log(w)) * h
-
-
-def _exp_power_integral(s: float, lam: float, lo: float) -> float:
-    """integral_lo^inf x**(-s) exp(-lam x) dx, lam > 0."""
-    w = lam * lo
-    if abs(abs(s - round(s)) - 0.5) < 1e-12 and s >= 0.5 and w >= 0.5:
-        # half-integer exponents (the expansion's own grid) via erfc recursion
-        return lam ** (s - 1.0) * _upper_gamma_desc(1.0 - s, w)
-    if w > 4.0:
-        return lam ** (s - 1.0) * _upper_gamma_cf(1.0 - s, w)
-    # small-w series of the generalized exponential integral E_s(w)
-    if abs(s - round(s)) < 1e-9:
-        s += 1e-9  # integer s carries a log term; nudge (unused on half-integer grids)
-    acc = 0.0
-    term = 1.0
-    for j in range(200):
-        acc += term / (1.0 - s + j)
-        term *= -w / (j + 1.0)
-        if abs(term) < 1e-20 * max(1.0, abs(acc)):
-            break
-    es = gamma_real(1.0 - s) * w ** (s - 1.0) - acc
-    return lo ** (1.0 - s) * es
-
-
-def _power_exp_tail(s: float, lam: float, start: int) -> float:
-    """sum_{m >= start} m**(-s) exp(-lam m) by Euler-Maclaurin."""
-    a = float(start)
-    integral = _exp_power_integral(s, lam, a)
-    f = a ** (-s) * math.exp(-lam * a)
-    g1 = -(s / a + lam)
-    g2 = s / (a * a)
-    g3 = -2.0 * s / (a * a * a)
-    f1 = g1 * f
-    f3 = (g3 + 3.0 * g1 * g2 + g1**3) * f
-    return integral + 0.5 * f - f1 / 12.0 + f3 / 720.0
-
-
-def _pfq_tail(num, den, lam: float) -> PfqResult:
-    """Head sum plus algebraic-tail completion; uniform in 0 < lam << 1."""
-    num = [float(a) for a in num]
-    den = [float(b) for b in den]
-    lam = max(lam, 1e-300)
-    M = _HEAD_TERMS
-    m = np.arange(M - 1, dtype=float)
-    ratio = np.ones(M - 1)
-    for a in num:
-        ratio *= a + m
-    for b in den:
-        ratio /= b + m
-    ratio /= m + 1.0
-    t = np.empty(M)
-    t[0] = 1.0
-    np.cumprod(ratio, out=t[1:])
-    head = float(np.sum(t * np.exp(-lam * np.arange(M, dtype=float))))
-    # t_m ~ m**q (d0 + d1/m + d2/m^2 + d3/m^3), q from the parameter sums
-    q = sum(num) - sum(den) - 1.0
-    pts = [M - 1, (7 * M) // 8, (3 * M) // 4, (5 * M) // 8]
-    mat = np.array([[float(mm) ** (-j) for j in range(4)] for mm in pts])
-    rhs = np.array([t[mm] * float(mm) ** (-q) for mm in pts])
-    d = np.linalg.solve(mat, rhs)
-    tail = math.fsum(
-        dj * _power_exp_tail(j - q, lam, M) for j, dj in enumerate(d) if dj != 0.0
-    )
-    return PfqResult(head + tail, True, M, True)
+    return PfqResult(value, inner.converged, inner.terms_used)
 
 
 def pfq(num: Sequence, den: Sequence, z: float, *,
@@ -365,11 +271,11 @@ def pfq(num: Sequence, den: Sequence, z: float, *,
 
     Terms are updated incrementally; summation stops once three consecutive
     terms fall below rel_tol times the running sum, and gives up at max_terms
-    with ``converged=False``.  For 1 - z below ~6.5e-4 (and z not making the
-    series terminate) the remainder past a fixed head is completed with an
-    asymptotic algebraic tail, which stays accurate arbitrarily close to z=1.
-    Negative z alternates the terms, so the two-numerator one-denominator
-    case is rerouted through w = z/(z-1) to dodge the cancellation.
+    with ``converged=False``.  Negative z alternates the terms, so the
+    two-numerator one-denominator case is rerouted through w = z/(z-1) to
+    dodge the cancellation.  A non-terminating series with more numerator
+    than denominator parameters stalls near z = 1 and raises DomainError for
+    1 - z <= _TAIL_SWITCH; densities there come from ``eval_density``.
     """
     _validate_params(num, den)
     z = float(z)
@@ -377,17 +283,12 @@ def pfq(num: Sequence, den: Sequence, z: float, *,
         raise DomainError("pfq evaluation needs |z| < 1")
     if z < 0.0 and len(num) == 2 and len(den) == 1 and not _terminates(num):
         return _pfq_pfaff(num, den, z, rel_tol, max_terms)
-    if z <= 0.0 or (1.0 - z) > _TAIL_SWITCH or _terminates(num):
-        return _pfq_direct(num, den, z, rel_tol, max_terms)
-    return _pfq_tail(num, den, -math.log(z))
-
-
-def _pfq_lnz(num, den, lnz: float) -> PfqResult:
-    # internal entry keeping full precision in 1-z = -expm1(lnz)
-    one_minus_z = -math.expm1(lnz)
-    if one_minus_z > _TAIL_SWITCH or _terminates(num):
-        return _pfq_direct(num, den, math.exp(lnz), 1e-16, _MAX_TERMS)
-    return _pfq_tail(num, den, -lnz)
+    if 1.0 - z <= _TAIL_SWITCH and len(num) > len(den) and not _terminates(num):
+        raise DomainError(
+            f"pfq series stalls at 1 - z <= {_TAIL_SWITCH}; "
+            "evaluate densities there with eval_density"
+        )
+    return _pfq_direct(num, den, z, rel_tol, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +305,12 @@ class SlaterTerm:
 
 @dataclass(frozen=True)
 class SlaterExpansion:
+    """gamma_factor * z**(-1/l) * G^{k,0}_{k,k}(z | alphas; betas), z = (x/c)**l.
+
+    ``terms`` is Slater's sum for G about z = 0; ``endpoint_coeffs`` are
+    the coefficients of Norlund's expansion about z = 1, built on first use.
+    """
+
     params: Params
     k: int
     l: int
@@ -411,6 +318,61 @@ class SlaterExpansion:
     terms: tuple
     domain_upper: float  # support endpoint c
     z_scale: float  # c**l; z = x**l / z_scale
+    alphas: tuple
+    betas: tuple
+    psi: float  # sum(alphas) - sum(betas), kept exact
+
+    @cached_property
+    def endpoint_coeffs(self) -> tuple:
+        return _norlund_coeffs(self.alphas, self.betas, self.psi, _ENDPOINT_TERMS)
+
+
+def _theta_image(shifts: Sequence[float], s: float) -> list:
+    """prod_j (theta - shifts_j) w**s as coefficients of w**s, w**(s-1), ...
+
+    theta = z d/dz, and with z = 1 - w it maps w**t to t w**t - t w**(t-1).
+    """
+    out = [1.0]
+    for c in shifts:
+        nxt = [0.0] * (len(out) + 1)
+        for i, v in enumerate(out):
+            t = s - i
+            nxt[i] += (t - c) * v
+            nxt[i + 1] -= t * v
+        out = nxt
+    return out
+
+
+def _norlund_coeffs(alphas, betas, psi: float, count: int) -> tuple:
+    """c_0..c_{count-1} of G^{k,0}_{k,k}(z | alphas; betas) = w**(psi-1) sum c_n w**n.
+
+    w = 1 - z, c_0 = 1/Gamma(psi) (Norlund, "Hypergeometric functions", Acta
+    Math. 94 (1955)).  G solves [z prod(theta - alpha_j + 1) - prod(theta -
+    beta_j)] G = 0.  With A_i(s), B_i(s) the coefficients of w**(s-i) in the
+    two products applied to w**s, the power w**(s-k) cancels identically, and
+    the next power of the ansatz gives the recurrence sum_{d=0..k}
+    R_d(s_{N-d}) c_{N-d} = 0, R_d = A_{k-d} - A_{k-1-d} + B_{k-1-d} and
+    s_n = psi - 1 + n.  R_0(s_n) vanishes only at n = 0.  The entries of R
+    cancel to about 1e-11 relative at k = 17, which would show through c_1 w,
+    so c_1 comes from its closed form c_1/c_0 = (sum beta(beta-1) - sum
+    alpha(alpha-1) + psi(psi-1)) / (2 psi); later c_n are damped by w**n.
+    """
+    k = len(alphas)
+    shifted = [a - 1.0 for a in alphas]
+    c0 = 1.0 / math.gamma(psi)
+    quad = math.fsum(b * (b - 1.0) for b in betas) - math.fsum(a * (a - 1.0) for a in alphas)
+    coeffs = [c0, c0 * (quad + psi * (psi - 1.0)) / (2.0 * psi)]
+    rows = []
+    for n in range(count):
+        s = psi - 1.0 + n
+        a = _theta_image(shifted, s)
+        b = _theta_image(betas, s)
+        rows.append([a[k - d] - (a[k - 1 - d] - b[k - 1 - d] if d < k else 0.0)
+                     for d in range(k + 1)])
+        if n >= 2:
+            acc = math.fsum(rows[n - d][d] * coeffs[n - d] for d in range(1, min(k, n) + 1))
+            coeffs.append(-acc / rows[n][0])
+    return tuple(coeffs)
 
 
 def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
@@ -476,6 +438,9 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
         terms=tuple(terms),
         domain_upper=upper,
         z_scale=upper**l,
+        alphas=tuple(j / l if j <= l else (rf + j - l) / (k - l) for j in range(1, k + 1)),
+        betas=tuple((rbf + h) / k for h in range(1, k + 1)),
+        psi=0.5 + float(ra - rb),
     )
 
 
@@ -487,19 +452,14 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
     return _expansion(params, params.r)
 
 
-def eval_density(
-    expansion: SlaterExpansion,
-    x: float,
-    dist_upper: Optional[float] = None,
-    return_flag: bool = False,
-):
+def eval_density(expansion: SlaterExpansion, x: float,
+                 dist_upper: Optional[float] = None) -> float:
     """Density value at x in (0, c).
 
     ``dist_upper`` may carry c - x to full relative precision (quadrature
     transforms know it exactly); without it the plain difference is used.
-    With ``return_flag=True`` returns (value, precision_loss_flag); the flag
-    fires for z = (x/c)**l > 0.98**l, where the direct series loses ground
-    and evaluation switches to the asymptotic tail.
+    The k series are summed directly while 1 - z > _TAIL_SWITCH; closer to
+    the endpoint the value comes from ``endpoint_coeffs``.
     """
     upper = expansion.domain_upper
     if dist_upper is None:
@@ -514,18 +474,21 @@ def eval_density(
         lnz = expansion.l * math.log1p(-dist_upper / upper)
     else:
         lnz = expansion.l * math.log(x / upper)
-    flag = lnz > expansion.l * math.log(0.98)
+    w = -math.expm1(lnz)
+    if w <= _TAIL_SWITCH:
+        series = 0.0
+        for c in reversed(expansion.endpoint_coeffs):
+            series = series * w + c
+        g = w ** (expansion.psi - 1.0) * series
+        return expansion.gamma_factor * math.exp(-lnz / expansion.l) * g
+    z = math.exp(lnz)
     total = 0.0
     for term in expansion.terms:
         if term.coef == 0.0:
             continue
-        res = _pfq_lnz(term.a_vec, term.b_vec, lnz)
-        flag = flag or not res.converged
+        res = _pfq_direct(term.a_vec, term.b_vec, z, 1e-16, _MAX_TERMS)
         total += term.coef * res.value * math.exp(term.exponent * lnz)
-    val = expansion.gamma_factor * total
-    if return_flag:
-        return val, flag
-    return val
+    return expansion.gamma_factor * total
 
 
 # ---------------------------------------------------------------------------

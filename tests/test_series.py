@@ -59,6 +59,26 @@ class TestSeriesRing:
         with pytest.raises(DomainError, match="overflows"):
             TruncatedSeries((0.0, 1e-200, 1.0)).compositional_inverse()
 
+    def test_float_series_stay_float(self):
+        # every constant an operation seeds its result with follows the input
+        cases = (
+            (TruncatedSeries((0.0, 0.5, 1.0)).compositional_inverse(), (0.0, 2.0, -8.0)),
+            (TruncatedSeries((0.0, 0.5, 0.25)).exp(), (1.0, 0.5, 0.375)),
+            (TruncatedSeries((1.0, 0.5, 0.25)).log(), (0.0, 0.5, 0.125)),
+            (TruncatedSeries((1.0,)).log(), (0.0,)),
+            (TruncatedSeries((1.0,)).derivative(), (0.0,)),
+            (TruncatedSeries((1.0, 0.5)).shift_up(), (0.0, 1.0)),
+        )
+        for got, want in cases:
+            assert got.coeffs == want
+            assert all(type(c) is float for c in got.coeffs), got.coeffs
+        inv = TruncatedSeries((0.0, 0.5, 1.0)).compositional_inverse()
+        assert inv.to_json_dict() == TruncatedSeries((0.0, 2.0, -8.0)).to_json_dict()
+        # exact inputs stay exact
+        exact = TruncatedSeries((F(0), F(1, 2), F(1))).compositional_inverse()
+        assert exact.coeffs == (0, 2, -8) and exact.is_exact()
+        assert TruncatedSeries((F(0), F(1, 2))).exp().is_exact()
+
     def test_identity_is_z(self):
         assert TruncatedSeries.identity(3).coeffs == (0, 1, 0, 0)
         assert TruncatedSeries.identity(0).coeffs == (0,)

@@ -1,6 +1,7 @@
 """Hypergeometric machinery: pfq evaluation, the moment symbol, densities."""
 import hashlib
 import math
+import time
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -18,8 +19,8 @@ from binomoment.core import (
 )
 from binomoment.quadrature import QuadratureSpec, tanh_sinh
 from binomoment.slater import (
+    _TAIL_SWITCH,
     _pfq_direct,
-    _pfq_tail,
     build_slater_expansion,
     build_symbol,
     eval_density,
@@ -89,25 +90,23 @@ class TestPfq:
         want = float(mp.hyper([a1, a2], [b1], z))
         assert got.value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("one_minus_z", [6e-4, 1e-4, 1e-6, 1e-9, 1e-13])
-    def test_tail_path_near_unit_argument(self, one_minus_z):
+    def test_stalling_series_near_unit_argument_rejected(self):
+        # 3F2 at 1 - z <= _TAIL_SWITCH would need >~60000 terms: refused at once
         a = [0.5, 5.0 / 6.0, 7.0 / 6.0]
         b = [2.0 / 3.0, 4.0 / 3.0]
-        lam = -math.log1p(-one_minus_z)
-        got = _pfq_tail(a, b, lam)
-        want = float(mp.hyper(a, b, mp.mpf(1) - mp.mpf(one_minus_z)))
-        assert got.tail_assisted
-        assert got.value == pytest.approx(want, rel=5e-12)
+        for one_minus_z in (6e-4, 1e-4, 1e-9):
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError, match="eval_density"):
+                pfq(a, b, 1.0 - one_minus_z)
+            assert time.perf_counter() - t0 < 0.05
 
-    def test_tail_and_direct_paths_overlap(self):
-        a = [0.5, 5.0 / 6.0, 7.0 / 6.0]
-        b = [2.0 / 3.0, 4.0 / 3.0]
-        for one_minus_z in (3e-4, 5e-4, 6.5e-4, 8e-4):
-            z = 1.0 - one_minus_z
-            direct = _pfq_direct(a, b, z, 1e-16, 10**6)
-            tail = _pfq_tail(a, b, -math.log1p(-one_minus_z))
-            assert direct.converged
-            assert tail.value == pytest.approx(direct.value, rel=1e-11)
+    def test_near_unit_argument_still_summed_where_it_ends(self):
+        # a terminating series, or one with fewer upper than lower parameters,
+        # is summed directly however close z is to 1
+        z = 1.0 - 1e-6
+        assert pfq([-3, 0.7], [1.3], z).converged
+        got = pfq([0.5], [1.5, 2.0], z)
+        assert got.value == pytest.approx(float(mp.hyper([0.5], [1.5, 2.0], z)), rel=1e-14)
 
     def test_nonconvergence_is_reported(self):
         got = pfq([0.5, 0.5], [1.5], 0.99, max_terms=50)
@@ -341,6 +340,7 @@ class TestDensityValues:
     def test_shifted_arcsine_family(self):
         # (2,1): moments C(2n+1,n); density sqrt(x/(4-x))/(2 pi)
         exp = build_slater_expansion(Params(F(2), F(1)))
+        # 3.99999 has 1 - z = 2.5e-6, on the endpoint expansion
         for x in (0.05, 1.0, 2.0, 3.5, 3.99999):
             want = math.sqrt(x / (4.0 - x)) / (2.0 * math.pi)
             assert eval_density(exp, x) == pytest.approx(want, rel=1e-12)
@@ -348,13 +348,6 @@ class TestDensityValues:
     def test_midpoint_value_quarter_circle(self):
         exp = build_slater_expansion(Params(F(2), F(0)))
         assert eval_density(exp, 2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
-
-    def test_flag_near_endpoint(self):
-        exp = build_slater_expansion(Params(F(2), F(0)))
-        _, flag = eval_density(exp, 3.999999, return_flag=True)
-        assert flag
-        _, flag = eval_density(exp, 2.0, return_flag=True)
-        assert not flag
 
     def test_domain_errors(self):
         exp = build_slater_expansion(Params(F(2), F(0)))
@@ -396,6 +389,144 @@ class TestDensityValues:
                 )
                 want = float(gen_binomial(p, r, n))
                 assert res.value == pytest.approx(want, rel=1e-8)
+
+
+def _meijer_parameters(p, r, r_beta):
+    """alpha, beta of the G-function behind the density at (p, r), as mpmath numbers."""
+    k, l = p.numerator, p.denominator
+    ra, rb = _mpq(F(r)), _mpq(F(r_beta))  # exact, also for float r
+    alphas = [_mpq(F(j, l)) if j <= l else (ra + j - l) / (k - l) for j in range(1, k + 1)]
+    betas = [(rb + h) / k for h in range(1, k + 1)]
+    return alphas, betas
+
+
+def _mellin_side_g(alphas, betas, w, count):
+    """G^{k,0}_{k,k}(1 - w | alphas; betas) from the Mellin transform alone.
+
+    G's Mellin transform over (0, 1) is prod Gamma(s + beta_j)/Gamma(s + alpha_j).
+    Times Gamma(s + psi)/Gamma(s) it equals sum_n c_n Gamma(psi + n)/(s + psi)_n
+    when G = w**(psi-1) sum_n c_n w**n, so the c_n follow by matching powers
+    of 1/s against Stirling's series log Gamma(s + a) - log Gamma(s) = a log s
+    + sum_m (-1)**(m+1) (B_{m+1}(a) - B_{m+1}(0)) / (m (m+1) s**m).
+    """
+    psi = mp.fsum(alphas) - mp.fsum(betas)
+
+    def bern(m, a):
+        return mp.bernpoly(m + 1, a) - mp.bernpoly(m + 1, 0)
+
+    # log of the product as a series in u = 1/s (the log s terms cancel)
+    log_r = [mp.mpf(0)] + [
+        (-1) ** (m + 1)
+        * (mp.fsum(bern(m, b) for b in betas) - mp.fsum(bern(m, a) for a in alphas) + bern(m, psi))
+        / (m * (m + 1))
+        for m in range(1, count)
+    ]
+    rem = [mp.mpf(1)] + [mp.mpf(0)] * (count - 1)  # exp(log_r)
+    for m in range(1, count):
+        rem[m] = mp.fsum(j * log_r[j] * rem[m - j] for j in range(1, m + 1)) / m
+    basis = [mp.mpf(1)] + [mp.mpf(0)] * (count - 1)  # 1/(s + psi)_n in powers of u
+    total = mp.mpf(0)
+    for n in range(count):
+        g_n = rem[n] / basis[n]
+        total += g_n / mp.gamma(psi + n) * w**n
+        rem = [x - g_n * y for x, y in zip(rem, basis)]
+        nxt = [mp.mpf(0)] * count
+        for m in range(1, count):
+            nxt[m] = basis[m - 1] - (psi + n) * nxt[m - 1]
+        basis = nxt
+    return w ** (psi - 1) * total
+
+
+def _endpoint_oracle(p, r, r_beta, dist_rel):
+    """K z**(-1/l) G(z) at x = c (1 - dist_rel), the test_matches_meijer_g form."""
+    l = p.denominator
+    alphas, betas = _meijer_parameters(p, r, r_beta)
+    c = _mpq(p) ** _mpq(p) * (_mpq(p) - 1) ** (1 - _mpq(p))
+    scale = l * mp.fprod(map(mp.gamma, alphas)) / (c * mp.fprod(map(mp.gamma, betas)))
+    z = (1 - mp.mpf(dist_rel)) ** l
+    return scale * z ** (mp.mpf(-1) / l) * _mellin_side_g(alphas, betas, 1 - z, 16)
+
+
+def _endpoint_density(p, r, raney):
+    if raney:
+        return raney_density(Params(p, r))
+    exp = build_slater_expansion(Params(p, r))
+    return lambda x, dist_upper: eval_density(exp, x, dist_upper=dist_upper)
+
+
+class TestEndpointExpansion:
+    def test_oracle_is_the_meijer_g_function(self):
+        # the Mellin-side series against mpmath's own G at 1 - z = 0.05 and 0.2
+        for p, r in ((F(5, 2), F(1, 2)), (F(7, 2), F(-9, 10))):
+            alphas, betas = _meijer_parameters(p, r, r)
+            for w in (mp.mpf("0.05"), mp.mpf("0.2")):
+                want = mp.meijerg([[], alphas], [betas, []], 1 - w)
+                got = _mellin_side_g(alphas, betas, w, 40)
+                assert abs(got - want) < mp.mpf("1e-20") * abs(want), (p, r, w)
+
+    @pytest.mark.parametrize(
+        "p,r,raney",
+        [
+            (F(5, 3), F(0), False),
+            (F(5, 2), F(1, 2), False),
+            (F(7, 2), F(-9, 10), False),
+            (F(11, 3), F(8, 3), False),  # r = p - 1
+            (F(2), F(1), False),  # r = p - 1
+            (F(17, 5), F(0), False),  # k = 17
+            (F(17, 5), 0.3, False),  # float r
+            (F(3), F(1), True),
+            (F(5, 2), F(1, 2), True),
+        ],
+    )
+    def test_matches_meijer_g_near_endpoint(self, p, r, raney):
+        f = _endpoint_density(p, r, raney)
+        c = float(support_endpoint(p))
+        for dist_rel in (1e-4, 1e-8, 1e-12):
+            want = _endpoint_oracle(p, r, r - 1 if raney else r, dist_rel)
+            d = dist_rel * c
+            assert f(c - d, d) == pytest.approx(float(want), rel=4e-15), (p, r, dist_rel)
+
+    @pytest.mark.parametrize(
+        "p,r,raney", [(F(5, 3), F(0), False), (F(17, 5), F(0), False), (F(3), F(1), True)]
+    )
+    def test_continuous_across_switch(self, p, r, raney):
+        # the two sides of 1 - z = _TAIL_SWITCH are summed by different series
+        f = _endpoint_density(p, r, raney)
+        c = float(support_endpoint(p))
+        l = p.denominator
+        d_switch = -c * math.expm1(math.log1p(-_TAIL_SWITCH) / l)
+        values = []
+        for d in (d_switch * (1 - 1e-13), d_switch * (1 + 1e-13)):
+            values.append(f(c - d, d))
+        below = -math.expm1(l * math.log1p(-d_switch * (1 - 1e-13) / c))
+        above = -math.expm1(l * math.log1p(-d_switch * (1 + 1e-13) / c))
+        assert below <= _TAIL_SWITCH < above
+        assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+    def test_endpoint_and_direct_sums_overlap(self):
+        # at one abscissa on each side of the switch, the k direct series
+        # (summed however long they take) agree with the endpoint expansion
+        exp = build_slater_expansion(Params(F(7, 2), F(-9, 10)))
+        c = exp.domain_upper
+        for one_minus_z in (3e-4, 5e-4, 8e-4, 2e-3):
+            lnz = math.log1p(-one_minus_z)
+            x = c * math.exp(lnz / exp.l)
+            direct = exp.gamma_factor * math.fsum(
+                t.coef * _pfq_direct(t.a_vec, t.b_vec, 1.0 - one_minus_z, 1e-16, 10**6).value
+                * math.exp(t.exponent * lnz)
+                for t in exp.terms if t.coef != 0.0
+            )
+            series = math.fsum(cn * one_minus_z**n for n, cn in enumerate(exp.endpoint_coeffs))
+            endpoint = exp.gamma_factor * math.exp(-lnz / exp.l) * one_minus_z ** (exp.psi - 1) * series
+            assert endpoint == pytest.approx(direct, rel=1e-12), one_minus_z
+            assert eval_density(exp, x, dist_upper=c - x) == pytest.approx(direct, rel=1e-12)
+
+    def test_coefficients_built_on_first_endpoint_point(self):
+        exp = build_slater_expansion(Params(F(5, 2), F(1, 2)))
+        eval_density(exp, 0.5 * exp.domain_upper)
+        assert "endpoint_coeffs" not in vars(exp)
+        eval_density(exp, exp.domain_upper * (1 - 1e-6))
+        assert len(vars(exp)["endpoint_coeffs"]) >= 8
 
 
 class TestRaneyDensity:
