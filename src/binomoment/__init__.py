@@ -4,11 +4,12 @@ Library layout:
 
 - ``core``       scalars, parameters, binomial/Raney numbers, region classifiers
 - ``series``     exact truncated power series and the generating functions
-- ``slater``     binomial and Raney density expansions and pointwise evaluation
+- ``slater``     binomial and Raney density expansions, evaluated at many points at once
 - ``closedform`` elementary closed-form densities and assembled measure models
 - ``mellin``     beta-factor Mellin factorizations and sampling
 - ``freeconv``   moment-series transforms and convolution identities
-- ``verify``     quadrature, moment certification, negativity witnesses
+- ``quadrature`` tanh-sinh quadrature over arrays of nodes
+- ``verify``     moment certification, negativity witnesses
 - ``cli``        command-line interface
 """
 from .core import (

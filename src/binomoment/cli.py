@@ -18,7 +18,7 @@ import importlib.resources
 import json
 import re
 import sys
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .closedform import density_function
 from .core import (
@@ -53,21 +53,6 @@ def _fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# -- evaluation helpers --------------------------------------------------------
-
-
-def _curve_has_negative(evaluate: Callable[[float], float], upper: float,
-                        values: Sequence[float]) -> bool:
-    # grid minimum plus a log sweep toward zero, where out-of-region
-    # negativity tends to hide
-    if min(values) < -_NEG_TOL:
-        return True
-    for j in range(1, 13):
-        if evaluate(upper * 10.0 ** (-j)) < -_NEG_TOL:
-            return True
-    return False
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -96,14 +81,14 @@ def _cmd_density(args) -> int:
     evaluate = density_function(params)
     upper = float(support_endpoint(params.p))
     if args.x is not None:
-        print(_fmt_float(evaluate(float(args.x))))
+        print(_fmt_float(evaluate([float(args.x)])[0]))
         return 0
     a, b, count = args.grid
     if not 0.0 < a <= b < upper:
         raise DomainError(f"grid must lie inside (0, {upper})")
-    for i in range(count):
-        x = a + (b - a) * i / (count - 1) if count > 1 else a
-        print(f"{_fmt_float(x)} {_fmt_float(evaluate(x))}")
+    xs = [a + (b - a) * i / (count - 1) if count > 1 else a for i in range(count)]
+    for x, v in zip(xs, evaluate(xs)):
+        print(f"{_fmt_float(x)} {_fmt_float(v)}")
     return 0
 
 
@@ -240,8 +225,11 @@ def _curve_rows(cfg: dict) -> Iterator[list]:
         for p_text, r_text, params, evaluate in curves:
             upper = float(support_endpoint(params.p))
             xs = [upper * i / (points + 1) for i in range(1, points + 1)]
-            values = [evaluate(x) for x in xs]
-            flag = 1 if _curve_has_negative(evaluate, upper, values) else 0
+            # the grid plus a log sweep toward zero, where out-of-region
+            # negativity tends to hide, in one call; the sweep only sets the flag
+            sweep = [upper * 10.0 ** (-j) for j in range(1, 13)]
+            values = evaluate(xs + sweep).tolist()
+            flag = 1 if min(values) < -_NEG_TOL else 0
             for x, v in zip(xs, values):
                 yield [p_text, r_text, _fmt_float(x), _fmt_float(v), flag]
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     DomainError,
@@ -24,7 +26,7 @@ from .core import (
     is_exact,
     support_endpoint,
 )
-from .slater import build_slater_expansion, eval_density
+from .slater import build_slater_expansion, eval_density_many
 
 __all__ = [
     "ClosedFormId",
@@ -191,13 +193,13 @@ def eval_closed(cid: ClosedFormId, x: float, dist_upper: Optional[float] = None)
 class MeasureModel:
     """A measure on [0, upper]: an atom at 0 plus a density.
 
-    ``density`` is an evaluator (x, dist_to_upper) -> value on (0, upper);
-    the second argument lets quadrature supply the distance to the endpoint
-    at full precision.
+    ``density`` is an evaluator (xs, dists_to_upper) -> array of values on
+    (0, upper); the second argument lets quadrature supply the distances to
+    the endpoint at full precision.
     """
 
     atom_at_zero: float
-    density: Callable[[float, float], float]
+    density: Callable[[Sequence[float], Sequence[float]], np.ndarray]
     upper: float
 
 
@@ -214,20 +216,27 @@ def closed_form_for(params: Params) -> Optional[ClosedFormId]:
     return None
 
 
-def density_function(params: Params) -> Callable[..., float]:
-    """Evaluator (x, dist_upper=None) -> V(x) of the density at (p, r).
+def density_function(params: Params) -> Callable[..., np.ndarray]:
+    """Evaluator (xs, dist_upper=None) -> array of V(x) of the density at (p, r).
 
-    Uses the elementary form when one covers the pair and the
-    hypergeometric expansion otherwise.  Works for any r at rational
-    p > 1; outside the positive-definite region the function takes
-    negative values but is still well defined.  ``dist_upper`` carries the
-    distance to the support endpoint when the caller knows it exactly.
+    Uses the elementary form when one covers the pair, point by point, and
+    the hypergeometric expansion otherwise, all points in one
+    ``eval_density_many`` call.  Works for any r at rational p > 1;
+    outside the positive-definite region the function takes negative
+    values but is still well defined.  ``dist_upper`` carries the
+    distances to the support endpoint when the caller knows them exactly.
     """
     cid = closed_form_for(params)
     if cid is not None:
-        return lambda x, dist_upper=None: eval_closed(cid, x, dist_upper)
+
+        def evaluate(xs, dist_upper=None):
+            xs = np.asarray(xs, dtype=float).tolist()
+            dists = [None] * len(xs) if dist_upper is None else np.asarray(dist_upper).tolist()
+            return np.array([eval_closed(cid, x, d) for x, d in zip(xs, dists)], dtype=float)
+
+        return evaluate
     expansion = build_slater_expansion(params)
-    return lambda x, dist_upper=None: eval_density(expansion, x, dist_upper=dist_upper)
+    return lambda xs, dist_upper=None: eval_density_many(expansion, xs, dist_upper)
 
 
 def measure_model(params: Params) -> MeasureModel:
@@ -259,7 +268,7 @@ def measure_model(params: Params) -> MeasureModel:
 
     row_density = density_function(base_params)
 
-    def density(x: float, dist_upper: float) -> float:
-        return weight * row_density(x, dist_upper)
+    def density(xs, dist_upper) -> np.ndarray:
+        return weight * row_density(xs, dist_upper)
 
     return MeasureModel(atom_at_zero=atom, density=density, upper=upper)

@@ -1,16 +1,22 @@
 """Quadrature with endpoint-singularity support.
 
-The double-exponential (tanh-sinh) rule handles integrable algebraic
-singularities at either endpoint; integrands receive stably computed
-distances to both endpoints so they can resolve behavior far below float
-spacing of the endpoints themselves.  Accumulation uses ``math.fsum`` over a
-fixed node order, so results are bit-reproducible from run to run.
+The double-exponential (tanh-sinh) rule of Takahasi and Mori, "Double
+exponential formulas for numerical integration" (1974), handles integrable
+algebraic singularities at either endpoint; integrands receive stably
+computed distances to both endpoints so they can resolve behavior far below
+float spacing of the endpoints themselves.  Integrands take each level's
+nodes as arrays, and one sweep of a level serves every row of a
+vector-valued integrand.  Accumulation uses ``math.fsum`` over a fixed node
+order, so results are bit-reproducible from run to run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import DomainError
 
@@ -18,7 +24,7 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "integrate",
-    "tanh_sinh",
+    "integrate_many",
 ]
 
 
@@ -43,106 +49,146 @@ class IntegralResult:
     evaluations: int
 
 
-# integrands are called f(x, dist_left, dist_right); the distances are exact
-# products of the transform, accurate even when x rounds to an endpoint
-Integrand = Callable[[float, float, float], float]
+# integrands are called f(x, dist_left, dist_right) on arrays of nodes; the
+# distances are exact products of the transform, accurate even when x rounds
+# to an endpoint
+Integrand = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 _T_MAX = 6.0  # |t| cap; sinh(6) ~ 201 puts nodes ~1e-175 from the endpoints
 
 
-def _ts_node(t: float, half: float):
-    """Abscissa offset and weight data of the tanh-sinh map at parameter t."""
-    u = 0.5 * math.pi * math.sinh(t)
-    au = abs(u)
-    e = math.exp(-2.0 * au)  # in (0, 1]
-    # 1 -+ tanh(u) = 2e/(1+e) on the far side, 2/(1+e) on the near side
-    far = 2.0 * e / (1.0 + e) * half
-    near = 2.0 / (1.0 + e) * half
-    sech2 = 4.0 * e / (1.0 + e) ** 2
-    w = 0.5 * math.pi * math.cosh(t) * sech2 * half
-    return u, far, near, w
+@lru_cache(maxsize=None)
+def _level_nodes(level: int):
+    """Nodes of one level for the interval (-1, 1), in the order they are summed.
+
+    Level 0 is t = 0 and then t = j/2 for j = 1, 2, ... on the positive and
+    then the negative side; level L >= 1 adds the odd multiples of
+    h = 2**-(L+1), again positive side first.  Returned as (positive, far,
+    near, weight) arrays with entries up to the factor half = (b - a)/2:
+    ``positive`` is u >= 0, where x sits near b; far and near are 1 -+ tanh(u).
+    Computed through libm point by point, so the nodes are bit for bit the
+    ones a scalar loop would build.
+    """
+    h = 0.5 / 2**level
+    step = 1 if level == 0 else 2
+    side = [j * h for j in range(1, int(_T_MAX / h) + 1, step)]
+    ts = ([0.0] if level == 0 else []) + side + [-1.0 * t for t in side]
+    rows = []
+    for t in ts:
+        u = 0.5 * math.pi * math.sinh(t)
+        e = math.exp(-2.0 * abs(u))  # in (0, 1]
+        # 1 -+ tanh(u) = 2e/(1+e) on the far side, 2/(1+e) on the near side
+        sech2 = 4.0 * e / (1.0 + e) ** 2
+        rows.append((u >= 0.0, 2.0 * e / (1.0 + e), 2.0 / (1.0 + e),
+                     0.5 * math.pi * math.cosh(t) * sech2))
+    positive, far, near, weight = (np.array(col) for col in zip(*rows))
+    for arr in (positive, far, near, weight):
+        arr.flags.writeable = False
+    return positive, far, near, weight
 
 
-def _ts_eval(f: Integrand, a: float, b: float, t: float, half: float) -> float:
-    u, far, near, w = _ts_node(t, half)
-    if w == 0.0:
-        return 0.0
-    if u >= 0.0:
-        dl, dr = near, far
-    else:
-        dl, dr = far, near
-    x = a + dl if dl <= dr else b - dr
-    return w * f(x, dl, dr)
+def _sweep(f: Integrand, a: float, b: float, half: float, level: int, rows: int) -> list:
+    """Weighted values of f's rows at one level's nodes, as lists of floats."""
+    positive, far, near, weight = _level_nodes(level)
+    far, near, w = far * half, near * half, weight * half
+    dl = np.where(positive, near, far)
+    dr = np.where(positive, far, near)
+    x = np.where(dl <= dr, a + dl, b - dr)
+    live = w != 0.0  # a zero weight leaves its node unevaluated
+    values = np.zeros((rows, x.size))
+    if live.any():
+        values[:, live] = w[live] * f(x[live], dl[live], dr[live])
+    return values.tolist()
 
 
-def tanh_sinh(f: Integrand, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
-    """Double-exponential quadrature of f over (a, b)."""
-    if not b > a:
-        raise DomainError("need b > a")
-    half = 0.5 * (b - a)
-    level_vals = []
-    evals = 0
+class _Rule:
+    """The stopping rule for one integrand, fed one level's values at a time.
 
-    h = 0.5
-    # level 0: full sweep at h=0.5
-    terms = [_ts_eval(f, a, b, 0.0, half)]
-    evals += 1
-    scale = max(abs(terms[0]), 1e-300)
-    for sign in (1.0, -1.0):
-        tiny_run = 0
-        j = 1
-        while j * h <= _T_MAX:
-            v = _ts_eval(f, a, b, sign * j * h, half)
-            evals += 1
-            terms.append(v)
-            scale = max(scale, abs(v))
-            if abs(v) <= 1e-18 * scale:
-                tiny_run += 1
-                if tiny_run >= 4:
-                    break
-            else:
-                tiny_run = 0
-            j += 1
-    total = math.fsum(terms)
-    level_vals.append(h * total)
+    A side of a level stops at the fourth successive value below 1e-18 of
+    the running scale, so ``take`` reads only a prefix of each side; the
+    values past it are ignored, exactly as if they had never been computed.
+    """
 
-    prev_err = math.inf
-    err = math.inf
-    for level in range(1, spec.max_levels + 1):
-        h *= 0.5
-        # new nodes are the odd multiples of the new h
-        new_terms = []
-        for sign in (1.0, -1.0):
+    def __init__(self, spec: QuadratureSpec):
+        self.spec = spec
+        self.evals = 0
+        self.level_vals = []
+        self.total = 0.0
+        self.scale = 0.0
+        self.prev_err = math.inf
+        self.result = None
+
+    def take(self, level: int, values: list) -> None:
+        h = 0.5 / 2**level
+        if level == 0:
+            centre, values = values[0], values[1:]
+            terms = [centre]
+            self.evals += 1
+            self.scale = max(abs(centre), 1e-300)
+        else:
+            terms = []
+        side = len(values) // 2
+        for part in (values[:side], values[side:]):
             tiny_run = 0
-            j = 1
-            while j * h <= _T_MAX:
-                v = _ts_eval(f, a, b, sign * j * h, half)
-                evals += 1
-                new_terms.append(v)
-                scale = max(abs(total), abs(v), 1e-300)
-                if abs(v) <= 1e-18 * scale:
+            for v in part:
+                self.evals += 1
+                terms.append(v)
+                if level == 0:
+                    self.scale = max(self.scale, abs(v))
+                else:
+                    self.scale = max(abs(self.total), abs(v), 1e-300)
+                if abs(v) <= 1e-18 * self.scale:
                     tiny_run += 1
                     if tiny_run >= 4:
                         break
                 else:
                     tiny_run = 0
-                j += 2
-        total = total + math.fsum(new_terms)
-        level_vals.append(h * total)
-        err = abs(level_vals[-1] - level_vals[-2])
+        if level == 0:
+            self.total = math.fsum(terms)
+            self.level_vals.append(h * self.total)
+            return
+        self.total = self.total + math.fsum(terms)
+        self.level_vals.append(h * self.total)
+        err = abs(self.level_vals[-1] - self.level_vals[-2])
         # double-exponential convergence roughly squares the error per level
-        est = err * err / prev_err if prev_err not in (0.0, math.inf) else err
-        achieved = max(min(err, est), abs(level_vals[-1]) * 1e-16)
-        if err <= spec.target_abs_tol or achieved <= spec.target_abs_tol:
-            return IntegralResult(level_vals[-1], achieved, True, level, evals)
-        prev_err = err if err > 0 else prev_err
-    return IntegralResult(level_vals[-1], err, False, spec.max_levels, evals)
+        prev = self.prev_err
+        est = err * err / prev if prev not in (0.0, math.inf) else err
+        achieved = max(min(err, est), abs(self.level_vals[-1]) * 1e-16)
+        if err <= self.spec.target_abs_tol or achieved <= self.spec.target_abs_tol:
+            self.result = IntegralResult(self.level_vals[-1], achieved, True, level, self.evals)
+        elif level == self.spec.max_levels:
+            self.result = IntegralResult(self.level_vals[-1], err, False, level, self.evals)
+        self.prev_err = err if err > 0 else prev
+
+
+def integrate_many(f: Integrand, a: float, b: float,
+                   specs: Sequence[QuadratureSpec]) -> tuple:
+    """Integrals over (a, b) of the rows of a vector-valued f, one per spec.
+
+    f(x, dist_left, dist_right) gets a level's nodes as arrays and returns
+    one row of values per spec.  Each level is swept once, out to |t| =
+    _T_MAX, while any row still needs it, and every row then applies its
+    own stopping rule to its values; a row gets the value, error estimate,
+    levels and evaluation count it would get on its own.
+    """
+    if not b > a:
+        raise DomainError("need b > a")
+    half = 0.5 * (b - a)
+    rules = [_Rule(spec) for spec in specs]
+    level = 0
+    while any(rule.result is None for rule in rules):
+        rows = _sweep(f, a, b, half, level, len(rules))
+        for rule, row in zip(rules, rows):
+            if rule.result is None:
+                rule.take(level, row)
+        level += 1
+    return tuple(rule.result for rule in rules)
 
 
 def integrate(f: Integrand, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
     """Integral of f over (a, b) by the tanh-sinh rule.
 
-    The quadrature behind moment certification, as a named entry point
-    apart from ``tanh_sinh`` so that calls can be counted per function.
+    f(x, dist_left, dist_right) gets each level's nodes as arrays and
+    returns the integrand values there.
     """
-    return tanh_sinh(f, a, b, spec)
+    return integrate_many(f, a, b, (spec,))[0]

@@ -5,10 +5,11 @@ of generalized hypergeometric series in z = (x/c)**l, c the support endpoint:
 each of the k terms is coefficient * pFq(a_h; b_h | z) * z**e_h.  The Raney
 density, with moments r/(n*p+r) * C(n*p+r, n), is the same expansion with
 the beta side of the gamma quotient moved from r to r - 1.  This module
-builds the gamma-quotient symbol behind these expansions, evaluates pFq with
-a term recurrence, and evaluates densities pointwise.  Near z = 1, where the
-k series stall, the density comes instead from Norlund's expansion of the
-Meijer G-function the k terms add up to, in powers of 1 - z.
+builds the gamma-quotient symbol behind these expansions, sums pFq with a
+term recurrence in one array kernel that takes many z at once, and evaluates
+densities at many points per call.  Near z = 1, where the k series stall,
+the density comes instead from Norlund's expansion of the Meijer G-function
+the k terms add up to, in powers of 1 - z.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ __all__ = [
     "pfq",
     "build_slater_expansion",
     "eval_density",
+    "eval_density_many",
     "raney_density",
 ]
 
@@ -220,37 +222,93 @@ def _terminates(num) -> bool:
     return any(_pole_order(as_scalar(a)) is not None for a in num)
 
 
-def _pfq_direct(num, den, z, rel_tol, max_terms) -> PfqResult:
+#: the sum runs in blocks of _FIRST_BLOCK terms, each block four times the
+#: last up to _LAST_BLOCK; a run of small terms never spans two blocks
+_FIRST_BLOCK = 2048
+_LAST_BLOCK = 1 << 19
+
+#: terms go in chunks, _FIRST_CHUNK long and then twice the last one, cut at
+#: block ends and to at most _MAX_CELLS entries per (points x terms) array
+_FIRST_CHUNK = 16
+_MAX_CELLS = 1 << 16
+
+
+def _pfq_sum(num, den, zs, rel_tol: float, max_terms: int):
+    """sum_m prod(num)_m / prod(den)_m * z**m / m! at every z in ``zs``.
+
+    Returns (values, converged, terms_used) arrays.  All points step through
+    the terms together, and a point leaves once three consecutive terms of
+    one block fall below rel_tol times the running sum.  Each block restarts
+    from its last term t, terms = t * cumprod(ratio) and sums = acc +
+    cumsum(terms); inside a block the terms go in chunks, each chunk folding
+    the raw cumprod and cumsum of the last into its first term.  IEEE * and
+    + commute and numpy accumulates in order along a row, so every value is
+    bit for bit what one whole block at a time would give.  Each point's
+    terms are one contiguous row, so a few long sums run at full speed.
+    """
     num = [float(a) for a in num]
     den = [float(b) for b in den]
-    acc = 1.0  # t_0
-    t_last = 1.0
-    m0 = 0
-    block = 2048
-    while m0 < max_terms:
-        n = min(block, max_terms - m0)
-        m = np.arange(m0, m0 + n, dtype=float)
-        ratio = np.full(n, z)
-        for a in num:
-            ratio *= a + m
-        for b in den:
-            ratio /= b + m
-        ratio /= m + 1.0
-        terms = t_last * np.cumprod(ratio)
-        csum = acc + np.cumsum(terms)
-        floor = np.maximum(np.abs(csum), 1e-300)
-        small = np.abs(terms) < rel_tol * floor
-        if n >= 3:
-            run3 = small[2:] & small[1:-1] & small[:-2]
-            hits = np.nonzero(run3)[0]
-            if hits.size:
-                stop = int(hits[0]) + 2
-                return PfqResult(float(csum[stop]), True, m0 + stop + 2)
-        acc = float(csum[-1])
-        t_last = float(terms[-1])
-        m0 += n
-        block = min(block * 4, 1 << 19)
-    return PfqResult(acc, False, max_terms)
+    zs = np.asarray(zs, dtype=float)
+    values = np.empty(zs.size)
+    converged = np.zeros(zs.size, dtype=bool)
+    terms_used = np.full(zs.size, max_terms)
+    live = np.arange(zs.size)
+    acc = np.ones(zs.size)  # sum before the block
+    t_last = np.ones(zs.size)  # last term before the block
+    start = 0
+    block = _FIRST_BLOCK
+    chunk = _FIRST_CHUNK
+    while start < max_terms and live.size:
+        end = min(start + block, max_terms)
+        pos = start
+        prod_carry = sum_carry = None
+        flags = np.zeros((live.size, 2), dtype=bool)  # small flags of the last two terms
+        while pos < end and live.size:
+            n = min(chunk, end - pos, max(1, _MAX_CELLS // live.size))
+            m = np.arange(pos, pos + n, dtype=float)
+            ratio = np.repeat(zs[live][:, None], n, axis=1)
+            for a in num:
+                ratio *= a + m
+            for b in den:
+                ratio /= b + m
+            ratio /= m + 1.0
+            if prod_carry is not None:
+                ratio[:, 0] *= prod_carry
+            np.cumprod(ratio, axis=1, out=ratio)
+            terms = t_last[:, None] * ratio
+            sums = terms.copy()
+            if sum_carry is not None:
+                sums[:, 0] += sum_carry
+            np.cumsum(sums, axis=1, out=sums)
+            prod_carry, sum_carry = ratio[:, -1], sums[:, -1]
+            sums = acc[:, None] + sums
+            small = np.abs(terms) < rel_tol * np.maximum(np.abs(sums), 1e-300)
+            flags = np.concatenate((flags, small), axis=1)
+            run3 = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
+            flags = flags[:, -2:]
+            hit = run3.any(axis=1)
+            if hit.any():
+                stop = run3.argmax(axis=1)[hit]
+                done = live[hit]
+                values[done] = sums[hit, stop]
+                converged[done] = True
+                terms_used[done] = pos + stop + 2
+                keep = ~hit
+                live, acc, t_last = live[keep], acc[keep], t_last[keep]
+                prod_carry, sum_carry = prod_carry[keep], sum_carry[keep]
+                flags, terms, sums = flags[keep], terms[keep], sums[keep]
+            pos += n
+            chunk *= 2
+        acc, t_last = sums[:, -1], terms[:, -1]
+        start = end
+        block = min(block * 4, _LAST_BLOCK)
+    values[live] = acc
+    return values, converged, terms_used
+
+
+def _pfq_one(num, den, z, rel_tol, max_terms) -> PfqResult:
+    values, converged, terms_used = _pfq_sum(num, den, [z], rel_tol, max_terms)
+    return PfqResult(float(values[0]), bool(converged[0]), int(terms_used[0]))
 
 
 def _pfq_pfaff(num, den, z, rel_tol, max_terms) -> PfqResult:
@@ -260,7 +318,7 @@ def _pfq_pfaff(num, den, z, rel_tol, max_terms) -> PfqResult:
     a, b = sorted(float(v) for v in num)
     c = float(den[0])
     w = z / (z - 1.0)
-    inner = _pfq_direct([a, c - b], [c], w, rel_tol, max_terms)
+    inner = _pfq_one([a, c - b], [c], w, rel_tol, max_terms)
     value = (1.0 - z) ** (-a) * inner.value
     return PfqResult(value, inner.converged, inner.terms_used)
 
@@ -269,26 +327,33 @@ def pfq(num: Sequence, den: Sequence, z: float, *,
         rel_tol: float = 1e-16, max_terms: int = _MAX_TERMS) -> PfqResult:
     """Generalized hypergeometric sum_m prod(num)_m / prod(den)_m * z^m / m!.
 
-    Terms are updated incrementally; summation stops once three consecutive
-    terms fall below rel_tol times the running sum, and gives up at max_terms
-    with ``converged=False``.  Negative z alternates the terms, so the
-    two-numerator one-denominator case is rerouted through w = z/(z-1) to
-    dodge the cancellation.  A non-terminating series with more numerator
-    than denominator parameters stalls near z = 1 and raises DomainError for
-    1 - z <= _TAIL_SWITCH; densities there come from ``eval_density``.
+    A one-point call of the array kernel that ``eval_density_many`` uses:
+    summation stops once three consecutive terms fall below rel_tol times
+    the running sum, and gives up at max_terms with ``converged=False``.
+    Negative z alternates the terms, so the two-numerator one-denominator
+    case is rerouted through w = z/(z-1) to dodge the cancellation.  A
+    non-terminating series raises DomainError where it cannot converge:
+    with two or more numerator than denominator parameters at any z != 0,
+    and with one more near z = 1, 1 - z <= _TAIL_SWITCH, where it stalls
+    (densities there come from ``eval_density``).
     """
     _validate_params(num, den)
     z = float(z)
     if abs(z) >= 1.0:
         raise DomainError("pfq evaluation needs |z| < 1")
-    if z < 0.0 and len(num) == 2 and len(den) == 1 and not _terminates(num):
+    ends = _terminates(num)
+    if z != 0.0 and len(num) > len(den) + 1 and not ends:
+        raise DomainError(
+            f"{len(num)}F{len(den)} series diverges at every z != 0 unless it terminates"
+        )
+    if z < 0.0 and len(num) == 2 and len(den) == 1 and not ends:
         return _pfq_pfaff(num, den, z, rel_tol, max_terms)
-    if 1.0 - z <= _TAIL_SWITCH and len(num) > len(den) and not _terminates(num):
+    if 1.0 - z <= _TAIL_SWITCH and len(num) > len(den) and not ends:
         raise DomainError(
             f"pfq series stalls at 1 - z <= {_TAIL_SWITCH}; "
             "evaluate densities there with eval_density"
         )
-    return _pfq_direct(num, den, z, rel_tol, max_terms)
+    return _pfq_one(num, den, z, rel_tol, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -452,43 +517,66 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
     return _expansion(params, params.r)
 
 
-def eval_density(expansion: SlaterExpansion, x: float,
-                 dist_upper: Optional[float] = None) -> float:
-    """Density value at x in (0, c).
+def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
+                      dist_upper: Optional[Sequence[float]] = None) -> np.ndarray:
+    """Density values at abscissae ``xs`` in (0, c), as an array.
 
-    ``dist_upper`` may carry c - x to full relative precision (quadrature
-    transforms know it exactly); without it the plain difference is used.
-    The k series are summed directly while 1 - z > _TAIL_SWITCH; closer to
-    the endpoint the value comes from ``endpoint_coeffs``.
+    ``dist_upper`` may carry each c - x to full relative precision
+    (quadrature transforms know it exactly); without it the plain
+    differences are used.  Points with 1 - z > _TAIL_SWITCH share one
+    array sum per Slater term; closer to the endpoint each value comes
+    from ``endpoint_coeffs``.  Every value is bit for bit the one-point
+    ``eval_density`` value.
     """
     upper = expansion.domain_upper
+    xs = np.asarray(xs, dtype=float).tolist()
     if dist_upper is None:
-        if not 0.0 < x < upper:
+        if not all(0.0 < x < upper for x in xs):
             raise DomainError(f"density defined on (0, {upper})")
-        dist_upper = upper - x
+        dists = [upper - x for x in xs]
+    else:
+        dists = np.asarray(dist_upper, dtype=float).tolist()
     # an explicit distance is authoritative: x itself may have rounded onto
     # the endpoint even though the true abscissa is interior
-    if not (x > 0.0 and dist_upper > 0.0):
+    if not all(x > 0.0 and d > 0.0 for x, d in zip(xs, dists)):
         raise DomainError(f"density defined on (0, {upper})")
-    if x > 0.5 * upper:
-        lnz = expansion.l * math.log1p(-dist_upper / upper)
-    else:
-        lnz = expansion.l * math.log(x / upper)
-    w = -math.expm1(lnz)
-    if w <= _TAIL_SWITCH:
-        series = 0.0
-        for c in reversed(expansion.endpoint_coeffs):
-            series = series * w + c
-        g = w ** (expansion.psi - 1.0) * series
-        return expansion.gamma_factor * math.exp(-lnz / expansion.l) * g
-    z = math.exp(lnz)
-    total = 0.0
-    for term in expansion.terms:
-        if term.coef == 0.0:
-            continue
-        res = _pfq_direct(term.a_vec, term.b_vec, z, 1e-16, _MAX_TERMS)
-        total += term.coef * res.value * math.exp(term.exponent * lnz)
-    return expansion.gamma_factor * total
+    out = np.empty(len(xs))
+    direct, lnzs = [], []
+    for i, (x, d) in enumerate(zip(xs, dists)):
+        if x > 0.5 * upper:
+            lnz = expansion.l * math.log1p(-d / upper)
+        else:
+            lnz = expansion.l * math.log(x / upper)
+        w = -math.expm1(lnz)
+        if w <= _TAIL_SWITCH:
+            series = 0.0
+            for c in reversed(expansion.endpoint_coeffs):
+                series = series * w + c
+            g = w ** (expansion.psi - 1.0) * series
+            out[i] = expansion.gamma_factor * math.exp(-lnz / expansion.l) * g
+        else:
+            direct.append(i)
+            lnzs.append(lnz)
+    if direct:
+        # z and its powers through libm, point by point: numpy's exp may
+        # differ from it in the last bit
+        zs = np.array([math.exp(lnz) for lnz in lnzs])
+        total = np.zeros(len(direct))
+        for term in expansion.terms:
+            if term.coef == 0.0:
+                continue
+            values = _pfq_sum(term.a_vec, term.b_vec, zs, 1e-16, _MAX_TERMS)[0]
+            powers = np.array([math.exp(term.exponent * lnz) for lnz in lnzs])
+            total += term.coef * values * powers
+        out[direct] = expansion.gamma_factor * total
+    return out
+
+
+def eval_density(expansion: SlaterExpansion, x: float,
+                 dist_upper: Optional[float] = None) -> float:
+    """Density value at x in (0, c): ``eval_density_many`` at one point."""
+    dists = None if dist_upper is None else [dist_upper]
+    return float(eval_density_many(expansion, [x], dists)[0])
 
 
 # ---------------------------------------------------------------------------

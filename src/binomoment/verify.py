@@ -10,16 +10,16 @@ here for callers of ``integrate_density``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .closedform import MeasureModel, measure_model
 from .core import DomainError, Params, RegionError, classify_binomial, gen_binomial
-from .quadrature import IntegralResult, QuadratureSpec, integrate
+from .quadrature import IntegralResult, QuadratureSpec, integrate, integrate_many
 from .series import TruncatedSeries, binomial_series
-from .slater import build_slater_expansion, eval_density
+from .slater import build_slater_expansion, eval_density_many
 
 __all__ = [
     "QuadratureSpec",
@@ -68,6 +68,11 @@ class Witness:
             raise DomainError("witness value must be negative beyond tolerance")
 
 
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    # x**n through libm node by node, as a scalar integrand would take it
+    return np.array([v**n for v in x.tolist()])
+
+
 def integrate_density(m: MeasureModel, n: int, spec: QuadratureSpec) -> IntegralResult:
     """Quadrature of x^n against the density part of a measure model.
 
@@ -79,8 +84,8 @@ def integrate_density(m: MeasureModel, n: int, spec: QuadratureSpec) -> Integral
     if n < 0:
         raise DomainError("moment order must be nonnegative")
 
-    def f(x: float, dist_left: float, dist_right: float) -> float:
-        return x**n * m.density(x, dist_right)
+    def f(x: np.ndarray, dist_left: np.ndarray, dist_right: np.ndarray) -> np.ndarray:
+        return _powers(x, n) * m.density(x, dist_right)
 
     return integrate(f, 0.0, m.upper, spec)
 
@@ -95,11 +100,12 @@ def certify_measure(
     CERTIFY_REL_TOL relative to max(1, |moment|).  Needs rational p > 1
     inside the positive-definite region.
 
-    Returns a JSON-ready report with one row per moment.  The moments are
-    integrated one after another over a density memo local to the call:
-    quadrature nodes repeat across moments, and each (x, dist_upper) is
-    evaluated once.  The summation order inside the quadrature is fixed,
-    so the report apart from ``runtime_seconds`` is the same on every run.
+    Returns a JSON-ready report with one row per moment.  All moments are
+    integrated together: each quadrature level evaluates the density once
+    at its nodes, and every moment applies its own stopping rule to that
+    sweep, so each gets the result ``integrate_density`` would give it.
+    The summation order inside the quadrature is fixed, so the report
+    apart from ``runtime_seconds`` is the same on every run.
 
     Without an explicit ``spec`` the quadrature target for each moment is
     scaled to its magnitude, keeping the absolute stopping rule aligned
@@ -108,25 +114,20 @@ def certify_measure(
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     model = measure_model(params)
-    memo = {}
 
-    def density(x: float, dist_upper: float) -> float:
-        key = (x, dist_upper)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = model.density(x, dist_upper)
-        return v
+    def moments(x: np.ndarray, dist_left: np.ndarray, dist_right: np.ndarray) -> np.ndarray:
+        density = model.density(x, dist_right)
+        return np.array([_powers(x, n) * density for n in range(n_max + 1)])
 
-    probe = replace(model, density=density)
     t0 = time.perf_counter()
+    targets = [float(gen_binomial(params.p, params.r, n)) for n in range(n_max + 1)]
+    specs = [
+        spec or QuadratureSpec(target_abs_tol=max(1e-11, 1e-9 * abs(target)), max_levels=9)
+        for target in targets
+    ]
+    results = integrate_many(moments, 0.0, model.upper, specs)
     rows = []
-    for n in range(n_max + 1):
-        exact = gen_binomial(params.p, params.r, n)
-        target = float(exact)
-        qspec = spec or QuadratureSpec(
-            target_abs_tol=max(1e-11, 1e-9 * abs(target)), max_levels=9
-        )
-        res = integrate_density(probe, n, qspec)
+    for n, (target, res) in enumerate(zip(targets, results)):
         atom_part = model.atom_at_zero if n == 0 else 0.0
         err = abs(res.value + atom_part - target)
         tol = CERTIFY_REL_TOL * max(1.0, abs(target))
@@ -180,9 +181,8 @@ def scan_for_witness(params: Params) -> Optional[Witness]:
     """
     expansion = build_slater_expansion(params)
     c = expansion.domain_upper
-    for j in range(1, _SCAN_DECADES + 1):
-        x = c * 10.0 ** (-j)
-        v = eval_density(expansion, x)
+    xs = [c * 10.0 ** (-j) for j in range(1, _SCAN_DECADES + 1)]
+    for x, v in zip(xs, eval_density_many(expansion, xs).tolist()):
         if v < -WITNESS_TOL:
             return Witness("NegativeDensityPoint", x, v)
     order = 2 * _SCAN_HANKEL_MAX

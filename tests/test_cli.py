@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import math
 
@@ -201,6 +202,28 @@ class TestConvVerify:
         assert out.strip() == "always-false FAIL"
 
 
+#: SHA-256 of the certify --nmax 10 report without runtime_seconds, re-dumped
+#: with indent=2; json round-trips floats exactly, so any changed digit shows
+_CERTIFY_DIGESTS = {
+    ("5/3", "-1"): "1b0bf508b414eb2819b5a60a97c88baf232b9830574cc7fc650ef62430f624c1",
+    ("5/2", "1/2"): "e785ed9b8efeab202d27528b48a82ba3f49aa8c7b6e9132e159f5bc38ab28780",
+    ("7/2", "-9/10"): "a728ff8c171883d8e5e9672bcffd881f7af0ddc6233308a4e2612a9fdc090c7e",
+    ("11/3", "8/3"): "ac9589d2b0f9ac4c962ef38f7506988f2aafb3552ca1b9b2ad867528af8d5929",
+    ("17/5", "0"): "9f69c3aa37109ee17fa6db9f42705bed0bd9801cdd3a7fef8d36ee6b293552e9",
+    ("3", "1"): "f5857e069540d7ae18ac6d0d850d925d962eb47795778edd9f8be48a5d75a066",
+}
+
+#: SHA-256 of the bundled figure CSVs
+_FIGURE_DIGESTS = {
+    1: "13668d5eb8146f397638f82ebbdc2ad9f67c37dff39cc0eda3decdc3ee0e40ab",
+    2: "984f3b36a7036dfff6bcbd571f2248d8ecf5604ec25ebf332b655196a7643c09",
+    3: "b65257d4c261e460171b33e71160f5425fdfad8e4af4a6c0b49a01af6ce31749",
+    4: "888723799f0d65a42c6e1f36d1e535f4e8dafadb6b6609dcf0ed2bdcc6732e35",
+    5: "d002c5a3d30468d2ffdf8ec5714f814a480ccfe92f59b2061bb4adf551caefe8",
+    6: "addcdd1bfe359653c96e87492b682c6379b6a98d790fbeea9b13434da7a6800f",
+}
+
+
 class TestCertify:
     def test_pass_emits_json(self, capsys):
         code, out, _ = run(capsys, "certify", "--p", "2", "--r", "1", "--nmax", "3")
@@ -213,6 +236,16 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--p", "3/2", "--r", "1", "--nmax", "3")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("p,r", sorted(_CERTIFY_DIGESTS))
+    def test_report_bits_are_pinned(self, capsys, p, r):
+        # every field but the wall time: values, error estimates, convergence
+        code, out, _ = run(capsys, "certify", "--p", p, "--r", r, "--nmax", "10")
+        assert code == 0
+        report = json.loads(out)
+        report.pop("runtime_seconds")
+        text = json.dumps(report, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == _CERTIFY_DIGESTS[(p, r)]
 
 
 class TestWitness:
@@ -265,6 +298,13 @@ class TestFigure:
         assert code == 0
         lines = out_path.read_text().splitlines()[1:]
         assert {line.split(",")[4] for line in lines} == {"1"}
+
+    @pytest.mark.parametrize("fig", sorted(_FIGURE_DIGESTS))
+    def test_csv_bits_are_pinned(self, tmp_path, capsys, fig):
+        out_path = tmp_path / f"fig{fig}.csv"
+        code, _, _ = run(capsys, "figure", "--id", str(fig), "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _FIGURE_DIGESTS[fig]
 
     def test_params_override(self, tmp_path, capsys):
         config = {

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,13 +18,14 @@ from binomoment.core import (
     raney_number,
     support_endpoint,
 )
-from binomoment.quadrature import QuadratureSpec, tanh_sinh
+from binomoment.quadrature import QuadratureSpec, integrate
 from binomoment.slater import (
     _TAIL_SWITCH,
-    _pfq_direct,
+    _pfq_sum,
     build_slater_expansion,
     build_symbol,
     eval_density,
+    eval_density_many,
     mellin_symbol,
     pfq,
     raney_density,
@@ -112,6 +114,141 @@ class TestPfq:
         got = pfq([0.5, 0.5], [1.5], 0.99, max_terms=50)
         assert not got.converged
         assert got.terms_used == 50
+
+    def test_more_than_one_extra_upper_parameter_rejected(self):
+        # 3F1 diverges at every z != 0: refused at once, not summed to inf
+        t0 = time.perf_counter()
+        for z in (0.5, -0.5, 1e-3):
+            with pytest.raises(DomainError, match="diverges"):
+                pfq([1, 1, 1], [1], z)
+        assert time.perf_counter() - t0 < 0.05
+        assert pfq([1, 1, 1], [1], 0.0).value == 1.0
+        # a terminating series is a polynomial, summed at any z
+        got = pfq([-2, 1, 1], [1], 0.5)
+        assert got.converged and got.value == 1.0 - 2.0 * 0.5 + 2.0 * 0.25
+
+
+def _pfq_reference(num, den, z, rel_tol, max_terms):
+    """The one-point block loop the array kernel replaces, kept as its oracle.
+
+    Sums 2048 terms at a time, each block four times the last up to 2**19,
+    and stops at the first run of three small terms inside one block.
+    Returns (value, converged, terms_used).
+    """
+    num = [float(a) for a in num]
+    den = [float(b) for b in den]
+    acc = 1.0  # t_0
+    t_last = 1.0
+    m0 = 0
+    block = 2048
+    while m0 < max_terms:
+        n = min(block, max_terms - m0)
+        m = np.arange(m0, m0 + n, dtype=float)
+        ratio = np.full(n, z)
+        for a in num:
+            ratio *= a + m
+        for b in den:
+            ratio /= b + m
+        ratio /= m + 1.0
+        terms = t_last * np.cumprod(ratio)
+        csum = acc + np.cumsum(terms)
+        floor = np.maximum(np.abs(csum), 1e-300)
+        small = np.abs(terms) < rel_tol * floor
+        if n >= 3:
+            run3 = small[2:] & small[1:-1] & small[:-2]
+            hits = np.nonzero(run3)[0]
+            if hits.size:
+                stop = int(hits[0]) + 2
+                return float(csum[stop]), True, m0 + stop + 2
+        acc = float(csum[-1])
+        t_last = float(terms[-1])
+        m0 += n
+        block = min(block * 4, 1 << 19)
+    return acc, False, max_terms
+
+
+def _density_reference(exp, x, dist):
+    """Density at x, c - x = dist, one point and one series at a time."""
+    lnz = exp.l * (math.log1p(-dist / exp.domain_upper) if x > 0.5 * exp.domain_upper
+                   else math.log(x / exp.domain_upper))
+    w = -math.expm1(lnz)
+    if w <= _TAIL_SWITCH:
+        return eval_density(exp, x, dist_upper=dist)  # not summed by the kernel
+    total = 0.0
+    for t in exp.terms:
+        if t.coef != 0.0:
+            value = _pfq_reference(t.a_vec, t.b_vec, math.exp(lnz), 1e-16, 10**6)[0]
+            total += t.coef * value * math.exp(t.exponent * lnz)
+    return exp.gamma_factor * total
+
+
+def _kernel_rows(num, den, zs, rel_tol=1e-16, max_terms=10**6):
+    values, converged, used = _pfq_sum(num, den, zs, rel_tol, max_terms)
+    return list(zip(values.tolist(), converged.tolist(), used.tolist()))
+
+
+class TestPfqKernel:
+    """The array kernel against the one-point loop, bit for bit."""
+
+    STALLING = ([0.5, 5.0 / 6.0, 7.0 / 6.0], [2.0 / 3.0, 4.0 / 3.0])
+
+    @pytest.mark.parametrize("lo,hi", [(0.98525, 0.98527), (0.99719, 0.99721)])
+    def test_across_block_ends(self, lo, hi):
+        # these z stop just before, at and after the 2048 and 2048 + 8192
+        # block ends; no run of small terms may count across one
+        num, den = self.STALLING
+        zs = np.linspace(lo, hi, 81)
+        want = [_pfq_reference(num, den, z, 1e-16, 10**6) for z in zs]
+        assert _kernel_rows(num, den, zs) == want
+        used = {u for _, _, u in want}
+        end = 2048 if lo < 0.99 else 2048 + 8192
+        assert min(used) <= end + 1 < end + 4 <= max(used)
+
+    def test_negative_and_zero_argument(self):
+        # z < 0 takes the Pfaff map w = z/(z-1) for 2F1; z = 0 sums to 1
+        for num, den in (([0.5, 0.5], [1.5]), ([1.3, 0.2], [2.7]), ([0.5, 0.7, 0.2], [1.5, 2.0])):
+            for z in (-0.99, -0.5, -1e-8, 0.0):
+                got = pfq(num, den, z)
+                if z < 0 and len(num) == 2:
+                    a, b = sorted(num)
+                    inner = _pfq_reference([a, den[0] - b], den, z / (z - 1.0), 1e-16, 10**6)
+                    want = ((1.0 - z) ** (-a) * inner[0],) + inner[1:]
+                else:
+                    want = _pfq_reference(num, den, z, 1e-16, 10**6)
+                assert (got.value, got.converged, got.terms_used) == want, (num, z)
+
+    def test_terminating_series(self):
+        zs = [0.0, 0.3, 0.9, 0.9999, -0.7]
+        for num, den in (([-3, 0.7], [1.3]), ([-40, 0.5, 1.5], [2.5, 0.25])):
+            want = [_pfq_reference(num, den, z, 1e-16, 10**6) for z in zs]
+            assert _kernel_rows(num, den, zs) == want
+
+    @pytest.mark.parametrize("max_terms", [0, 1, 2, 3, 5, 50, 2049, 2050])
+    def test_small_term_budget(self, max_terms):
+        num, den = self.STALLING
+        zs = [0.1, 0.9, 0.99, 0.995]
+        want = [_pfq_reference(num, den, z, 1e-16, max_terms) for z in zs]
+        assert _kernel_rows(num, den, zs, max_terms=max_terms) == want
+        assert not want[-1][1]
+
+    @pytest.mark.parametrize("p,r", [(F(5, 2), F(1, 2)), (F(7, 2), F(-9, 10)),
+                                     (F(17, 5), F(0)), (F(17, 5), 0.3), (F(5, 2), F(2))])
+    def test_mixed_density_batch(self, p, r):
+        # grid points, both sides of the endpoint switch down to dist/c =
+        # 1e-12, and the outermost quadrature nodes, all in one call
+        exp = build_slater_expansion(Params(p, r))
+        c = exp.domain_upper
+        l = exp.l
+        d_switch = -c * math.expm1(math.log1p(-_TAIL_SWITCH) / l)
+        xs = [c * i / 41 for i in range(1, 41)] + [c * e for e in (1e-175, 1e-100, 1e-12)]
+        dists = [c - x for x in xs]
+        for d in [d_switch * f for f in (0.5, 1 - 1e-13, 1 + 1e-13, 1.5, 3.0, 10.0)] + [
+                c * e for e in (1e-3, 1e-4, 1e-8, 1e-12, 1e-175)]:
+            xs.append(c - d)
+            dists.append(d)
+        got = eval_density_many(exp, xs, dists).tolist()
+        assert got == [_density_reference(exp, x, d) for x, d in zip(xs, dists)]
+        assert got[:40] == eval_density_many(exp, xs[:40]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +503,8 @@ class TestDensityValues:
         for p, r in ((F(2), F(0)), (F(3), F(1)), (F(3, 2), F(1, 2)), (F(5, 3), F(1, 3))):
             exp = build_slater_expansion(Params(p, r))
             for sigma in (1.0, 1.5, 2.0, 3.25):
-                res = tanh_sinh(
-                    lambda x, dl, du: eval_density(exp, x, dist_upper=du)
-                    * x ** (sigma - 1.0),
+                res = integrate(
+                    lambda x, dl, du: eval_density_many(exp, x, du) * x ** (sigma - 1.0),
                     0.0,
                     exp.domain_upper,
                     SPEC,
@@ -381,8 +517,8 @@ class TestDensityValues:
         for p, r in ((F(3), F(1)), (F(5, 2), F(1, 2))):
             exp = build_slater_expansion(Params(p, r))
             for n in range(0, 11, 2):
-                res = tanh_sinh(
-                    lambda x, dl, du: eval_density(exp, x, dist_upper=du) * x**n,
+                res = integrate(
+                    lambda x, dl, du: eval_density_many(exp, x, du) * x**n,
                     0.0,
                     exp.domain_upper,
                     SPEC,
@@ -512,7 +648,7 @@ class TestEndpointExpansion:
             lnz = math.log1p(-one_minus_z)
             x = c * math.exp(lnz / exp.l)
             direct = exp.gamma_factor * math.fsum(
-                t.coef * _pfq_direct(t.a_vec, t.b_vec, 1.0 - one_minus_z, 1e-16, 10**6).value
+                t.coef * _pfq_reference(t.a_vec, t.b_vec, 1.0 - one_minus_z, 1e-16, 10**6)[0]
                 * math.exp(t.exponent * lnz)
                 for t in exp.terms if t.coef != 0.0
             )
@@ -527,6 +663,11 @@ class TestEndpointExpansion:
         assert "endpoint_coeffs" not in vars(exp)
         eval_density(exp, exp.domain_upper * (1 - 1e-6))
         assert len(vars(exp)["endpoint_coeffs"]) >= 8
+
+
+def _on_nodes(density, xs, dists):
+    """A one-point evaluator (x, dist_upper) mapped over quadrature nodes."""
+    return np.array([density(x, d) for x, d in zip(xs, dists)])
 
 
 class TestRaneyDensity:
@@ -561,14 +702,14 @@ class TestRaneyDensity:
             w = raney_density(Params(p, r))
             upper = float(support_endpoint(p))
             for n in (0, 1, 3):
-                res = tanh_sinh(lambda x, dl, du: w(x, du) * x**n, 0.0, upper, SPEC)
+                res = integrate(lambda x, dl, du: _on_nodes(w, x, du) * x**n, 0.0, upper, SPEC)
                 want = float(raney_number(p, r, n))
                 assert res.value == pytest.approx(want, rel=1e-8), (p, r, n)
 
     def test_catalan_moments(self):
         w = raney_density(Params(F(2), F(1)))
         for n in (1, 2, 4, 6):
-            res = tanh_sinh(lambda x, dl, du: w(x, du) * x**n, 0.0, 4.0, SPEC)
+            res = integrate(lambda x, dl, du: _on_nodes(w, x, du) * x**n, 0.0, 4.0, SPEC)
             want = float(raney_number(F(2), F(1), n))
             assert res.value == pytest.approx(want, rel=1e-8)
 

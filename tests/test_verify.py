@@ -134,33 +134,44 @@ class TestCertifyMeasure:
         assert run() == run()
 
     def test_each_node_evaluated_once(self, monkeypatch):
-        # nodes repeat across moments; the per-call memo must absorb every
-        # repeat, so the density sees each (x, dist_upper) exactly once
+        # nodes repeat across moments; one density sweep per level serves
+        # them all, so the density sees each (x, dist_upper) exactly once
         seen = Counter()
-        node_visits = []
-        original_integrate = verify.integrate
+        results = []
+        original_integrate_many = verify.integrate_many
 
         def counting_model(params):
             model = measure_model(params)
 
-            def density(x, dist_upper):
-                seen[(x, dist_upper)] += 1
-                return model.density(x, dist_upper)
+            def density(xs, dist_upper):
+                seen.update(zip(xs.tolist(), dist_upper.tolist()))
+                return model.density(xs, dist_upper)
 
             return dataclasses.replace(model, density=density)
 
-        def counting_integrate(f, a, b, spec):
-            res = original_integrate(f, a, b, spec)
-            node_visits.append(res.evaluations)
-            return res
+        def counting_integrate_many(f, a, b, specs):
+            results.extend(original_integrate_many(f, a, b, specs))
+            return tuple(results)
 
         monkeypatch.setattr(verify, "measure_model", counting_model)
-        monkeypatch.setattr(verify, "integrate", counting_integrate)
+        monkeypatch.setattr(verify, "integrate_many", counting_integrate_many)
         report = certify_measure(Params(F(5, 3), F(1, 3)), 6)
         assert report["passed"]
         assert max(seen.values()) == 1
-        assert len(node_visits) == 7
-        assert sum(node_visits) > len(seen)
+        assert len(results) == 7
+        assert sum(res.evaluations for res in results) > len(seen)
+
+    def test_moments_match_one_at_a_time(self):
+        # the shared sweep gives each moment what its own quadrature gives
+        params = Params(F(7, 2), F(-9, 10))
+        model = measure_model(params)
+        report = certify_measure(params, 6)
+        for row in report["moments"]:
+            target = float(gen_binomial(params.p, params.r, row["n"]))
+            spec = QuadratureSpec(target_abs_tol=max(1e-11, 1e-9 * abs(target)))
+            res = integrate_density(model, row["n"], spec)
+            assert (row["quadrature"], row["error_estimate"], row["converged"]) == (
+                res.value, res.error_estimate, res.converged)
 
     def test_outside_region_rejected(self):
         with pytest.raises(RegionError):
