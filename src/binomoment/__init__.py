@@ -4,7 +4,8 @@ Library layout:
 
 - ``core``       scalars, parameters, binomial/Raney numbers, region classifiers
 - ``series``     exact truncated power series and the generating functions
-- ``slater``     binomial and Raney density expansions, evaluated at many points at once
+- ``slater``     binomial and Raney density expansions; one array kernel sums their
+                 series at many points at once, Norlund's series near the endpoint
 - ``closedform`` elementary closed-form densities and assembled measure models
 - ``mellin``     beta-factor Mellin factorizations and sampling
 - ``freeconv``   moment-series transforms and convolution identities
@@ -25,7 +26,6 @@ from .core import (
     classify_raney,
     gamma_real,
     gen_binomial,
-    hankel2_binomial,
     is_exact,
     parse_scalar,
     raney_number,
@@ -47,10 +47,8 @@ __all__ = [
     "classify_raney",
     "gamma_real",
     "gen_binomial",
-    "hankel2_binomial",
     "is_exact",
     "parse_scalar",
     "raney_number",
     "support_endpoint",
-    "__version__",
 ]

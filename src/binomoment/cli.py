@@ -170,7 +170,7 @@ def _config_scalar(text, what: str):
         raise DomainError(f"figure config: {what} must be a string such as \"7/2\", got {text!r}")
     try:
         return parse_scalar(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise DomainError(f"figure config: bad {what} {text!r}: {exc}") from exc
 
 

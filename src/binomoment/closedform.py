@@ -1,10 +1,9 @@
 """Elementary density formulas for the parameter choices that admit them.
 
 The p = 2 family is elementary for every r; p = 3 and p = 3/2 reduce to
-two-term algebraic expressions in z for three r values each; two rescalings
-of the p = 3/2 case give the integer moment sequences 1, 4, 30, 256, ... and
-their even-indexed subsequence.  ``measure_model`` assembles the measure
-with moments C(n*p+r, n) from these forms or the hypergeometric expansion.
+two-term algebraic expressions in z for three r values each.
+``measure_model`` assembles the measure with moments C(n*p+r, n) from
+these forms or the hypergeometric expansion.
 """
 from __future__ import annotations
 
@@ -40,25 +39,20 @@ __all__ = [
 _V3_RS = (Fraction(0), Fraction(1), Fraction(2))
 _V32_RS = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
 
-#: rounding guard at the support edges; z is floored away from {0, 1} only
-#: when the caller gives no exact endpoint distance
-_EDGE_EPS = 1e-15
-
 
 @dataclass(frozen=True)
 class ClosedFormId:
     """Identifier of an elementary density.
 
     family 'V2' admits any real r; 'V3' needs r in {0, 1, 2}; 'V32' needs
-    r in {-1/2, 0, 1/2}; 'A091527' and 'A061162' are the fixed rescalings
-    of the V32 case at r = -1/2 and carry no parameter.
+    r in {-1/2, 0, 1/2}.
     """
 
     family: str
     r: Optional[Scalar] = None
 
     def __post_init__(self):
-        if self.family not in ("V2", "V3", "V32", "A091527", "A061162"):
+        if self.family not in ("V2", "V3", "V32"):
             raise DomainError(f"unknown closed form family {self.family!r}")
         if self.family == "V2":
             if self.r is None:
@@ -66,11 +60,8 @@ class ClosedFormId:
         elif self.family == "V3":
             if self.r is None or comparable(as_scalar(self.r)) not in _V3_RS:
                 raise DomainError("V3 closed form exists for r in {0, 1, 2}")
-        elif self.family == "V32":
-            if self.r is None or comparable(as_scalar(self.r)) not in _V32_RS:
-                raise DomainError("V32 closed form exists for r in {-1/2, 0, 1/2}")
-        elif self.r is not None:
-            raise DomainError(f"{self.family} takes no parameter")
+        elif self.r is None or comparable(as_scalar(self.r)) not in _V32_RS:
+            raise DomainError("V32 closed form exists for r in {-1/2, 0, 1/2}")
 
     @property
     def support_upper(self) -> float:
@@ -78,47 +69,14 @@ class ClosedFormId:
             "V2": 4.0,
             "V3": 6.75,
             "V32": math.sqrt(6.75),
-            "A091527": 6.0 * math.sqrt(3.0),
-            "A061162": 108.0,
         }[self.family]
-
-
-def _z_pair(x: float, dist_upper: Optional[float], family: str):
-    """(ln z, 1-z) for the family's argument map, stable at both edges.
-
-    The log form keeps fractional powers of z finite at abscissae where
-    x**2 itself would underflow; 1-z is floored away from 0 only when no
-    exact endpoint distance was supplied, so the square root stays real
-    under rounding at the upper edge.
-    """
-    if family == "V3":
-        lnz = math.log(x) + math.log(4.0 / 27.0)
-        omz = 1.0 - 4.0 * x / 27.0 if dist_upper is None else 4.0 * dist_upper / 27.0
-    elif family == "V32":
-        lnz = 2.0 * math.log(x) + math.log(4.0 / 27.0)
-        if dist_upper is None:
-            omz = 1.0 - 4.0 * x * x / 27.0
-        else:
-            omz = 4.0 * dist_upper * (math.sqrt(6.75) + x) / 27.0
-    elif family == "A091527":
-        lnz = 2.0 * math.log(x) - math.log(108.0)
-        if dist_upper is None:
-            omz = 1.0 - x * x / 108.0
-        else:
-            omz = dist_upper * (6.0 * math.sqrt(3.0) + x) / 108.0
-    else:
-        raise DomainError(family)
-    if dist_upper is None:
-        omz = max(omz, _EDGE_EPS)
-    return lnz, omz
 
 
 def eval_closed(cid: ClosedFormId, x: float, dist_upper: Optional[float] = None) -> float:
     """Elementary density value on the open support.
 
     ``dist_upper`` optionally carries the distance to the upper endpoint at
-    full precision (useful inside quadrature); otherwise it is recomputed
-    from x with an edge clamp guarding the square root.
+    full precision (useful inside quadrature); otherwise it is upper - x.
     """
     upper = cid.support_upper
     if dist_upper is None:
@@ -138,8 +96,10 @@ def eval_closed(cid: ClosedFormId, x: float, dist_upper: Optional[float] = None)
         )
 
     if cid.family == "V3":
-        lnz, omz = _z_pair(x, dist_upper, "V3")
-        s = math.sqrt(omz)
+        # z = 4x/27 through its log, which stays finite where z**(1/3) would
+        # underflow; 1 - z from the endpoint distance
+        lnz = math.log(x) + math.log(4.0 / 27.0)
+        s = math.sqrt(4.0 * dist_upper / 27.0)
         rr = comparable(as_scalar(cid.r))
         base = 1.0 + s
         if rr == 0:
@@ -157,36 +117,25 @@ def eval_closed(cid: ClosedFormId, x: float, dist_upper: Optional[float] = None)
             + base ** (-1.0 / 3.0) * math.exp(2.0 / 3.0 * lnz)
         ) / (4.0 * math.pi * math.sqrt(3.0) * s)
 
-    if cid.family == "V32":
-        lnz, omz = _z_pair(x, dist_upper, "V32")
-        s = math.sqrt(omz)
-        rr = comparable(as_scalar(cid.r))
-        base = 1.0 + s
-        if rr == Fraction(-1, 2):
-            return (
-                base ** (2.0 / 3.0) * math.exp(-1.0 / 3.0 * lnz)
-                + base ** (-2.0 / 3.0) * math.exp(1.0 / 3.0 * lnz)
-            ) / (3.0 * math.pi * math.sqrt(3.0) * s)
-        if rr == 0:
-            return (
-                base ** (1.0 / 3.0) * math.exp(-1.0 / 6.0 * lnz)
-                + base ** (-1.0 / 3.0) * math.exp(1.0 / 6.0 * lnz)
-            ) / (3.0 * math.pi * s)
+    # V32: z = 4x**2/27, and 1 - z = 4 (c - x)(c + x)/27 with c = sqrt(27/4)
+    lnz = 2.0 * math.log(x) + math.log(4.0 / 27.0)
+    s = math.sqrt(4.0 * dist_upper * (math.sqrt(6.75) + x) / 27.0)
+    rr = comparable(as_scalar(cid.r))
+    base = 1.0 + s
+    if rr == Fraction(-1, 2):
         return (
-            base ** (1.0 / 3.0) * math.exp(1.0 / 3.0 * lnz)
-            + base ** (-1.0 / 3.0) * math.exp(2.0 / 3.0 * lnz)
-        ) / (math.pi * math.sqrt(3.0) * s)
-
-    if cid.family == "A091527":
-        sub = ClosedFormId("V32", Fraction(-1, 2))
-        return eval_closed(sub, x / 4.0, dist_upper / 4.0) / 4.0
-
-    # A061162: pushforward of the previous density under x -> x**2
-    sub = ClosedFormId("A091527")
-    root = math.sqrt(x)
-    c = 6.0 * math.sqrt(3.0)
-    # dist in the root variable: c - sqrt(x) = dist_upper / (c + sqrt(x))
-    return eval_closed(sub, root, dist_upper / (c + root)) / (2.0 * root)
+            base ** (2.0 / 3.0) * math.exp(-1.0 / 3.0 * lnz)
+            + base ** (-2.0 / 3.0) * math.exp(1.0 / 3.0 * lnz)
+        ) / (3.0 * math.pi * math.sqrt(3.0) * s)
+    if rr == 0:
+        return (
+            base ** (1.0 / 3.0) * math.exp(-1.0 / 6.0 * lnz)
+            + base ** (-1.0 / 3.0) * math.exp(1.0 / 6.0 * lnz)
+        ) / (3.0 * math.pi * s)
+    return (
+        base ** (1.0 / 3.0) * math.exp(1.0 / 3.0 * lnz)
+        + base ** (-1.0 / 3.0) * math.exp(2.0 / 3.0 * lnz)
+    ) / (math.pi * math.sqrt(3.0) * s)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "raney_number",
     "classify_binomial",
     "classify_raney",
-    "hankel2_binomial",
     "gamma_real",
 ]
 
@@ -74,13 +73,19 @@ def parse_scalar(text: str) -> Scalar:
 
     'k/l' fractions and decimal literals with at most six fractional digits
     are exact; longer decimals and exponent notation fall back to float.
+    A zero denominator or a non-finite float (nan, inf, 1e400) raises
+    ValueError.
     """
     s = text.strip()
-    if "/" in s:
-        return Fraction(s)
-    if _EXACT_DECIMAL_RE.match(s):
-        return Fraction(s)
-    return float(s)
+    if "/" in s or _EXACT_DECIMAL_RE.match(s):
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
 
 
 #: Largest denominator tried when lifting a float back to a rational for
@@ -229,17 +234,6 @@ def classify_raney(p: Scalar, r: Scalar) -> RegionVerdict:
     if rc == 0:
         return RegionVerdict(True, Branch.RANEY_ZERO)
     return RegionVerdict(False, Branch.OUTSIDE)
-
-
-def hankel2_binomial(p: Scalar, r: Scalar) -> Scalar:
-    """Twice the 2x2 Hankel determinant of (1, C(p+r,1), C(2p+r,2)).
-
-    Equals 2*p**2 - 2*p - r - r**2; nonnegative throughout the positive
-    definite region.  Exact for exact inputs.
-    """
-    p = as_scalar(p)
-    r = as_scalar(r)
-    return 2 * p * p - 2 * p - r - r * r
 
 
 # 15-term rational core (g = 607/128) for the gamma function; standard

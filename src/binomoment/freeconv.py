@@ -9,8 +9,7 @@ arithmetic whenever the inputs are exact.
 
 The transforms: Boolean convolution power, monotonic convolution, the
 S-transform with its inverse (carrying free multiplicative and additive
-convolution powers), dilation, and a read-only free cumulant series for
-diagnostics.  A small suite of named convolution identities between
+convolution powers), and dilation.  A small suite of named convolution identities between
 binomial and Raney moment sequences is exposed for the command line and
 the tests.
 """
@@ -32,7 +31,6 @@ __all__ = [
     "free_mult_power",
     "free_add_power",
     "dilate",
-    "r_transform",
     "IdentityCheck",
     "identity_suite",
 ]
@@ -163,21 +161,6 @@ def dilate(m: TruncatedSeries, c: Scalar) -> TruncatedSeries:
     if not c > 0:
         raise DomainError("dilation needs c > 0")
     return TruncatedSeries(tuple(c**n * mn for n, mn in enumerate(m.coeffs)))
-
-
-def r_transform(m: TruncatedSeries) -> TruncatedSeries:
-    """Free cumulant series R(z) = sum_n kappa_{n+1} z^n, diagnostics only.
-
-    Obtained by inverting the Cauchy transform in its formal-series
-    form: with W(z) = z*M(z), the cumulant generating series is
-    C = (M - 1) o W^{-1} and R = C/z.  Free additive convolution adds
-    these series; the library's additive power itself runs through the
-    S-transform scaling rule.
-    """
-    _check_mass(m)
-    w = TruncatedSeries((Fraction(0),) + m.coeffs)
-    c = (m - 1).compose(w.compositional_inverse().truncate(m.order))
-    return TruncatedSeries(c.coeffs[1:])
 
 
 # -- named convolution identities ---------------------------------------------

@@ -2,8 +2,8 @@
 
 The measure with moments C(n*p+r, n), p = k/l > 1 and -1 < r <= p-1, factors
 as a Mellin product of k modified beta distributions followed by a dilation
-to [0, c(p)].  This module builds that factorization, evaluates moments of
-the factors and the product, and draws product samples.
+to [0, c(p)].  This module builds that factorization and draws product
+samples.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .core import (
     DomainError,
     Params,
     Scalar,
-    gamma_real,
     is_exact,
     support_endpoint,
 )
@@ -25,9 +24,7 @@ from .slater import build_symbol
 __all__ = [
     "BetaFactor",
     "MellinFactorization",
-    "beta_moment",
     "factorize",
-    "mellin_product_moments",
     "sample",
     "SAMPLE_CHUNK",
 ]
@@ -63,24 +60,6 @@ class MellinFactorization:
     params: Optional[Params] = None
 
 
-# ---------------------------------------------------------------------------
-# moments
-
-
-def beta_moment(factor: BetaFactor, n: int) -> float:
-    """n-th moment Gamma(u+n/l) Gamma(u+v) / (Gamma(u+v+n/l) Gamma(u))."""
-    if n < 0:
-        raise DomainError("moment order must be nonnegative")
-    if n == 0 or factor.v == 0.0:
-        return 1.0
-    u, v, l = factor.u, factor.v, factor.l
-    return (
-        gamma_real(u + n / l)
-        * gamma_real(u + v)
-        / (gamma_real(u + v + n / l) * gamma_real(u))
-    )
-
-
 def factorize(params: Params) -> MellinFactorization:
     """Mellin factorization of the measure with moments C(n*p+r, n).
 
@@ -105,16 +84,6 @@ def factorize(params: Params) -> MellinFactorization:
     )
 
 
-def mellin_product_moments(f: MellinFactorization, n: int) -> float:
-    """Moment of the dilated product: prod_j beta_moment(f_j, n) * c**n."""
-    if n < 0:
-        raise DomainError("moment order must be nonnegative")
-    acc = float(f.dilation) ** n
-    for factor in f.factors:
-        acc *= beta_moment(factor, n)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -134,6 +103,8 @@ def sample(f: MellinFactorization, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise DomainError("need count >= 1")
+    if seed < 0:
+        raise DomainError("need seed >= 0")
     out = np.empty(count)
     pos = 0
     chunk_index = 0

@@ -7,11 +7,9 @@ powers go through exp(w*log f) so rational data never leaves the rationals.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 from .core import (
     DomainError,
@@ -27,14 +25,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "raney_series",
     "binomial_series",
-    "binomial_series_via_fuss",
-    "fuss_functional_equation_holds",
-    "boundary_series_relations_hold",
-    "lambert_composition_holds",
-    "binomial_gf_closed_form",
-    "closed_form_radius",
-    "CLOSED_FORM_P",
-    "gf_reflection_holds",
 ]
 
 #: Default truncation order for identity checking.
@@ -53,10 +43,6 @@ class TruncatedSeries:
             raise DomainError("series needs at least the constant coefficient")
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_coeffs(cls, cs: Sequence) -> "TruncatedSeries":
-        return cls(tuple(cs))
 
     @classmethod
     def constant(cls, c, order: int) -> "TruncatedSeries":
@@ -236,12 +222,6 @@ class TruncatedSeries:
 
     # -- evaluation / serialization -----------------------------------------
 
-    def eval_at(self, z: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
-        return acc
-
     def to_json_dict(self) -> dict:
         cs = []
         for c in self.coeffs:
@@ -280,138 +260,3 @@ def raney_series(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> TruncatedS
 def binomial_series(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Moment generating series: coefficient n is C(n*p + r, n)."""
     return TruncatedSeries.from_function(lambda n: gen_binomial(p, r, n), order)
-
-
-def binomial_series_via_fuss(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """The binomial series assembled as B**(1+r) / (p - (p-1)*B).
-
-    Independent of the direct coefficient formula; agreement with
-    ``binomial_series`` is a structural identity of the family.
-    """
-    p = as_scalar(p)
-    r = as_scalar(r)
-    b = raney_series(p, 1, order)
-    numer = b.pow_scalar(1 + r)
-    denom = b * (1 - p) + p  # constant term p - (p-1)*1 = 1
-    return numer * denom.reciprocal()
-
-
-def fuss_functional_equation_holds(p: Scalar, order: int = DEFAULT_ORDER) -> bool:
-    """Check B = 1 + z*B**p termwise (exact for rational p)."""
-    b = raney_series(p, 1, order)
-    rhs = (b.pow_scalar(p)).shift_up() + 1
-    return b.coeffs == rhs.coeffs
-
-
-def boundary_series_relations_hold(p: Scalar, order: int = DEFAULT_ORDER) -> bool:
-    """Termwise checks tying the r = -1 and r = p-1 rows to the r = 0 row.
-
-    D(p,-1) = 1/p + ((p-1)/p) * D(p,0)  and  D(p,p-1) = (D(p,0) - 1)/(p*z).
-    Requires p != 0.
-    """
-    p = as_scalar(p)
-    if p == 0:
-        raise DomainError("relations need p != 0")
-    d0 = binomial_series(p, 0, order)
-    dm1 = binomial_series(p, -1, order)
-    lhs1 = tuple((p - 1) / p * c for c in d0.coeffs)
-    lhs1 = (lhs1[0] + Fraction(1) / p if is_exact(p) else lhs1[0] + 1.0 / p,) + lhs1[1:]
-    if dm1.coeffs != lhs1:
-        return False
-    dtop = binomial_series(p, p - 1, order - 1)
-    shifted = tuple(d0.coeffs[n + 1] / p for n in range(order))
-    return dtop.coeffs == shifted
-
-
-def lambert_composition_holds(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> bool:
-    """Check B_{p-r}(z * B_p(z)**r) = B_p(z) termwise."""
-    bp = raney_series(p, 1, order)
-    inner = (bp.pow_scalar(r)).shift_up()
-    lhs = raney_series(as_scalar(p) - as_scalar(r), 1, order).compose(inner)
-    return lhs.coeffs == bp.coeffs
-
-
-# -- elementary closed forms of the generating function ----------------------
-
-CLOSED_FORM_P = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(1, 2),
-    Fraction(3),
-    Fraction(3, 2),
-)
-
-_SQRT27 = math.sqrt(27.0)
-
-
-def closed_form_radius(p: Scalar) -> float:
-    """Convergence radius enforced by ``binomial_gf_closed_form``.
-
-    The two p = 3 representations are exposed with the common conservative
-    radius 4/27 (the coefficient growth (27/4)**n fixes the series radius).
-    """
-    p = Fraction(as_scalar(p))
-    radii = {
-        Fraction(0): 1.0,
-        Fraction(1): 1.0,
-        Fraction(-1): 0.25,
-        Fraction(2): 0.25,
-        Fraction(1, 2): 2.0,
-        Fraction(3): 4.0 / 27.0,
-        Fraction(3, 2): 2.0 / math.sqrt(27.0),
-    }
-    try:
-        return radii[p]
-    except KeyError:
-        raise DomainError(f"no closed form for p = {p}") from None
-
-
-def binomial_gf_closed_form(p: Scalar, r: Scalar, z: float) -> float:
-    """Elementary evaluation of sum_n C(n*p+r, n) z**n for special p.
-
-    Supported p: 0, 1, -1, 2, 1/2, 3, 3/2.  Raises DomainError outside the
-    stated convergence radius.
-    """
-    p = Fraction(as_scalar(p))
-    rf = float(as_scalar(r))
-    z = float(z)
-    if abs(z) >= closed_form_radius(p):
-        raise DomainError(f"|z| = {abs(z)} outside radius for p = {p}")
-    if p == 0:
-        return (1.0 + z) ** rf
-    if p == 1:
-        return (1.0 - z) ** (-1.0 - rf)
-    if p == -1:
-        s = math.sqrt(1.0 + 4.0 * z)
-        return ((1.0 + s) / 2.0) ** (1.0 + rf) / s
-    if p == 2:
-        s = math.sqrt(1.0 - 4.0 * z)
-        return (2.0 / (1.0 + s)) ** rf / s
-    if p == Fraction(1, 2):
-        s = math.sqrt(4.0 + z * z)
-        b = (2.0 + z * z + z * s) / 2.0
-        return 2.0 * b ** (1.0 + rf) / (1.0 + b)
-    if p == 3:
-        # complex intermediates cover z < 0; the value is real either way
-        alpha = cmath.asin(cmath.sqrt(27.0 * z / 4.0)) / 3.0
-        c2 = (cmath.cos(alpha) ** 2).real
-        s2 = (cmath.sin(alpha) ** 2).real
-        b3 = 3.0 / (3.0 * c2 - s2)
-        return b3**rf / (c2 - 3.0 * s2)
-    if p == Fraction(3, 2):
-        beta = math.asin(3.0 * z * math.sqrt(3.0) / 2.0) / 3.0
-        cb, sb = math.cos(beta), math.sin(beta)
-        b32 = 3.0 / (math.sqrt(3.0) * cb - sb) ** 2
-        return b32**rf / (cb * (cb - math.sqrt(3.0) * sb))
-    raise DomainError(f"no closed form for p = {p}")
-
-
-def gf_reflection_holds(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> bool:
-    """Termwise check of D(p,r)(z) = D(1-p, -1-r)(-z)."""
-    lhs = binomial_series(p, r, order)
-    rhs = binomial_series(1 - as_scalar(p), -1 - as_scalar(r), order)
-    return all(
-        lhs.coeffs[n] == rhs.coeffs[n] * (-1) ** n for n in range(order + 1)
-    )

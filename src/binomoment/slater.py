@@ -5,15 +5,17 @@ of generalized hypergeometric series in z = (x/c)**l, c the support endpoint:
 each of the k terms is coefficient * pFq(a_h; b_h | z) * z**e_h.  The Raney
 density, with moments r/(n*p+r) * C(n*p+r, n), is the same expansion with
 the beta side of the gamma quotient moved from r to r - 1.  This module
-builds the gamma-quotient symbol behind these expansions, sums pFq with a
-term recurrence in one array kernel that takes many z at once, and evaluates
-densities at many points per call.  Near z = 1, where the k series stall,
-the density comes instead from Norlund's expansion of the Meijer G-function
-the k terms add up to, in powers of 1 - z.
+builds the gamma-quotient symbol behind these expansions and evaluates
+densities at many points per call.  Away from the support endpoint each
+pFq series is summed by a term recurrence in one array kernel that takes
+many z in (0, 1) at once; near z = 1, where the k series stall, the density
+comes instead from Norlund's expansion of the Meijer G-function the k terms
+add up to, in powers of 1 - z.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -23,13 +25,11 @@ import numpy as np
 
 from .core import (
     DomainError,
-    GammaPoleError,
     Params,
     RegionError,
     Scalar,
     as_scalar,
     gamma_real,
-    gen_binomial,
     is_exact,
     support_endpoint,
 )
@@ -38,10 +38,7 @@ __all__ = [
     "GammaQuotientSymbol",
     "SlaterTerm",
     "SlaterExpansion",
-    "PfqResult",
     "build_symbol",
-    "mellin_symbol",
-    "pfq",
     "build_slater_expansion",
     "eval_density",
     "eval_density_many",
@@ -119,86 +116,7 @@ def build_symbol(params: Params) -> GammaQuotientSymbol:
 
 
 # ---------------------------------------------------------------------------
-# the moment symbol itself
-
-
-def _pole_order(arg: Scalar) -> Optional[int]:
-    """If arg sits at (or within 1e-9 of) a nonpositive integer -m, return m."""
-    if is_exact(arg):
-        a = Fraction(arg)
-        if a.denominator == 1 and a <= 0:
-            return -int(a)
-        return None
-    near = round(arg)
-    if near <= 0 and abs(arg - near) < 1e-9:
-        return -int(near)
-    return None
-
-
-def mellin_symbol(params: Params, sigma: Scalar) -> float:
-    """Gamma((s-1)p+r+1) / (Gamma(s) * Gamma((s-1)(p-1)+r+1)) at s = sigma.
-
-    Interpolates the moments: at sigma = n+1 the value is C(n*p+r, n), except
-    that when n*p+r+1 is a nonpositive integer both outer gammas blow up and
-    the limit is ((p-1)/p) * C(n*p+r, n).  Removable configurations are
-    detected symbolically for exact inputs and by 1e-9 proximity for floats;
-    a genuine pole raises GammaPoleError.
-    """
-    p = params.p
-    r = as_scalar(params.r)
-    s = as_scalar(sigma)
-    top = (s - 1) * p + r + 1
-    bot = (s - 1) * (p - 1) + r + 1
-    m_top = _pole_order(top)
-    m_bot = _pole_order(bot)
-    m_s = _pole_order(s)
-
-    if m_top is None:
-        if m_bot is not None or m_s is not None:
-            return 0.0  # finite numerator over an infinite denominator
-        return gamma_real(top) / (gamma_real(s) * gamma_real(bot))
-
-    # numerator pole; need at least one denominator pole to cancel it
-    if m_bot is None and m_s is None:
-        raise GammaPoleError(f"symbol pole at sigma={sigma!r}")
-    if m_bot is not None and m_s is not None:
-        return 0.0  # one pole up, two down
-
-    if (
-        is_exact(r)
-        and is_exact(s)
-        and Fraction(s).denominator == 1
-        and Fraction(s) >= 1
-    ):
-        # exact moment-limit branch: sigma = n+1 with n*p+r+1 in -N0
-        n = int(Fraction(s)) - 1
-        val = Fraction(p - 1, 1) / p * gen_binomial(p, r, n)
-        return float(val)
-
-    pf = float(p)
-    if m_bot is not None:
-        # residue ratio: d(top)/ds = p, d(bot)/ds = p-1
-        sign = -1.0 if (m_top - m_bot) % 2 else 1.0
-        return (
-            sign
-            * math.factorial(m_bot)
-            / math.factorial(m_top)
-            * (pf - 1.0)
-            / (pf * gamma_real(s))
-        )
-    sign = -1.0 if (m_top - m_s) % 2 else 1.0
-    return sign * math.factorial(m_s) / math.factorial(m_top) * pf / gamma_real(bot)
-
-
-# ---------------------------------------------------------------------------
 # generalized hypergeometric evaluation
-
-
-@dataclass(frozen=True)
-class PfqResult:
-    value: float
-    converged: bool
-    terms_used: int
 
 
 #: densities switch from the k direct series to the endpoint expansion once
@@ -210,16 +128,6 @@ _MAX_TERMS = 10**6
 #: Norlund coefficients kept per expansion; at 1 - z <= _TAIL_SWITCH the
 #: terms left out weigh below 1e-20 of the sum
 _ENDPOINT_TERMS = 8
-
-
-def _validate_params(num, den):
-    for b in den:
-        if _pole_order(as_scalar(b)) is not None:
-            raise DomainError(f"lower parameter {b} is a nonpositive integer")
-
-
-def _terminates(num) -> bool:
-    return any(_pole_order(as_scalar(a)) is not None for a in num)
 
 
 #: the sum runs in blocks of _FIRST_BLOCK terms, each block four times the
@@ -306,56 +214,6 @@ def _pfq_sum(num, den, zs, rel_tol: float, max_terms: int):
     return values, converged, terms_used
 
 
-def _pfq_one(num, den, z, rel_tol, max_terms) -> PfqResult:
-    values, converged, terms_used = _pfq_sum(num, den, [z], rel_tol, max_terms)
-    return PfqResult(float(values[0]), bool(converged[0]), int(terms_used[0]))
-
-
-def _pfq_pfaff(num, den, z, rel_tol, max_terms) -> PfqResult:
-    # Gauss series at negative argument: mapping to w = z/(z-1) in (0, 1/2)
-    # leaves at most finitely many sign changes in the terms, so the direct
-    # sum is well conditioned where the original alternating sum is not
-    a, b = sorted(float(v) for v in num)
-    c = float(den[0])
-    w = z / (z - 1.0)
-    inner = _pfq_one([a, c - b], [c], w, rel_tol, max_terms)
-    value = (1.0 - z) ** (-a) * inner.value
-    return PfqResult(value, inner.converged, inner.terms_used)
-
-
-def pfq(num: Sequence, den: Sequence, z: float, *,
-        rel_tol: float = 1e-16, max_terms: int = _MAX_TERMS) -> PfqResult:
-    """Generalized hypergeometric sum_m prod(num)_m / prod(den)_m * z^m / m!.
-
-    A one-point call of the array kernel that ``eval_density_many`` uses:
-    summation stops once three consecutive terms fall below rel_tol times
-    the running sum, and gives up at max_terms with ``converged=False``.
-    Negative z alternates the terms, so the two-numerator one-denominator
-    case is rerouted through w = z/(z-1) to dodge the cancellation.  A
-    non-terminating series raises DomainError where it cannot converge:
-    with two or more numerator than denominator parameters at any z != 0,
-    and with one more near z = 1, 1 - z <= _TAIL_SWITCH, where it stalls
-    (densities there come from ``eval_density``).
-    """
-    _validate_params(num, den)
-    z = float(z)
-    if abs(z) >= 1.0:
-        raise DomainError("pfq evaluation needs |z| < 1")
-    ends = _terminates(num)
-    if z != 0.0 and len(num) > len(den) + 1 and not ends:
-        raise DomainError(
-            f"{len(num)}F{len(den)} series diverges at every z != 0 unless it terminates"
-        )
-    if z < 0.0 and len(num) == 2 and len(den) == 1 and not ends:
-        return _pfq_pfaff(num, den, z, rel_tol, max_terms)
-    if 1.0 - z <= _TAIL_SWITCH and len(num) > len(den) and not ends:
-        raise DomainError(
-            f"pfq series stalls at 1 - z <= {_TAIL_SWITCH}; "
-            "evaluate densities there with eval_density"
-        )
-    return _pfq_one(num, den, z, rel_tol, max_terms)
-
-
 # ---------------------------------------------------------------------------
 # density expansion
 
@@ -440,6 +298,15 @@ def _norlund_coeffs(alphas, betas, psi: float, count: int) -> tuple:
     return tuple(coeffs)
 
 
+def _at_pole(arg: Scalar) -> bool:
+    """Whether arg sits at (or within 1e-9 of) a nonpositive integer."""
+    if is_exact(arg):
+        a = Fraction(arg)
+        return a.denominator == 1 and a <= 0
+    near = round(arg)
+    return near <= 0 and abs(arg - near) < 1e-9
+
+
 def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
     """k-term expansion of the Meijer G-function with parameters alpha, beta.
 
@@ -477,7 +344,7 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
             else (ra + j - l) / (k - l) - (rb + h) / k
             for j in range(l + 1, k + 1)
         ]
-        if any(_pole_order(a) is not None for a in den_args):
+        if any(_at_pole(a) for a in den_args):
             coef = 0.0
         else:
             num = 1.0
@@ -546,7 +413,10 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
         if x > 0.5 * upper:
             lnz = expansion.l * math.log1p(-d / upper)
         else:
-            lnz = expansion.l * math.log(x / upper)
+            q = x / upper
+            # a subnormal q has lost bits, and q can round to zero
+            ln_q = math.log(q) if q >= sys.float_info.min else math.log(x) - math.log(upper)
+            lnz = expansion.l * ln_q
         w = -math.expm1(lnz)
         if w <= _TAIL_SWITCH:
             series = 0.0

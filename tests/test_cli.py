@@ -67,6 +67,13 @@ class TestSeries:
 
 
 class TestDensity:
+    def test_subnormal_abscissa(self, capsys):
+        # c is about 8.1: x/c is subnormal at 1e-310 and rounds to zero at 2e-323
+        for x in ("2e-323", "1e-310"):
+            code, out, err = run(capsys, "density", "--p", "7/2", "--r", "1", "--x", x)
+            assert (code, err) == (0, "")
+            assert float(out) > 0.0
+
     def test_single_point_arcsine(self, capsys):
         code, out, _ = run(capsys, "density", "--p", "2", "--r", "0", "--x", "2")
         assert code == 0
@@ -167,6 +174,11 @@ class TestSample:
         )
         assert code == 1
         assert "error" in err
+        code, out, err = run(
+            capsys, "sample", "--p", "3", "--r", "0", "--count", "2", "--seed", "-1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "seed" in err
 
 
 class TestConvVerify:
@@ -385,3 +397,26 @@ class TestUsage:
         code, _, err = run(capsys, "moments", "--p", "abc", "--r", "0", "--n", "3")
         assert code == 1
         assert "usage" in err
+        # non-finite values and zero denominators are usage errors on every
+        # command that reads a scalar, not tracebacks
+        commands = (
+            ("moments", "--n", "3"),
+            ("classify", "--family", "binomial"),
+            ("density", "--x", "1"),
+            ("certify", "--nmax", "2"),
+            ("witness",),
+            ("series", "--order", "3"),
+            ("sample", "--count", "2"),
+            ("factorize",),
+        )
+        for bad in ("nan", "inf", "1e400", "1/0", "-3/0"):
+            for name, *rest in commands:
+                for argv in ([name, "--p", bad, "--r", "0", *rest],
+                             [name, "--p", "7/2", "--r", bad, *rest]):
+                    code, out, err = run(capsys, *argv)
+                    assert (code, out) == (1, ""), argv
+                    assert "error: " in err and "usage" in err, argv
+        code, out, err = run(capsys, "density", "--p", "7/2", "--r", "1", "--x", "nan")
+        assert (code, out) == (1, "") and "error: " in err
+        code, out, err = run(capsys, "density", "--p", "7/2", "--r", "1", "--grid", "1/0,2,3")
+        assert (code, out) == (1, "") and "error: " in err

@@ -38,10 +38,6 @@ class TestClosedFormId:
         assert ClosedFormId("V32", F(0)).support_upper == pytest.approx(
             math.sqrt(6.75)
         )
-        assert ClosedFormId("A091527").support_upper == pytest.approx(
-            6.0 * math.sqrt(3.0)
-        )
-        assert ClosedFormId("A061162").support_upper == 108.0
 
     def test_quadratic_family_accepts_any_order(self):
         for r in (F(-3, 2), F(0), F(1, 2), F(7, 5)):
@@ -56,6 +52,8 @@ class TestClosedFormId:
     def test_rejects_unknown_family(self):
         with pytest.raises(DomainError):
             ClosedFormId("V5", F(0))
+        with pytest.raises(DomainError):
+            ClosedFormId("V32")
 
 
 class TestSpotValues:
@@ -105,19 +103,10 @@ class TestLadders:
                 math.sqrt(3.0 * z) * eval_closed(w0, float(x)), rel=1e-13
             )
 
-    def test_pushforward_between_integer_sequences(self):
-        # the wider density is the image of the narrower one under squaring
-        narrow = ClosedFormId("A091527")
-        wide = ClosedFormId("A061162")
-        for x in central_grid(108.0, count=40):
-            root = math.sqrt(float(x))
-            assert eval_closed(wide, float(x)) == pytest.approx(
-                eval_closed(narrow, root) / (2.0 * root), rel=1e-12
-            )
-
     def test_rescaled_compact_display(self):
-        # direct two-branch formula for the quarter-scaled half family
-        cid = ClosedFormId("A091527")
+        # direct two-branch formula for the r = -1/2 row with x scaled by 4,
+        # the law of 4X on (0, 6 sqrt(3)): y -> V(y/4)/4
+        cid = ClosedFormId("V32", F(-1, 2))
         for x in central_grid(6.0 * math.sqrt(3.0), count=40):
             x = float(x)
             z = x * x / 108.0
@@ -126,7 +115,7 @@ class TestLadders:
                 (1.0 + s) ** (2.0 / 3.0) * z ** (-1.0 / 3.0)
                 + (1.0 + s) ** (-2.0 / 3.0) * z ** (1.0 / 3.0)
             ) / (12.0 * math.pi * math.sqrt(3.0) * s)
-            assert eval_closed(cid, x) == pytest.approx(want, rel=1e-12)
+            assert eval_closed(cid, x / 4.0) / 4.0 == pytest.approx(want, rel=1e-12)
 
     def test_square_pushforward_of_arcsine(self):
         # squaring the arcsine variable lands on the quarter-scaled
@@ -191,19 +180,18 @@ class TestSignBehavior:
 
 
 class TestIntegerSequenceMoments:
-    # moments of the quarter-scaled half-order density: the row of
+    # moments of 4X, X on the p = 3/2, r = -1/2 row: the integer row
     # C(3n/2 - 1/2, n) 4^n
     LITERALS = [1, 4, 30, 256, 2310, 21504, 204204, 1966080, 19122246]
 
     def test_moments_match_literals(self):
-        cid = ClosedFormId("A091527")
-        upper = cid.support_upper
+        cid = ClosedFormId("V32", F(-1, 2))
         density = closed_on_nodes(cid)
         for n, lit in enumerate(self.LITERALS):
             res = integrate(
-                lambda y, dl, dr: y**n * density(y, dr),
+                lambda y, dl, dr: (4.0 * y) ** n * density(y, dr),
                 0.0,
-                upper,
+                cid.support_upper,
                 QUAD,
             )
             assert res.value == pytest.approx(float(lit), rel=1e-7)
@@ -213,18 +201,19 @@ class TestIntegerSequenceMoments:
             assert gen_binomial(F(3, 2), F(-1, 2), n) * 4**n == lit
 
     def test_squared_variable_moments(self):
-        cid = ClosedFormId("A061162")
-        upper = cid.support_upper
+        # (4X)**2 has the even-indexed literals as its moments
+        cid = ClosedFormId("V32", F(-1, 2))
         density = closed_on_nodes(cid)
         for n in (0, 1, 2, 3):
             res = integrate(
-                lambda y, dl, dr: y**n * density(y, dr),
+                lambda y, dl, dr: (16.0 * y * y) ** n * density(y, dr),
                 0.0,
-                upper,
+                cid.support_upper,
                 QUAD,
             )
             want = float(gen_binomial(F(3, 2), F(-1, 2), 2 * n)) * 16.0**n
             assert res.value == pytest.approx(want, rel=1e-7)
+            assert want == self.LITERALS[2 * n]
 
 
 class TestMeasureModel:

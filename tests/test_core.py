@@ -17,7 +17,6 @@ from binomoment.core import (
     comparable,
     gamma_real,
     gen_binomial,
-    hankel2_binomial,
     is_exact,
     parse_scalar,
     raney_number,
@@ -172,22 +171,26 @@ class TestClassifiers:
     @given(p=rationals, r=rationals)
     def test_pd_implies_hankel2_nonnegative(self, p, r):
         if classify_binomial(p, r).positive_definite:
-            assert hankel2_binomial(p, r) >= 0
+            assert hankel2(p, r) >= 0
+
+
+def hankel2(p, r):
+    """Twice the 2x2 Hankel determinant of (1, C(p+r, 1), C(2p+r, 2))."""
+    m1 = gen_binomial(p, r, 1)
+    return 2 * (gen_binomial(p, r, 2) - m1 * m1)
 
 
 class TestHankel2:
     def test_formula_against_moment_oracle(self):
-        # 2*det[[s0,s1],[s1,s2]] recomputed from raw moments
-        for p, r in [(F(9, 10), F(-1, 2)), (2, 1), (F(3, 2), F(1, 4))]:
-            s1 = gen_binomial(p, r, 1)
-            s2 = gen_binomial(p, r, 2)
-            assert hankel2_binomial(p, r) == 2 * (s2 - s1 * s1)
+        # the determinant from the moments is the polynomial 2p^2 - 2p - r - r^2
+        for p, r in [(F(9, 10), F(-1, 2)), (F(2), F(1)), (F(3, 2), F(1, 4)), (F(-7, 3), F(5, 2))]:
+            assert hankel2(p, r) == 2 * p * p - 2 * p - r - r * r
 
     def test_values(self):
         # (0.9, -0.5): 1.62 - 1.8 + 0.5 - 0.25 = 0.07
-        assert hankel2_binomial(0.9, -0.5) == pytest.approx(0.07, abs=1e-12)
-        assert hankel2_binomial(F(3, 4), F(-1, 2)) == F(-1, 8)
-        assert hankel2_binomial(2, 1) == 2
+        assert hankel2(0.9, -0.5) == pytest.approx(0.07, abs=1e-12)
+        assert hankel2(F(3, 4), F(-1, 2)) == F(-1, 8)
+        assert hankel2(2, 1) == 2
 
 
 class TestGammaReal:

@@ -1,7 +1,9 @@
 """Smoke tests for the scripts and the public names of every module."""
 
+import ast
 import importlib
 import pkgutil
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -30,3 +32,64 @@ def test_public_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+ROOT = SCRIPTS.parent
+
+#: public names that stay with no caller in src/, bench/ or scripts/
+UNCALLED_EXCEPTIONS = {
+    # the Raney density W matches the moments that `moments --raney` and
+    # `classify --family raney` print; no command evaluates it, and giving
+    # it one (`density --raney`) would be a new option, not a deletion
+    "raney_density",
+    # the one-moment quadrature that certify's batched sweep must reproduce
+    # bit for bit; tests/test_verify.py holds certify to it
+    "integrate_density",
+}
+
+
+def _all_entries(tree: ast.Module) -> list:
+    """The string nodes of a module's ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return node.value.elts
+    return []
+
+
+def _references(tree: ast.Module) -> set:
+    """Identifiers a module uses: loaded names, attributes, and dotted strings.
+
+    Definitions, import aliases and the ``__all__`` list itself do not count.
+    Strings count only when they are a dotted identifier path, as in the
+    bench tracer's table of (span, module, "Class.attr") lookups.
+    """
+    skip = {id(elt) for elt in _all_entries(tree)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip
+              and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value)):
+            found.update(node.value.split("."))
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a name in some module's __all__ that nothing in the program, the
+    # benchmark or the scripts uses is test-only surface: move what the
+    # tests need to tests/oracles.py and delete the rest
+    package = sorted((ROOT / "src" / "binomoment").glob("*.py"))
+    callers = package + sorted(SCRIPTS.glob("*.py")) + [
+        path for path in sorted((ROOT / "bench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in callers}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    public = {elt.value for path in package for elt in _all_entries(trees[path])}
+    assert sorted(public - used - UNCALLED_EXCEPTIONS) == []
+    assert UNCALLED_EXCEPTIONS <= public - used

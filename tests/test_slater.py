@@ -1,4 +1,4 @@
-"""Hypergeometric machinery: pfq evaluation, the moment symbol, densities."""
+"""Hypergeometric machinery: the pFq kernel, the moment symbol, densities."""
 import hashlib
 import math
 import time
@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binomoment import slater
+from binomoment.closedform import measure_model
 from binomoment.core import (
     DomainError,
-    GammaPoleError,
     Params,
     RegionError,
     gen_binomial,
@@ -26,8 +27,6 @@ from binomoment.slater import (
     build_symbol,
     eval_density,
     eval_density_many,
-    mellin_symbol,
-    pfq,
     raney_density,
 )
 
@@ -42,90 +41,102 @@ def _mpq(q) -> mp.mpf:
 
 
 # ---------------------------------------------------------------------------
-# pfq
+# the pFq kernel
+
+
+def _pfq(num, den, z, rel_tol=1e-16, max_terms=10**6):
+    """(value, converged, terms_used) of the array kernel at one z."""
+    values, converged, used = _pfq_sum(num, den, [z], rel_tol, max_terms)
+    return float(values[0]), bool(converged[0]), int(used[0])
 
 
 class TestPfq:
+    """The kernel ``_pfq_sum`` on 0 <= z < 1, the only arguments densities give it."""
+
     def test_arcsine_value(self):
-        got = pfq([0.5, 0.5], [1.5], 0.25)
-        assert got.converged
-        assert got.value == pytest.approx(math.asin(0.5) / 0.5, rel=1e-15)
+        value, converged, _ = _pfq([0.5, 0.5], [1.5], 0.25)
+        assert converged
+        assert value == pytest.approx(math.asin(0.5) / 0.5, rel=1e-15)
 
     def test_quadratic_transform_value(self):
         # 2F1(a, a+1/2; 2a; z) = (1-z)^(-1/2) ((1+sqrt(1-z))/2)^(1-2a)
         t = 1.0 / 3.0
         z = 0.5
-        got = pfq([t / 2, (t + 1) / 2], [t], z)
+        value, _, _ = _pfq([t / 2, (t + 1) / 2], [t], z)
         s = math.sqrt(1.0 - z)
         want = ((1.0 + s) / 2.0) ** (1.0 - t) / s
-        assert got.value == pytest.approx(want, rel=1e-14)
+        assert value == pytest.approx(want, rel=1e-14)
 
     def test_terminating_series_is_polynomial(self):
-        got = pfq([-3, 0.7], [1.3], 0.6)
+        value, converged, _ = _pfq([-3, 0.7], [1.3], 0.6)
         acc, term = 0.0, 1.0
         for m in range(4):
             acc += term
             term *= (-3 + m) * (0.7 + m) / (1.3 + m) / (m + 1) * 0.6
-        assert got.converged
-        assert got.value == pytest.approx(acc, rel=1e-15)
+        assert converged
+        assert value == pytest.approx(acc, rel=1e-15)
 
-    def test_lower_parameter_pole_rejected(self):
-        with pytest.raises(DomainError):
-            pfq([0.5], [-2], 0.3)
-        with pytest.raises(DomainError):
-            pfq([0.5, 0.5], [0.0], 0.3)
+    def test_expansion_terms_fit_the_kernel(self):
+        # the kernel checks no parameters: every Slater term it sums has one
+        # more upper than lower parameter and no lower parameter at a pole,
+        # so each series converges on 0 <= z < 1
+        for p, r in ((F(3, 2), F(0)), (F(2), F(1)), (F(3), F(0)), (F(5, 3), F(1, 3)),
+                     (F(7, 2), F(-9, 10)), (F(11, 3), F(8, 3)), (F(17, 5), 0.3), (F(19, 2), F(1))):
+            for term in build_slater_expansion(Params(p, r)).terms:
+                assert len(term.a_vec) == len(term.b_vec) + 1, (p, r)
+                assert min(term.b_vec) > 0.0, (p, r)
 
     def test_out_of_disc_rejected(self):
-        for z in (1.0, -1.0, 1.5):
+        # z = (x/c)**l leaves (0, 1) exactly when x leaves (0, c)
+        exp = build_slater_expansion(Params(F(7, 2), F(1)))
+        c = exp.domain_upper
+        for x in (0.0, -1.0, c, 1.5 * c):
             with pytest.raises(DomainError):
-                pfq([0.5], [1.5], z)
+                eval_density_many(exp, [0.5 * c, x])
+        for x, d in ((1.0, 0.0), (1.0, -1e-9), (0.0, c)):
+            with pytest.raises(DomainError):
+                eval_density_many(exp, [x], [d])
 
     @given(
-        z=st.floats(min_value=-0.95, max_value=0.95),
+        z=st.floats(min_value=0.0, max_value=0.95),
         a1=st.floats(min_value=0.05, max_value=3.0),
         a2=st.floats(min_value=0.05, max_value=3.0),
         b1=st.floats(min_value=0.3, max_value=4.0),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_independent_evaluation(self, z, a1, a2, b1):
-        got = pfq([a1, a2], [b1], z)
+        value, converged, _ = _pfq([a1, a2], [b1], z)
         want = float(mp.hyper([a1, a2], [b1], z))
-        assert got.value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert converged
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_stalling_series_near_unit_argument_rejected(self):
-        # 3F2 at 1 - z <= _TAIL_SWITCH would need >~60000 terms: refused at once
-        a = [0.5, 5.0 / 6.0, 7.0 / 6.0]
-        b = [2.0 / 3.0, 4.0 / 3.0]
+    def test_stalling_series_near_unit_argument_rejected(self, monkeypatch):
+        # the 3F2 series at 1 - z <= _TAIL_SWITCH would need >~60000 terms:
+        # densities there never hand them to the kernel
+        exp = build_slater_expansion(Params(F(3), F(0)))
+        c = exp.domain_upper
+        summed = []
+        monkeypatch.setattr(slater, "_pfq_sum", lambda *args: summed.append(args))
         for one_minus_z in (6e-4, 1e-4, 1e-9):
+            d = c * one_minus_z  # l = 1: 1 - z = d / c
             t0 = time.perf_counter()
-            with pytest.raises(DomainError, match="eval_density"):
-                pfq(a, b, 1.0 - one_minus_z)
+            value = eval_density(exp, c - d, dist_upper=d)
             assert time.perf_counter() - t0 < 0.05
+            assert value > 0.0
+        assert summed == []
 
     def test_near_unit_argument_still_summed_where_it_ends(self):
         # a terminating series, or one with fewer upper than lower parameters,
         # is summed directly however close z is to 1
         z = 1.0 - 1e-6
-        assert pfq([-3, 0.7], [1.3], z).converged
-        got = pfq([0.5], [1.5, 2.0], z)
-        assert got.value == pytest.approx(float(mp.hyper([0.5], [1.5, 2.0], z)), rel=1e-14)
+        assert _pfq([-3, 0.7], [1.3], z)[1]
+        value, _, _ = _pfq([0.5], [1.5, 2.0], z)
+        assert value == pytest.approx(float(mp.hyper([0.5], [1.5, 2.0], z)), rel=1e-14)
 
     def test_nonconvergence_is_reported(self):
-        got = pfq([0.5, 0.5], [1.5], 0.99, max_terms=50)
-        assert not got.converged
-        assert got.terms_used == 50
-
-    def test_more_than_one_extra_upper_parameter_rejected(self):
-        # 3F1 diverges at every z != 0: refused at once, not summed to inf
-        t0 = time.perf_counter()
-        for z in (0.5, -0.5, 1e-3):
-            with pytest.raises(DomainError, match="diverges"):
-                pfq([1, 1, 1], [1], z)
-        assert time.perf_counter() - t0 < 0.05
-        assert pfq([1, 1, 1], [1], 0.0).value == 1.0
-        # a terminating series is a polynomial, summed at any z
-        got = pfq([-2, 1, 1], [1], 0.5)
-        assert got.converged and got.value == 1.0 - 2.0 * 0.5 + 2.0 * 0.25
+        _, converged, used = _pfq([0.5, 0.5], [1.5], 0.99, max_terms=50)
+        assert not converged
+        assert used == 50
 
 
 def _pfq_reference(num, den, z, rel_tol, max_terms):
@@ -205,17 +216,12 @@ class TestPfqKernel:
         assert min(used) <= end + 1 < end + 4 <= max(used)
 
     def test_negative_and_zero_argument(self):
-        # z < 0 takes the Pfaff map w = z/(z-1) for 2F1; z = 0 sums to 1
+        # alternating terms at z < 0 follow the same stopping rule; z = 0 sums to 1
+        zs = [-0.99, -0.5, -1e-8, 0.0]
         for num, den in (([0.5, 0.5], [1.5]), ([1.3, 0.2], [2.7]), ([0.5, 0.7, 0.2], [1.5, 2.0])):
-            for z in (-0.99, -0.5, -1e-8, 0.0):
-                got = pfq(num, den, z)
-                if z < 0 and len(num) == 2:
-                    a, b = sorted(num)
-                    inner = _pfq_reference([a, den[0] - b], den, z / (z - 1.0), 1e-16, 10**6)
-                    want = ((1.0 - z) ** (-a) * inner[0],) + inner[1:]
-                else:
-                    want = _pfq_reference(num, den, z, 1e-16, 10**6)
-                assert (got.value, got.converged, got.terms_used) == want, (num, z)
+            want = [_pfq_reference(num, den, z, 1e-16, 10**6) for z in zs]
+            assert _kernel_rows(num, den, zs) == want, num
+            assert want[-1][:2] == (1.0, True)
 
     def test_terminating_series(self):
         zs = [0.0, 0.3, 0.9, 0.9999, -0.7]
@@ -300,10 +306,38 @@ class TestSymbol:
 
 
 # ---------------------------------------------------------------------------
-# moment symbol values
+# the density's Mellin transform
+
+
+def _mp(x) -> mp.mpf:
+    return _mpq(x) if isinstance(x, F) else mp.mpf(x)
+
+
+def _gamma_quotient(p, r, sigma) -> mp.mpf:
+    """Gamma((s-1)p+r+1) / (Gamma(s) Gamma((s-1)(p-1)+r+1)) at s = sigma.
+
+    The moment symbol: at sigma = n + 1 it is C(n*p + r, n).
+    """
+    p, r, s = _mp(p), _mp(r), _mp(sigma)
+    return mp.gamma((s - 1) * p + r + 1) / (mp.gamma(s) * mp.gamma((s - 1) * (p - 1) + r + 1))
+
+
+def _density_mellin(p, r, sigma: float) -> float:
+    """Integral of V(x) x**(sigma - 1) over (0, c) by tanh-sinh quadrature."""
+    exp = build_slater_expansion(Params(p, r))
+    res = integrate(
+        lambda x, dl, du: eval_density_many(exp, x, du) * x ** (sigma - 1.0),
+        0.0,
+        exp.domain_upper,
+        SPEC,
+    )
+    assert res.converged
+    return res.value
 
 
 class TestMellinSymbol:
+    """The Mellin transform of the density is the gamma quotient of its moments."""
+
     @pytest.mark.parametrize(
         "p,r,sigma,want",
         [
@@ -313,64 +347,70 @@ class TestMellinSymbol:
         ],
     )
     def test_plain_values(self, p, r, sigma, want):
-        assert mellin_symbol(Params(p, r), sigma) == pytest.approx(want, rel=1e-12)
+        assert float(_gamma_quotient(p, r, sigma)) == pytest.approx(want, rel=1e-15)
+        assert _density_mellin(p, r, float(sigma)) == pytest.approx(want, rel=1e-9)
 
     def test_removable_point_has_halved_moment(self):
-        # at sigma = 1 with r = -1 both outer gammas blow up; the limit
-        # carries the extra factor (p-1)/p
-        got = mellin_symbol(Params(F(2), F(-1)), F(1))
-        assert got == pytest.approx(0.5, rel=1e-13)
-        got = mellin_symbol(Params(F(3), F(-1)), F(1))
-        assert got == pytest.approx(2.0 / 3.0, rel=1e-13)
+        # at sigma = 1 with r = -1 both outer gammas blow up, and the limit
+        # carries the extra factor (p-1)/p: the mass of the density beside
+        # the atom 1/p at zero
+        for p in (F(2), F(3), F(5, 2)):
+            m = measure_model(Params(p, F(-1)))
+            res = integrate(lambda x, dl, du: m.density(x, du), 0.0, m.upper, SPEC)
+            assert res.value == pytest.approx(float((p - 1) / p), rel=1e-9)
+            assert m.atom_at_zero == pytest.approx(float(1 / p), rel=1e-15)
 
-    def test_removable_point_at_deeper_pole(self):
-        # sigma = 2, p = 2, r = -5: top gamma argument 2 - 5 + 1 = -2
-        got = mellin_symbol(Params(F(2), F(-5)), F(2))
-        want = float(F(1, 2) * gen_binomial(F(2), F(-5), 1))
-        assert got == pytest.approx(want, rel=1e-13)
-
-    def test_denominator_only_pole_gives_zero(self):
-        # sigma = 0 poles Gamma(sigma) while both outer arguments stay regular
-        assert mellin_symbol(Params(F(2), F(1, 2)), F(0)) == 0.0
-        # bottom argument hits -1/2... shift to an exact nonpositive integer:
-        # p=2, r=1/2, sigma=-1/2 makes bottom = 0 with top = -3/2 regular
-        assert mellin_symbol(Params(F(2), F(1, 2)), F(-1, 2)) == 0.0
-
-    def test_genuine_pole_raises(self):
-        # top: (-1/2)*3 - 5/2 + 1 = -3 poles with both denominator gammas regular
-        with pytest.raises(GammaPoleError):
-            mellin_symbol(Params(F(3), F(-5, 2)), F(1, 2))
-
-    def test_two_denominator_poles_beat_one_numerator_pole(self):
-        # p=2, r=-3, sigma=0: top: -2-3+1=-4 (pole), bottom: -1-3+1=-3 (pole),
-        # sigma itself at 0 (pole): value 0
-        assert mellin_symbol(Params(F(2), F(-3)), F(0)) == 0.0
+    @given(
+        k=st.integers(min_value=2, max_value=9),
+        l=st.integers(min_value=1, max_value=8),
+        num=st.integers(min_value=-30, max_value=40),
+        den=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_denominator_only_pole_gives_zero(self, k, l, num, den):
+        # the quotient splits into k Slater terms whose coefficients have
+        # gamma poles only in the denominator, at alpha_j - beta_h in -N0;
+        # exactly those terms are zero
+        if math.gcd(k, l) != 1 or k <= l:
+            return
+        r = F(num, den)
+        alphas = [F(j, l) if j <= l else (r + j - l) / (k - l) for j in range(1, k + 1)]
+        terms = build_slater_expansion(Params(F(k, l), r)).terms
+        for h, term in enumerate(terms, start=1):
+            beta = (r + h) / k
+            pole = any((a - beta).denominator == 1 and a - beta <= 0 for a in alphas)
+            assert (term.coef == 0.0) == pole, (k, l, r, h)
 
     def test_float_inputs_reach_same_values(self):
-        exact = mellin_symbol(Params(F(2), F(0)), F(3))
-        loose = mellin_symbol(Params(F(2), 0.0), 3.0)
+        exact = _density_mellin(F(5, 2), F(1, 2), 2.5)
+        loose = _density_mellin(F(5, 2), 0.5, 2.5)
         assert loose == pytest.approx(exact, rel=1e-9)
+        assert exact == pytest.approx(float(_gamma_quotient(F(5, 2), F(1, 2), 2.5)), rel=1e-9)
 
     @pytest.mark.parametrize("p,r", [(F(2), F(0)), (F(2), F(1)), (F(3), F(1))])
     def test_sigma_recurrence(self, p, r):
-        # psi(s+1)/psi(s) is a fixed rational function of s for integer p
+        # M(s+1)/M(s) is a fixed rational function of s for integer p
         pi, ri = int(p), float(r)
         for s in (1.3, 2.0, 2.7, 4.5):
-            lhs = mellin_symbol(Params(p, r), s + 1.0) / mellin_symbol(Params(p, r), s)
+            lhs = _density_mellin(p, r, s + 1.0) / _density_mellin(p, r, s)
             num = 1.0
             for i in range(pi):
                 num *= s * pi + ri - i
             den = s
             for i in range(pi - 1):
                 den *= s * (pi - 1) + ri - i
-            assert lhs == pytest.approx(num / den, rel=1e-12)
+            assert lhs == pytest.approx(num / den, rel=1e-9)
 
     def test_interpolates_moments(self):
+        # the quotient meets the moments at sigma = n + 1; the density's
+        # transform follows it between them
         for p, r in ((F(2), F(1)), (F(3), F(1, 2)), (F(5, 2), F(3, 2))):
             for n in range(6):
-                got = mellin_symbol(Params(p, r), F(n + 1))
-                want = float(gen_binomial(p, r, n))
-                assert got == pytest.approx(want, rel=1e-12)
+                moment = _mpq(F(gen_binomial(p, r, n)))
+                assert abs(_gamma_quotient(p, r, n + 1) - moment) < mp.mpf("1e-25") * moment
+                sigma = n + 1.5
+                assert _density_mellin(p, r, sigma) == pytest.approx(
+                    float(_gamma_quotient(p, r, sigma)), rel=1e-8), (p, r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +541,25 @@ class TestDensityValues:
 
     def test_mellin_transform_consistency(self):
         for p, r in ((F(2), F(0)), (F(3), F(1)), (F(3, 2), F(1, 2)), (F(5, 3), F(1, 3))):
-            exp = build_slater_expansion(Params(p, r))
             for sigma in (1.0, 1.5, 2.0, 3.25):
-                res = integrate(
-                    lambda x, dl, du: eval_density_many(exp, x, du) * x ** (sigma - 1.0),
-                    0.0,
-                    exp.domain_upper,
-                    SPEC,
-                )
-                want = mellin_symbol(Params(p, r), sigma)
-                assert res.converged
-                assert res.value == pytest.approx(want, rel=1e-7)
+                want = float(_gamma_quotient(p, r, sigma))
+                assert _density_mellin(p, r, sigma) == pytest.approx(want, rel=1e-7)
+
+    @pytest.mark.parametrize("p,r", [(F(7, 2), F(1)), (F(5, 3), F(1, 3)), (F(17, 5), 0.3)])
+    def test_subnormal_abscissae(self, p, r):
+        # x/c below the smallest normal float, down to the smallest subnormal
+        # x, against the Meijer G-function at 30 digits
+        exp = build_slater_expansion(Params(p, r))
+        alphas, betas = _meijer_parameters(p, r, r)
+        c = _mpq(p) ** _mpq(p) * (_mpq(p) - 1) ** (1 - _mpq(p))
+        scale = exp.l * mp.fprod(map(mp.gamma, alphas)) / (c * mp.fprod(map(mp.gamma, betas)))
+        xs = [1e-300, 1e-308, 1e-310, 2e-323, 5e-324]
+        got = eval_density_many(exp, xs)
+        for x, v in zip(xs, got):
+            z = (mp.mpf(x) / c) ** exp.l
+            want = scale * z ** (mp.mpf(-1) / exp.l) * mp.meijerg([[], alphas], [betas, []], z)
+            assert v == pytest.approx(float(want), rel=1e-13), (p, r, x)
+            assert v == eval_density(exp, x)
 
     def test_integer_moments_recovered(self):
         for p, r in ((F(3), F(1)), (F(5, 2), F(1, 2))):
