@@ -153,10 +153,20 @@ def _pfq_sum(num, den, zs, rel_tol: float, max_terms: int):
     + commute and numpy accumulates in order along a row, so every value is
     bit for bit what one whole block at a time would give.  Each point's
     terms are one contiguous row, so a few long sums run at full speed.
+    A lower parameter at a nonpositive integer raises DomainError, and so
+    does a non-terminating series with two or more upper than lower
+    parameters at any z != 0, where it diverges.
     """
+    for b in den:
+        if _at_pole(b):
+            raise DomainError(f"lower parameter {b} is a nonpositive integer")
+    zs = np.asarray(zs, dtype=float)
+    if len(num) > len(den) + 1 and not any(_at_pole(a) for a in num) and np.any(zs != 0.0):
+        raise DomainError(
+            f"{len(num)}F{len(den)} series diverges at every z != 0 unless it terminates"
+        )
     num = [float(a) for a in num]
     den = [float(b) for b in den]
-    zs = np.asarray(zs, dtype=float)
     values = np.empty(zs.size)
     converged = np.zeros(zs.size, dtype=bool)
     terms_used = np.full(zs.size, max_terms)

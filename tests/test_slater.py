@@ -76,10 +76,29 @@ class TestPfq:
         assert converged
         assert value == pytest.approx(acc, rel=1e-15)
 
+    def test_lower_parameter_pole_rejected(self):
+        for den in ([-2], [0.0], [F(-3)], [1.5, -1.0]):
+            with pytest.raises(DomainError, match="nonpositive integer"):
+                _pfq_sum([0.5] * (len(den) + 1), den, [0.3], 1e-16, 10**6)
+        # a lower parameter near, not at, a pole is summed
+        assert _pfq([0.5], [-2.5], 0.3)[1]
+
+    def test_more_than_one_extra_upper_parameter_rejected(self):
+        # 3F1 diverges at every z != 0: refused at once, not summed to inf
+        t0 = time.perf_counter()
+        for zs in ([0.5], [-0.5], [1e-3], [0.0, 0.5]):
+            with pytest.raises(DomainError, match="diverges"):
+                _pfq_sum([1, 1, 1], [1], zs, 1e-16, 10**6)
+        assert time.perf_counter() - t0 < 0.05
+        assert _pfq([1, 1, 1], [1], 0.0)[0] == 1.0
+        # a terminating series is a polynomial, summed at any z
+        value, converged, _ = _pfq([-2, 1, 1], [1], 0.5)
+        assert converged and value == 1.0 - 2.0 * 0.5 + 2.0 * 0.25
+
     def test_expansion_terms_fit_the_kernel(self):
-        # the kernel checks no parameters: every Slater term it sums has one
-        # more upper than lower parameter and no lower parameter at a pole,
-        # so each series converges on 0 <= z < 1
+        # every Slater term has one more upper than lower parameter and no
+        # lower parameter at a pole, so the kernel takes each series and it
+        # converges on 0 <= z < 1
         for p, r in ((F(3, 2), F(0)), (F(2), F(1)), (F(3), F(0)), (F(5, 3), F(1, 3)),
                      (F(7, 2), F(-9, 10)), (F(11, 3), F(8, 3)), (F(17, 5), 0.3), (F(19, 2), F(1))):
             for term in build_slater_expansion(Params(p, r)).terms:
