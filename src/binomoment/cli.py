@@ -43,6 +43,14 @@ __all__ = ["main"]
 _NEG_TOL = 1e-9
 
 
+def _to_float(value, what: str) -> float:
+    # an exact scalar parses at any size; float() overflows past 1.8e308
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} is outside the float range") from None
+
+
 def _fmt(x) -> str:
     if is_exact(x):
         return str(x)
@@ -81,7 +89,7 @@ def _cmd_density(args) -> int:
     evaluate = density_function(params)
     upper = float(support_endpoint(params.p))
     if args.x is not None:
-        print(_fmt_float(evaluate([float(args.x)])[0]))
+        print(_fmt_float(evaluate([_to_float(args.x, "--x")])[0]))
         return 0
     a, b, count = args.grid
     if not 0.0 < a <= b < upper:
@@ -286,7 +294,7 @@ def _grid_spec(text: str) -> Tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("grid must be a,b,count")
-    a, b = float(parse_scalar(parts[0])), float(parse_scalar(parts[1]))
+    a, b = (_to_float(parse_scalar(part), "grid bound") for part in parts[:2])
     count = int(parts[2])
     if count < 1:
         raise ValueError("grid count must be >= 1")

@@ -8,6 +8,7 @@ these forms or the hypergeometric expansion.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -91,9 +92,15 @@ def eval_closed(cid: ClosedFormId, x: float, dist_upper: Optional[float] = None)
         quarter = x / 4.0
         # cos(r * arccos(sqrt(x/4))) / (pi * sqrt(x^(1-r) (4-x)))
         ang = math.acos(min(math.sqrt(quarter), 1.0))
-        return math.cos(r * ang) / (
-            math.pi * math.sqrt(x ** (1.0 - r) * dist_upper)
-        )
+        prod = x ** (1.0 - r) * dist_upper
+        if prod >= sys.float_info.min:
+            return math.cos(r * ang) / (math.pi * math.sqrt(prod))
+        # x^(1-r) underflows at a subnormal x: take the root through its log
+        try:
+            root_inv = math.exp(-0.5 * ((1.0 - r) * math.log(x) + math.log(dist_upper)))
+        except OverflowError:
+            raise DomainError(f"density at x = {x!r} exceeds the float range") from None
+        return math.cos(r * ang) / math.pi * root_inv
 
     if cid.family == "V3":
         # z = 4x/27 through its log, which stays finite where z**(1/3) would

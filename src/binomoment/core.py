@@ -125,11 +125,6 @@ class Params:
     def l(self) -> int:
         return self.p.denominator
 
-    def r_exact(self) -> Fraction:
-        if not is_exact(self.r):
-            raise DomainError("operation requires an exact rational r")
-        return Fraction(self.r)
-
 
 def support_endpoint(p: Scalar) -> Scalar:
     """Right endpoint p**p * (p-1)**(1-p) of the absolutely continuous support.

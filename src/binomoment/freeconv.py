@@ -14,13 +14,12 @@ binomial and Raney moment sequences is exposed for the command line and
 the tests.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Tuple
 
 from .core import DomainError, Scalar, as_scalar, is_exact
-from .series import DEFAULT_ORDER, TruncatedSeries, binomial_series, raney_series
+from .series import TruncatedSeries, binomial_series, raney_series
 
 __all__ = [
     "bernoulli_series",
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 
-def bernoulli_series(alpha: Scalar, a: Scalar = 1, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def bernoulli_series(alpha: Scalar, a: Scalar, order: int) -> TruncatedSeries:
     """Moment series of the two-point law alpha*delta_0 + (1-alpha)*delta_a."""
     alpha = as_scalar(alpha)
     a = as_scalar(a)
@@ -171,25 +170,16 @@ class IdentityCheck:
     """A named convolution identity with a zero-argument checker."""
 
     name: str
-    description: str
     run: Callable[[], bool]
 
 
-def _rows_agree(a: TruncatedSeries, b: TruncatedSeries, rel: float = 1e-12) -> bool:
+def _rows_agree(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     n = min(a.order, b.order)
-    for i in range(n + 1):
-        x, y = a[i], b[i]
-        if is_exact(x) and is_exact(y):
-            if x != y:
-                return False
-        elif not math.isclose(float(x), float(y), rel_tol=rel, abs_tol=1e-15):
-            return False
-    return True
+    return a.truncate(n).coeffs == b.truncate(n).coeffs
 
 
 def _check_boolean_row(order: int) -> bool:
-    # the full binomial row at r = 0 is the p-fold Boolean power of the
-    # Raney law at r = 1
+    # binomial row r=0 equals the p-fold Boolean power of Raney r=1
     for p in (Fraction(2), Fraction(3), Fraction(5, 2)):
         got = boolean_power(raney_series(p, 1, order), p)
         if not _rows_agree(got, binomial_series(p, 0, order)):
@@ -213,7 +203,8 @@ def _check_raney_monotonic(order: int) -> bool:
 
 
 def _check_binomial_monotonic(order: int) -> bool:
-    # diagonal transport of the binomial rows: boosting the Boolean
+    # Binomial(p,0)^{Boolean (p+s)/p} |> Raney(p+s,s) = Binomial(p+s,s),
+    # the diagonal transport of the binomial rows: boosting the Boolean
     # parameter of the r = 0 row from p to p+s and then convolving with
     # the Raney law at (p+s, s) lands on the binomial row at (p+s, s)
     for p, s in (
@@ -249,19 +240,16 @@ def _nu0_s_reference(p: Fraction, order: int) -> TruncatedSeries:
 
 
 def _check_s_formula_row0(order: int) -> bool:
+    # closed form of the S-transform of the r=0 binomial row
     for p in (Fraction(2), Fraction(3)):
         got = s_transform(binomial_series(p, 0, order))
-        want = _nu0_s_reference(p, got.order)
-        for n in range(got.order + 1):
-            if not math.isclose(
-                float(got[n]), float(want[n]), rel_tol=1e-12, abs_tol=1e-15
-            ):
-                return False
+        if not _rows_agree(got, _nu0_s_reference(p, got.order)):
+            return False
     return True
 
 
 def _check_defining_relation(order: int) -> bool:
-    # M(z/(1+z) * S(z)) = 1 + z, coefficientwise and exact
+    # M(z/(1+z) S(z)) = 1+z for computed S-transforms, coefficientwise
     rows = (
         raney_series(Fraction(2), 1, order),
         binomial_series(Fraction(3), 1, order),
@@ -277,24 +265,25 @@ def _check_defining_relation(order: int) -> bool:
 
 
 def _check_bernoulli_mult(order: int) -> bool:
-    # the boundary binomial row at p = 2 is a dilated free multiplicative
-    # square of the symmetric two-point law
+    # binomial row (2,-1) as dilated free mult. square of the symmetric
+    # two-point law
     bern = bernoulli_series(Fraction(1, 2), 1, order)
     got = dilate(free_mult_power(bern, 2), 4)
     return _rows_agree(got, binomial_series(Fraction(2), -1, order))
 
 
 def _check_bernoulli_add(order: int) -> bool:
-    # the arcsine row is a dilated free additive square of the same law
+    # binomial row (2,0), the arcsine law, as dilated free additive square
+    # of the same two-point law
     bern = bernoulli_series(Fraction(1, 2), 1, order)
     got = dilate(free_add_power(bern, 2), 2)
     return _rows_agree(got, binomial_series(Fraction(2), 0, order))
 
 
 def _check_bernoulli_general(order: int) -> bool:
-    # r = 0 binomial row at p = 3 from the (1/3, 2/3) two-point law:
-    # free additive power p/(p-1), then multiplicative power p-1,
-    # then dilation by p
+    # binomial row (3,0) from two-point law via additive and mult. powers:
+    # the (1/3, 2/3) law, free additive power p/(p-1), then multiplicative
+    # power p-1, then dilation by p
     p = Fraction(3)
     bern = bernoulli_series(1 / p, 1, order)
     boosted = free_mult_power(free_add_power(bern, p / (p - 1)), p - 1)
@@ -305,49 +294,13 @@ def _check_bernoulli_general(order: int) -> bool:
 def identity_suite(order: int = 12) -> Tuple[IdentityCheck, ...]:
     """The named convolution identities checked by tests and the CLI."""
     return (
-        IdentityCheck(
-            "boolean-row",
-            "binomial row r=0 equals the p-fold Boolean power of Raney r=1",
-            lambda: _check_boolean_row(order),
-        ),
-        IdentityCheck(
-            "raney-monotonic",
-            "Raney(p,a) |> Raney(p+b,b) = Raney(p+b,a+b)",
-            lambda: _check_raney_monotonic(order),
-        ),
-        IdentityCheck(
-            "binomial-monotonic",
-            "Binomial(p,0)^{Boolean (p+s)/p} |> Raney(p+s,s) = Binomial(p+s,s)",
-            lambda: _check_binomial_monotonic(order),
-        ),
-        IdentityCheck(
-            "mixed-factorization",
-            "Raney(p-r,1)^{Boolean p} |> Raney(p,r) = Binomial(p,r)",
-            lambda: _check_mixed_factorization(order),
-        ),
-        IdentityCheck(
-            "s-formula-row0",
-            "closed form of the S-transform of the r=0 binomial row",
-            lambda: _check_s_formula_row0(order),
-        ),
-        IdentityCheck(
-            "defining-relation",
-            "M(z/(1+z) S(z)) = 1+z for computed S-transforms",
-            lambda: _check_defining_relation(order),
-        ),
-        IdentityCheck(
-            "bernoulli-mult",
-            "binomial row (2,-1) as dilated free mult. square of a two-point law",
-            lambda: _check_bernoulli_mult(order),
-        ),
-        IdentityCheck(
-            "bernoulli-add",
-            "binomial row (2,0) as dilated free additive square of a two-point law",
-            lambda: _check_bernoulli_add(order),
-        ),
-        IdentityCheck(
-            "bernoulli-general",
-            "binomial row (3,0) from two-point law via additive and mult. powers",
-            lambda: _check_bernoulli_general(order),
-        ),
+        IdentityCheck("boolean-row", lambda: _check_boolean_row(order)),
+        IdentityCheck("raney-monotonic", lambda: _check_raney_monotonic(order)),
+        IdentityCheck("binomial-monotonic", lambda: _check_binomial_monotonic(order)),
+        IdentityCheck("mixed-factorization", lambda: _check_mixed_factorization(order)),
+        IdentityCheck("s-formula-row0", lambda: _check_s_formula_row0(order)),
+        IdentityCheck("defining-relation", lambda: _check_defining_relation(order)),
+        IdentityCheck("bernoulli-mult", lambda: _check_bernoulli_mult(order)),
+        IdentityCheck("bernoulli-add", lambda: _check_bernoulli_add(order)),
+        IdentityCheck("bernoulli-general", lambda: _check_bernoulli_general(order)),
     )

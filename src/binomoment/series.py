@@ -2,8 +2,9 @@
 functions attached to the binomial moment family.
 
 A ``TruncatedSeries`` stores coefficients 0..N and every operation is exact
-modulo z**(N+1) whenever the coefficients involved are exact rationals; real
-powers go through exp(w*log f) so rational data never leaves the rationals.
+modulo z**(N+1) whenever the coefficients involved are exact rationals;
+real powers come from Miller's recurrence and the compositional inverse
+from Lagrange inversion, so rational data never leaves the rationals.
 """
 from __future__ import annotations
 
@@ -22,13 +23,9 @@ from .core import (
 
 __all__ = [
     "TruncatedSeries",
-    "DEFAULT_ORDER",
     "raney_series",
     "binomial_series",
 ]
-
-#: Default truncation order for identity checking.
-DEFAULT_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -134,20 +131,6 @@ class TruncatedSeries:
         c = as_scalar(other)
         return TruncatedSeries(tuple(x / c for x in self.coeffs))
 
-    # -- calculus ----------------------------------------------------------
-
-    def derivative(self) -> "TruncatedSeries":
-        if self.order == 0:
-            return TruncatedSeries((self._seed(0),))
-        return TruncatedSeries(tuple(n * self.coeffs[n] for n in range(1, self.order + 1)))
-
-    def integrate(self) -> "TruncatedSeries":
-        # antiderivative with zero constant term; gains one order
-        out = [self._seed(0)]
-        for n, c in enumerate(self.coeffs):
-            out.append(c / (n + 1) if is_exact(c) else c / float(n + 1))
-        return TruncatedSeries(tuple(out))
-
     # -- composition -------------------------------------------------------
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -167,58 +150,47 @@ class TruncatedSeries:
         return TruncatedSeries((self._seed(0),) + self.coeffs[:-1])
 
     def compositional_inverse(self) -> "TruncatedSeries":
-        """Series g with g(self(z)) = z mod z^(N+1); needs f(0)=0, f'(0)!=0."""
+        """Series g with g(self(z)) = z mod z^(N+1); needs f(0)=0, f'(0)!=0.
+
+        Lagrange inversion: with h = f/(f'(0) z), which has h(0) = 1,
+        g_m = [z^(m-1)] h^(-m) / (m f'(0)^m).
+        """
         if self.coeffs[0] != 0:
             raise DomainError("compositional inverse needs f(0) = 0")
         if self.order < 1 or self.coeffs[1] == 0:
             raise DomainError("compositional inverse needs f'(0) != 0")
-        n = self.order
         f1 = self.coeffs[1]
-        # powers[m][i] = coefficient of z^i in self**m
-        powers = [None, self]
-        for m in range(2, n + 1):
-            powers.append(powers[-1] * self)
-        g = [self._seed(0), (Fraction(1) / f1 if is_exact(f1) else 1.0 / f1)]
-        for m in range(2, n + 1):
-            s = sum((g[j] * powers[j].coeffs[m] for j in range(1, m)), start=Fraction(0))
-            # powers[m].coeffs[m] == f1**m: nonzero for exact f1, but a float
-            # f1**m can underflow to 0.0, where the inverse's g_m overflows
-            lead = powers[m].coeffs[m]
+        h = TruncatedSeries(self.coeffs[1:]) / f1
+        g = [self._seed(0)]
+        for m in range(1, self.order + 1):
+            # f1**m is nonzero for exact f1, but a float f1**m can underflow
+            # to 0.0, where the inverse's g_m overflows
+            lead = f1**m
             if lead == 0:
                 raise DomainError(
                     f"float compositional inverse overflows: f'(0)**{m} underflows to 0"
                 )
-            g.append(-s / lead)
+            g.append(h.truncate(m - 1).pow_scalar(-m)[m - 1] / (m * lead))
         return TruncatedSeries(tuple(g))
 
-    # -- transcendental (exact over rationals) ------------------------------
-
-    def log(self) -> "TruncatedSeries":
-        """log(f) for f(0) = 1, via integrating f'/f."""
-        if self.coeffs[0] != 1:
-            raise DomainError("log needs f(0) = 1")
-        n = self.order
-        h = (self.derivative() * self.truncate(n - 1).reciprocal()) if n >= 1 else None
-        if n == 0:
-            return TruncatedSeries((self._seed(0),))
-        return h.truncate(n - 1).integrate()
-
-    def exp(self) -> "TruncatedSeries":
-        """exp(f) for f(0) = 0, by the convolution recurrence."""
-        if self.coeffs[0] != 0:
-            raise DomainError("exp needs f(0) = 0")
-        n = self.order
-        out = [self._seed(1)]
-        for m in range(1, n + 1):
-            s = sum((j * self.coeffs[j] * out[m - j] for j in range(1, m + 1)),
-                    start=Fraction(0))
-            out.append(s / m)
-        return TruncatedSeries(tuple(out))
-
     def pow_scalar(self, w) -> "TruncatedSeries":
-        """f**w as exp(w*log f); requires f(0) = 1.  Exact for rational w."""
+        """f**w for f(0) = 1; exact for an exact series and rational w.
+
+        J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): g_0 = 1,
+        g_m = (1/m) sum_{j=1..m} ((w+1) j - m) f_j g_{m-j}.
+        """
+        if self.coeffs[0] != 1:
+            raise DomainError("pow_scalar needs f(0) = 1")
         w = as_scalar(w)
-        return (self.log() * w).exp()
+        w1 = w + 1
+        f = self.coeffs
+        # g_0 takes the type of the rest: float unless f and w are both exact
+        g = [self._seed(1) if is_exact(w) else 1.0]
+        for m in range(1, self.order + 1):
+            s = sum(((w1 * j - m) * f[j] * g[m - j] for j in range(1, m + 1)),
+                    start=Fraction(0))
+            g.append(s / m)
+        return TruncatedSeries(tuple(g))
 
     # -- evaluation / serialization -----------------------------------------
 
@@ -248,7 +220,7 @@ class TruncatedSeries:
 # -- generating functions ---------------------------------------------------
 
 
-def raney_series(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def raney_series(p: Scalar, r: Scalar, order: int) -> TruncatedSeries:
     """Raney generating function: coefficient n is r/(n*p+r) * C(n*p+r, n).
 
     At r = 1 this is the Fuss series B with B = 1 + z*B**p: Catalan
@@ -257,6 +229,6 @@ def raney_series(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> TruncatedS
     return TruncatedSeries.from_function(lambda n: raney_number(p, r, n), order)
 
 
-def binomial_series(p: Scalar, r: Scalar, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def binomial_series(p: Scalar, r: Scalar, order: int) -> TruncatedSeries:
     """Moment generating series: coefficient n is C(n*p + r, n)."""
     return TruncatedSeries.from_function(lambda n: gen_binomial(p, r, n), order)

@@ -250,7 +250,6 @@ class SlaterExpansion:
     gamma_factor: float
     terms: tuple
     domain_upper: float  # support endpoint c
-    z_scale: float  # c**l; z = x**l / z_scale
     alphas: tuple
     betas: tuple
     psi: float  # sum(alphas) - sum(betas), kept exact
@@ -379,7 +378,6 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
         gamma_factor=gamma_factor,
         terms=tuple(terms),
         domain_upper=upper,
-        z_scale=upper**l,
         alphas=tuple(j / l if j <= l else (rf + j - l) / (k - l) for j in range(1, k + 1)),
         betas=tuple((rbf + h) / k for h in range(1, k + 1)),
         psi=0.5 + float(ra - rb),
@@ -446,7 +444,12 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
             if term.coef == 0.0:
                 continue
             values = _pfq_sum(term.a_vec, term.b_vec, zs, 1e-16, _MAX_TERMS)[0]
-            powers = np.array([math.exp(term.exponent * lnz) for lnz in lnzs])
+            try:
+                powers = np.array([math.exp(term.exponent * lnz) for lnz in lnzs])
+            except OverflowError:
+                # only a negative exponent overflows, first at the smallest z
+                x = xs[direct[lnzs.index(min(lnzs))]]
+                raise DomainError(f"density at x = {x!r} exceeds the float range") from None
             total += term.coef * values * powers
         out[direct] = expansion.gamma_factor * total
     return out

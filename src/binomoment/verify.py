@@ -90,9 +90,7 @@ def integrate_density(m: MeasureModel, n: int, spec: QuadratureSpec) -> Integral
     return integrate(f, 0.0, m.upper, spec)
 
 
-def certify_measure(
-    params: Params, n_max: int, spec: Optional[QuadratureSpec] = None
-) -> dict:
+def certify_measure(params: Params, n_max: int) -> dict:
     """Check that the computed measure reproduces its exact moments.
 
     For every n <= n_max the quadrature of x^n against the density, plus
@@ -106,10 +104,6 @@ def certify_measure(
     sweep, so each gets the result ``integrate_density`` would give it.
     The summation order inside the quadrature is fixed, so the report
     apart from ``runtime_seconds`` is the same on every run.
-
-    Without an explicit ``spec`` the quadrature target for each moment is
-    scaled to its magnitude, keeping the absolute stopping rule aligned
-    with the relative acceptance threshold as the moments grow.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
@@ -121,8 +115,10 @@ def certify_measure(
 
     t0 = time.perf_counter()
     targets = [float(gen_binomial(params.p, params.r, n)) for n in range(n_max + 1)]
+    # each moment's absolute target scales with its magnitude, in step with
+    # the relative acceptance threshold as the moments grow
     specs = [
-        spec or QuadratureSpec(target_abs_tol=max(1e-11, 1e-9 * abs(target)), max_levels=9)
+        QuadratureSpec(target_abs_tol=max(1e-11, 1e-9 * abs(target)), max_levels=9)
         for target in targets
     ]
     results = integrate_many(moments, 0.0, model.upper, specs)

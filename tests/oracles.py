@@ -69,6 +69,30 @@ def binomial_gf_closed_form(p, r, z: float) -> float:
     return b32**rf / (cb * (cb - math.sqrt(3.0) * sb))
 
 
+# -- series powers ------------------------------------------------------------
+
+
+def series_power(coeffs, w) -> list:
+    """Coefficients of f**w modulo z**(N+1), f = coeffs with f(0) = 1.
+
+    The binomial series sum_k C(w, k) (f - 1)**k with the generalized
+    binomial coefficient C(w, k) = w (w-1) ... (w-k+1) / k!; (f - 1)**k
+    starts at z**k, so k stops at N.  Exact for exact coefficients and w.
+    """
+    if coeffs[0] != 1:
+        raise ValueError("f(0) must equal 1")
+    n = len(coeffs) - 1
+    u = [0] + list(coeffs[1:])  # f - 1
+    out = [0] * (n + 1)
+    power = [1] + [0] * n  # (f - 1)**k
+    binom = 1  # C(w, k)
+    for k in range(n + 1):
+        out = [o + binom * t for o, t in zip(out, power)]
+        power = [sum(power[j] * u[i - j] for j in range(i + 1)) for i in range(n + 1)]
+        binom = binom * (w - k) / (k + 1)
+    return out
+
+
 # -- free cumulants ---------------------------------------------------------
 
 

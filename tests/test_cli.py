@@ -74,6 +74,16 @@ class TestDensity:
             assert (code, err) == (0, "")
             assert float(out) > 0.0
 
+    def test_density_past_the_float_range(self, capsys):
+        # x^(1-r) (4-x) underflows at p = 2, r = -1/2, and the density is
+        # finite; at r = -1 and near r = -1 at p = 7/2 it exceeds 1.8e308
+        code, out, err = run(capsys, "density", "--p", "2", "--r", "-1/2", "--x", "2e-323")
+        assert (code, err) == (0, "") and float(out) > 1e240
+        for p, r in (("2", "-1"), ("7/2", "-9/10")):
+            code, out, err = run(capsys, "density", "--p", p, "--r", r, "--x", "5e-324")
+            assert (code, out) == (1, ""), (p, r)
+            assert "error: density at x = 5e-324 exceeds the float range" in err
+
     def test_single_point_arcsine(self, capsys):
         code, out, _ = run(capsys, "density", "--p", "2", "--r", "0", "--x", "2")
         assert code == 0
@@ -206,7 +216,7 @@ class TestConvVerify:
 
     def test_failing_identity_exits_two(self, capsys, monkeypatch):
         broken = (
-            IdentityCheck("always-false", "broken on purpose", lambda: False),
+            IdentityCheck("always-false", lambda: False),
         )
         monkeypatch.setattr("binomoment.cli.identity_suite", lambda: broken)
         code, out, _ = run(capsys, "conv-verify", "--all")
@@ -416,7 +426,8 @@ class TestUsage:
                     code, out, err = run(capsys, *argv)
                     assert (code, out) == (1, ""), argv
                     assert "error: " in err and "usage" in err, argv
-        code, out, err = run(capsys, "density", "--p", "7/2", "--r", "1", "--x", "nan")
-        assert (code, out) == (1, "") and "error: " in err
-        code, out, err = run(capsys, "density", "--p", "7/2", "--r", "1", "--grid", "1/0,2,3")
-        assert (code, out) == (1, "") and "error: " in err
+        huge = "1" + "0" * 400  # exact, but past the float range
+        for flag, value in (("--x", "nan"), ("--x", huge), ("--grid", "1/0,2,3"),
+                            ("--grid", f"{huge},2,3"), ("--grid", f"1,{huge},3")):
+            code, out, err = run(capsys, "density", "--p", "7/2", "--r", "1", flag, value)
+            assert (code, out) == (1, "") and "error: " in err, (flag, value)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,7 +73,22 @@ class TestSpotValues:
         got = eval_closed(cid, 4.0, dist_upper=d)
         assert got == pytest.approx(1.0 / (math.pi * math.sqrt(4.0 * d)), rel=1e-12)
 
+    @pytest.mark.parametrize("r", [F(-9, 10), F(-1, 2), F(0), F(1, 2)])
+    def test_quadratic_row_at_subnormal_abscissae(self, r):
+        # x^(1-r) (4-x) falls below the smallest normal float, or to zero,
+        # while the density stays finite; against 40 digits
+        cid = ClosedFormId("V2", r)
+        for x in (1e-300, 1e-310, 2e-323, 5e-324):
+            with mpmath.workdps(40):
+                mx, mr = mpmath.mpf(x), mpmath.mpf(r.numerator) / r.denominator
+                want = mpmath.cos(mr * mpmath.acos(mpmath.sqrt(mx / 4))) / (
+                    mpmath.pi * mpmath.sqrt(mx ** (1 - mr) * (4 - mx))
+                )
+            assert eval_closed(cid, x) == pytest.approx(float(want), rel=1e-12), (r, x)
+
     def test_domain_errors(self):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            eval_closed(ClosedFormId("V2", F(-1)), 5e-324)
         cid = ClosedFormId("V3", F(0))
         with pytest.raises(DomainError):
             eval_closed(cid, 0.0)

@@ -245,8 +245,6 @@ class TestScalarPlumbing:
         q = Params(F(3, 2), F(1, 2))
         assert (q.k, q.l) == (3, 2)
         assert Params(F(3, 2), 0.5).r == 0.5
-        with pytest.raises(DomainError):
-            Params(F(3, 2), 0.5).r_exact()
 
     def test_as_scalar_rejects_junk(self):
         with pytest.raises(TypeError):

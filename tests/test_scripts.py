@@ -45,6 +45,8 @@ UNCALLED_EXCEPTIONS = {
     # the one-moment quadrature that certify's batched sweep must reproduce
     # bit for bit; tests/test_verify.py holds certify to it
     "integrate_density",
+    # the reader of the `series --json` schema that `to_json_dict` writes
+    "TruncatedSeries.from_json_dict",
 }
 
 
@@ -56,6 +58,23 @@ def _all_entries(tree: ast.Module) -> list:
         ):
             return node.value.elts
     return []
+
+
+def _members(tree: ast.Module, public: set) -> set:
+    """``Class.member`` for the public methods and fields of the public classes."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in public:
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    found.add(f"{node.name}.{name}")
+    return found
 
 
 def _references(tree: ast.Module) -> set:
@@ -80,9 +99,10 @@ def _references(tree: ast.Module) -> set:
 
 
 def test_every_public_name_has_a_caller():
-    # a name in some module's __all__ that nothing in the program, the
-    # benchmark or the scripts uses is test-only surface: move what the
-    # tests need to tests/oracles.py and delete the rest
+    # a name in some module's __all__, or a method or field of a class
+    # there, that nothing in the program, the benchmark or the scripts uses
+    # is test-only surface: move what the tests need to tests/oracles.py
+    # and delete the rest
     package = sorted((ROOT / "src" / "binomoment").glob("*.py"))
     callers = package + sorted(SCRIPTS.glob("*.py")) + [
         path for path in sorted((ROOT / "bench").glob("*.py"))
@@ -90,6 +110,10 @@ def test_every_public_name_has_a_caller():
     ]
     trees = {path: ast.parse(path.read_text(), str(path)) for path in callers}
     used = set().union(*(_references(tree) for tree in trees.values()))
-    public = {elt.value for path in package for elt in _all_entries(trees[path])}
-    assert sorted(public - used - UNCALLED_EXCEPTIONS) == []
-    assert UNCALLED_EXCEPTIONS <= public - used
+    public = set()
+    for path in package:
+        names = {elt.value for elt in _all_entries(trees[path])}
+        public |= names | _members(trees[path], names)
+    uncalled = {name for name in public if name.split(".")[-1] not in used}
+    assert sorted(uncalled - UNCALLED_EXCEPTIONS) == []
+    assert UNCALLED_EXCEPTIONS <= uncalled

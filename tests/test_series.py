@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from binomoment.core import DomainError, gen_binomial
 from binomoment.series import TruncatedSeries, binomial_series, raney_series
-from oracles import binomial_gf_closed_form, closed_form_radius
+from oracles import binomial_gf_closed_form, closed_form_radius, series_power
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 ps_rational = st.fractions(min_value=-3, max_value=4, max_denominator=5)
@@ -53,10 +53,9 @@ class TestSeriesRing:
         # every constant an operation seeds its result with follows the input
         cases = (
             (TruncatedSeries((0.0, 0.5, 1.0)).compositional_inverse(), (0.0, 2.0, -8.0)),
-            (TruncatedSeries((0.0, 0.5, 0.25)).exp(), (1.0, 0.5, 0.375)),
-            (TruncatedSeries((1.0, 0.5, 0.25)).log(), (0.0, 0.5, 0.125)),
-            (TruncatedSeries((1.0,)).log(), (0.0,)),
-            (TruncatedSeries((1.0,)).derivative(), (0.0,)),
+            (TruncatedSeries((1.0, 0.5)).pow_scalar(2), (1.0, 1.0)),
+            (TruncatedSeries((1, F(1, 2))).pow_scalar(0.5), (1.0, 0.25)),
+            (TruncatedSeries((1.0,)).pow_scalar(3), (1.0,)),
             (TruncatedSeries((1.0, 0.5)).shift_up(), (0.0, 1.0)),
         )
         for got, want in cases:
@@ -67,7 +66,7 @@ class TestSeriesRing:
         # exact inputs stay exact
         exact = TruncatedSeries((F(0), F(1, 2), F(1))).compositional_inverse()
         assert exact.coeffs == (0, 2, -8) and exact.is_exact()
-        assert TruncatedSeries((F(0), F(1, 2))).exp().is_exact()
+        assert TruncatedSeries((F(1), F(1, 2))).pow_scalar(F(1, 3)).is_exact()
 
     def test_identity_is_z(self):
         assert TruncatedSeries.identity(3).coeffs == (0, 1, 0, 0)
@@ -75,18 +74,26 @@ class TestSeriesRing:
         with pytest.raises(DomainError):
             TruncatedSeries.identity(-1)
 
-    @given(f=series_strategy(zero_const=True))
-    def test_exp_log_roundtrip(self, f):
-        assert f.exp().log().coeffs == f.coeffs
-
     @given(f=series_strategy(nonzero_const=True), w=small_fracs)
     @settings(max_examples=40)
     def test_pow_scalar_is_exact_and_multiplicative(self, f, w):
-        # force f(0)=1 so the exp(w*log f) route applies
+        # force f(0)=1, which pow_scalar needs
         g = f / f.coeffs[0]
         gw = g.pow_scalar(w)
         assert gw.is_exact()
         assert (gw * g.pow_scalar(-w)).coeffs == TruncatedSeries.constant(1, f.order).coeffs
+
+    @given(tail=st.lists(small_fracs, max_size=8), w=small_fracs)
+    def test_pow_scalar_matches_binomial_series(self, tail, w):
+        f = TruncatedSeries((F(1), *tail))
+        want = series_power([F(1), *tail], w)
+        assert f.pow_scalar(w).coeffs == tuple(want)
+        # a float series or a float exponent gives an all-float result
+        scale = max(1.0, *(abs(float(c)) for c in want))
+        for g, v in ((TruncatedSeries((1.0, *map(float, tail))), w), (f, float(w))):
+            got = g.pow_scalar(v).coeffs
+            assert all(type(c) is float for c in got), got
+            assert got == pytest.approx([float(c) for c in want], abs=1e-12 * scale)
 
     def test_pow_scalar_integer_matches_repeated_mul(self):
         g = TruncatedSeries((1, F(1, 3), -2, F(5, 7)))
