@@ -52,6 +52,8 @@ class GammaPoleError(DomainError):
 
 def as_scalar(x) -> Scalar:
     """Normalize ints and rationals to Fraction; floats stay floats."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, (int, Fraction)):
@@ -142,25 +144,40 @@ def support_endpoint(p: Scalar) -> Scalar:
     return pf**pf * (pf - 1.0) ** (1.0 - pf)
 
 
+def _float_quotient(factors, n: int) -> float:
+    # each float factor is lifted to its exact rational, the product and the
+    # division by n! run on integers, and the quotient is rounded once
+    num, den = 1, math.factorial(n)
+    for f in factors:
+        a, b = f.as_integer_ratio()
+        num *= a
+        den *= b
+    return num / den
+
+
 def gen_binomial(p: Scalar, r: Scalar, n: int) -> Scalar:
     """Generalized binomial coefficient C(n*p + r, n) via the falling factorial.
 
-    Exact for exact inputs.  Float inputs are lifted factor-by-factor to exact
-    rationals, the product is carried exactly, and a single rounding happens
-    on return, so drift stays at one ulp regardless of n.
+    Exact for exact inputs: with n*p + r = t/q the falling factorial is
+    prod_j (t - j*q) / q**n, an integer product divided once by q**n * n!.
+    Float inputs are lifted factor-by-factor to exact rationals, the product
+    is carried exactly, and a single rounding happens on return, so drift
+    stays at one ulp regardless of n; a value past the float range raises
+    DomainError.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
     p = as_scalar(p)
     r = as_scalar(r)
-    exact = is_exact(p) and is_exact(r)
-    top = p * n + r
-    acc = Fraction(1)
-    for j in range(n):
-        f = top - j
-        acc *= f if exact else Fraction(f)
-    acc /= math.factorial(n)
-    return acc if exact else float(acc)
+    if is_exact(p) and is_exact(r):
+        top = p * n + r
+        t, q = top.numerator, top.denominator
+        return Fraction(math.prod(t - j * q for j in range(n)), q**n * math.factorial(n))
+    try:
+        top = p * n + r
+        return _float_quotient([top - j for j in range(n)], n)
+    except OverflowError:
+        raise DomainError(f"C(n*p + r, n) at n = {n} exceeds the float range") from None
 
 
 def raney_number(p: Scalar, r: Scalar, n: int) -> Scalar:
@@ -169,6 +186,8 @@ def raney_number(p: Scalar, r: Scalar, n: int) -> Scalar:
     Computed as r * prod_{j=1}^{n-1} (n*p+r-j) / n!, which stays finite when
     n*p + r = 0 (there the binomial vanishes and the quotient is taken in its
     cancelled form).  Equals 1 at n = 0 and the delta-at-zero sequence for r = 0.
+    Exact inputs give one integer product and one division, float inputs one
+    rounding, as in ``gen_binomial``.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -177,13 +196,16 @@ def raney_number(p: Scalar, r: Scalar, n: int) -> Scalar:
     exact = is_exact(p) and is_exact(r)
     if n == 0:
         return Fraction(1) if exact else 1.0
-    top = p * n + r
-    factors = [r] + [top - j for j in range(1, n)]
-    acc = Fraction(1)
-    for f in factors:
-        acc *= f if exact else Fraction(f)
-    acc /= math.factorial(n)
-    return acc if exact else float(acc)
+    if exact:
+        top = p * n + r
+        t, q = top.numerator, top.denominator
+        num = r.numerator * math.prod(t - j * q for j in range(1, n))
+        return Fraction(num, r.denominator * q ** (n - 1) * math.factorial(n))
+    try:
+        top = p * n + r
+        return _float_quotient([r] + [top - j for j in range(1, n)], n)
+    except OverflowError:
+        raise DomainError(f"Raney number at n = {n} exceeds the float range") from None
 
 
 class Branch(Enum):

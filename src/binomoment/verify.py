@@ -96,7 +96,8 @@ def certify_measure(params: Params, n_max: int) -> dict:
     For every n <= n_max the quadrature of x^n against the density, plus
     the atom contribution at n = 0, must match C(n*p + r, n) within
     CERTIFY_REL_TOL relative to max(1, |moment|).  Needs rational p > 1
-    inside the positive-definite region.
+    inside the positive-definite region, and moments inside the float range:
+    the first n past it raises DomainError before any quadrature runs.
 
     Returns a JSON-ready report with one row per moment.  All moments are
     integrated together: each quadrature level evaluates the density once
@@ -114,7 +115,13 @@ def certify_measure(params: Params, n_max: int) -> dict:
         return np.array([_powers(x, n) * density for n in range(n_max + 1)])
 
     t0 = time.perf_counter()
-    targets = [float(gen_binomial(params.p, params.r, n)) for n in range(n_max + 1)]
+    targets = []
+    for n in range(n_max + 1):
+        # an exact moment past the float range cannot be a quadrature target
+        try:
+            targets.append(float(gen_binomial(params.p, params.r, n)))
+        except OverflowError:
+            raise DomainError(f"moment n = {n} exceeds the float range") from None
     # each moment's absolute target scales with its magnitude, in step with
     # the relative acceptance threshold as the moments grow
     specs = [

@@ -93,6 +93,78 @@ def series_power(coeffs, w) -> list:
     return out
 
 
+# -- series arithmetic on coefficient lists ----------------------------------
+
+
+def series_product(a, b) -> list:
+    """Coefficients of a*b modulo z**(N+1), N the smaller of the two orders."""
+    n = min(len(a), len(b)) - 1
+    return [sum((Fraction(a[j]) * b[m - j] for j in range(m + 1)), Fraction(0))
+            for m in range(n + 1)]
+
+
+def series_reciprocal(coeffs) -> list:
+    """Coefficients of 1/f from sum_j f_j g_(m-j) = [m == 0], f(0) != 0."""
+    if coeffs[0] == 0:
+        raise ValueError("f(0) must not vanish")
+    g = []
+    for m in range(len(coeffs)):
+        rest = sum((Fraction(coeffs[j]) * g[m - j] for j in range(1, m + 1)), Fraction(0))
+        g.append((int(m == 0) - rest) / Fraction(coeffs[0]))
+    return g
+
+
+def series_compose(outer, inner) -> list:
+    """Coefficients of outer(inner(z)) by Horner's rule, inner(0) = 0."""
+    if inner[0] != 0:
+        raise ValueError("inner(0) must vanish")
+    n = min(len(outer), len(inner)) - 1
+    acc = [Fraction(outer[n])] + [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = series_product(acc, inner[: n + 1])
+        acc[0] += outer[i]
+    return acc
+
+
+def series_reversion(coeffs) -> list:
+    """Coefficients of g with coeffs(g(z)) = z, one unknown at a time.
+
+    With g known below z**m and g_m = 0, [z**m] f(g) misses exactly
+    f_1 g_m, so g_m = -[z**m] f(g) / f_1.
+    """
+    if coeffs[0] != 0 or len(coeffs) < 2 or coeffs[1] == 0:
+        raise ValueError("need f(0) = 0 and f'(0) != 0")
+    n = len(coeffs) - 1
+    g = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        miss = series_compose(coeffs, g)[m] - (1 if m == 1 else 0)
+        g[m] = -miss / Fraction(coeffs[1])
+    return g
+
+
+# -- binomial and Raney numbers -----------------------------------------------
+
+
+def falling_binomial(p, r, n: int) -> Fraction:
+    """C(n*p + r, n) as prod_{j<n} (n*p + r - j) / n!, over Fraction."""
+    top = Fraction(p) * n + Fraction(r)
+    acc = Fraction(1)
+    for j in range(n):
+        acc *= top - j
+    return acc / math.factorial(n)
+
+
+def raney(p, r, n: int) -> Fraction:
+    """r/(n*p + r) C(n*p + r, n) as r prod_{1<=j<n} (n*p + r - j) / n!."""
+    if n == 0:
+        return Fraction(1)
+    top = Fraction(p) * n + Fraction(r)
+    acc = Fraction(r)
+    for j in range(1, n):
+        acc *= top - j
+    return acc / math.factorial(n)
+
+
 # -- free cumulants ---------------------------------------------------------
 
 

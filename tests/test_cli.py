@@ -246,6 +246,31 @@ _FIGURE_DIGESTS = {
 }
 
 
+#: SHA-256 of the stdout of exact (and one float) commands as the generic
+#: Fraction loops printed them; the integer kernels must keep every byte
+_EXACT_DIGESTS = {
+    "moments --p 3 --r 1 --n 300":
+        "6f990146b573132ed53dddcd33944dcee35664486325fdc08e70626922d170cd",
+    "moments --p 7/2 --r -1/2 --n 200 --raney":
+        "194198e904135a5778a2de32ccf4cf110fed1eb3e7e05e15e31e15b578ddf613",
+    "series --p 5/3 --r 1/3 --order 200 --json":
+        "f8040163c20a8080afc72bab13d46510cfc872b48db63ffaa40bd4652af0aa80",
+    "series --p 3 --r 0.123456789 --order 40 --json":
+        "edd3df6a0144933b62b9e8dcfc6f32b24a5d128b4aed503c14e7e484507d9a0f",
+    "conv-verify --all":
+        "7bac21999ff1a35d58bf1700b607dfe6975f0603868d37cd71c5135ddd450e2d",
+    "witness --p 3/2 --r 1":
+        "673c256b78f58551e9df725c2aa07c62cae77dd70aa9732054e061b26a5c4484",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EXACT_DIGESTS))
+def test_exact_output_bits_are_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_DIGESTS[command]
+
+
 class TestCertify:
     def test_pass_emits_json(self, capsys):
         code, out, _ = run(capsys, "certify", "--p", "2", "--r", "1", "--nmax", "3")
@@ -258,6 +283,15 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--p", "3/2", "--r", "1", "--nmax", "3")
         assert code == 1
         assert "error" in err
+
+    def test_moment_past_the_float_range_fails_fast(self, capsys, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr("binomoment.verify.integrate_many", no_quadrature)
+        code, out, err = run(capsys, "certify", "--p", "7/2", "--r", "1/2", "--nmax", "400")
+        assert (code, out) == (1, "")
+        assert err == "error: moment n = 341 exceeds the float range\n"
 
     @pytest.mark.parametrize("p,r", sorted(_CERTIFY_DIGESTS))
     def test_report_bits_are_pinned(self, capsys, p, r):
@@ -431,3 +465,14 @@ class TestUsage:
                             ("--grid", f"{huge},2,3"), ("--grid", f"1,{huge},3")):
             code, out, err = run(capsys, "density", "--p", "7/2", "--r", "1", flag, value)
             assert (code, out) == (1, "") and "error: " in err, (flag, value)
+
+    @pytest.mark.parametrize("argv", [
+        "moments --p 7/2 --r 0.1234567 --n 400",
+        "moments --p 7/2 --r 0.1234567 --n 400 --raney",
+        "series --p 7/2 --r 0.1234567 --order 400",
+        "moments --p 1e300 --r 1 --n 3",
+    ])
+    def test_float_moments_past_the_float_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "exceeds the float range" in err

@@ -22,6 +22,7 @@ from binomoment.core import (
     raney_number,
     support_endpoint,
 )
+from oracles import falling_binomial, raney
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 small_n = st.integers(min_value=0, max_value=50)
@@ -58,13 +59,32 @@ class TestGenBinomial:
     @given(
         p=st.integers(min_value=0, max_value=8),
         r=st.integers(min_value=0, max_value=8),
-        n=st.integers(min_value=0, max_value=30),
+        n=st.integers(min_value=0, max_value=300),
     )
     def test_matches_integer_binomial_oracle(self, p, r, n):
         # independent oracle: stdlib binomial of the literal top index
         top = n * p + r
         if top >= n:
             assert gen_binomial(p, r, n) == math.comb(top, n)
+            if top > 0:
+                assert raney_number(p, r, n) == F(r, top) * math.comb(top, n)
+
+    @given(
+        p=st.fractions(min_value=-7, max_value=7, max_denominator=9),
+        r=st.fractions(min_value=-7, max_value=7, max_denominator=9),
+        n=st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=40)
+    def test_matches_falling_factorial_oracle(self, p, r, n):
+        assert gen_binomial(p, r, n) == falling_binomial(p, r, n)
+        assert raney_number(p, r, n) == raney(p, r, n)
+
+    @pytest.mark.parametrize("number", [gen_binomial, raney_number])
+    @pytest.mark.parametrize("p,r,n", [(F(7, 2), 0.1234567, 400), (1e300, 1, 3),
+                                       (1e300, 1, 400), (F(10) ** 400, 0.5, 2)])
+    def test_float_path_past_the_float_range(self, number, p, r, n):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            number(p, r, n)
 
     @given(p=rationals, r=rationals, n=small_n)
     def test_reflection_identity_exact(self, p, r, n):

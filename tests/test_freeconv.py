@@ -372,6 +372,11 @@ class TestIdentitySuite:
         for check in identity_suite(order=8):
             assert check.run(), check.name
 
+    def test_holds_at_order_40(self):
+        # the integer kernels keep the identities exact well past order 12
+        for check in identity_suite(order=40):
+            assert check.run(), check.name
+
 
 class TestRaneyLinkage:
     def test_raney_rows_are_lambert_powers(self):

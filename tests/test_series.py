@@ -3,12 +3,20 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomoment.core import DomainError, gen_binomial
 from binomoment.series import TruncatedSeries, binomial_series, raney_series
-from oracles import binomial_gf_closed_form, closed_form_radius, series_power
+from oracles import (
+    binomial_gf_closed_form,
+    closed_form_radius,
+    series_compose,
+    series_power,
+    series_product,
+    series_reciprocal,
+    series_reversion,
+)
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 ps_rational = st.fractions(min_value=-3, max_value=4, max_denominator=5)
@@ -114,6 +122,147 @@ class TestSeriesRing:
         assert d["order"] == 2
         assert d["coeffs"][0] == {"num": "1", "den": "1"}
         assert TruncatedSeries.from_json_dict(d).coeffs == s.coeffs
+
+
+# coefficients with mixed denominators, zeros and negative values; the
+# shortest lists are the order-0 series
+mixed_fracs = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+def exact_coeffs(min_size=1, max_size=9):
+    return st.lists(mixed_fracs, min_size=min_size, max_size=max_size)
+
+
+class TestIntegerKernels:
+    """Exact operations against plain-Fraction list references."""
+
+    @given(a=exact_coeffs(), b=exact_coeffs())
+    @example(a=[F(-3, 4)], b=[F(5, 6), F(1, 9)])
+    def test_mul(self, a, b):
+        got = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+        assert got.coeffs == tuple(series_product(a, b))
+
+    @given(f=exact_coeffs())
+    @example(f=[F(-2, 3)])
+    @example(f=[F(7, 4), F(-5, 12)])
+    def test_reciprocal(self, f):
+        if f[0] == 0:
+            f[0] = F(-5, 7)
+        assert TruncatedSeries(tuple(f)).reciprocal().coeffs == tuple(series_reciprocal(f))
+
+    @given(outer=exact_coeffs(), inner=exact_coeffs())
+    @example(outer=[F(3, 5)], inner=[F(0)])
+    @example(outer=[F(1, 2), F(-3)], inner=[F(0), F(5, 6)])
+    def test_compose(self, outer, inner):
+        inner[0] = F(0)
+        got = TruncatedSeries(tuple(outer)).compose(TruncatedSeries(tuple(inner)))
+        assert got.coeffs == tuple(series_compose(outer, inner))
+
+    @given(tail=exact_coeffs(min_size=0, max_size=8),
+           w=st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    @example(tail=[], w=F(-2, 3))
+    @example(tail=[F(-9, 4)], w=F(5, 7))
+    @settings(max_examples=60)
+    def test_pow_scalar(self, tail, w):
+        got = TruncatedSeries((F(1), *tail)).pow_scalar(w)
+        assert got.coeffs == tuple(series_power([F(1), *tail], w))
+
+    @given(f=exact_coeffs(min_size=2))
+    @example(f=[F(0), F(-7, 3)])
+    @settings(max_examples=60)
+    def test_compositional_inverse(self, f):
+        f[0] = F(0)
+        if f[1] == 0:
+            f[1] = F(-4, 9)
+        got = TruncatedSeries(tuple(f)).compositional_inverse()
+        assert got.coeffs == tuple(series_reversion(f))
+
+
+# The generic Fraction/float loops the exact operations ran before they moved
+# to integer numerators; float series still take them, so they are the
+# reference for every bit of a float result.
+
+
+def _mul_reference(a, b):
+    n = min(len(a), len(b)) - 1
+    return tuple(sum((a[j] * b[m - j] for j in range(m + 1)), start=F(0))
+                 for m in range(n + 1))
+
+
+def _reciprocal_reference(f):
+    inv0 = F(1, 1) / f[0] if isinstance(f[0], F) else 1.0 / f[0]
+    out = [inv0]
+    for m in range(1, len(f)):
+        s = sum((f[j] * out[m - j] for j in range(1, m + 1)), start=F(0))
+        out.append(-inv0 * s)
+    return tuple(out)
+
+
+def _compose_reference(outer, inner):
+    n = min(len(outer), len(inner)) - 1
+    acc = (outer[n],) + (F(0),) * n
+    for i in range(n - 1, -1, -1):
+        acc = _mul_reference(acc, inner[: n + 1])
+        acc = (acc[0] + outer[i],) + acc[1:]
+    return acc
+
+
+def _pow_reference(f, w):
+    exact = all(isinstance(c, F) for c in f)
+    g = [(F(1) if exact else 1.0) if isinstance(w, F) else 1.0]
+    for m in range(1, len(f)):
+        s = sum((((w + 1) * j - m) * f[j] * g[m - j] for j in range(1, m + 1)), start=F(0))
+        g.append(s / m)
+    return tuple(g)
+
+
+def _inverse_reference(f):
+    h = tuple(c / f[1] for c in f[1:])
+    g = [0.0]
+    for m in range(1, len(f)):
+        g.append(_pow_reference(h[:m], F(-m))[m - 1] / (m * f[1] ** m))
+    return tuple(g)
+
+
+float_coeffs = st.lists(
+    st.floats(min_value=-4, max_value=4, allow_nan=False).filter(lambda x: abs(x) > 1e-3),
+    min_size=1, max_size=9,
+)
+
+
+class TestFloatBranches:
+    """A float coefficient or exponent keeps the generic loops, bit for bit."""
+
+    @staticmethod
+    def bits(coeffs):
+        return [(type(c).__name__, repr(c)) for c in coeffs]
+
+    @given(a=float_coeffs, b=float_coeffs, exact=exact_coeffs())
+    @settings(max_examples=40)
+    def test_float_results_keep_their_bits(self, a, b, exact):
+        fa, fb = TruncatedSeries(tuple(a)), TruncatedSeries(tuple(b))
+        ex = TruncatedSeries(tuple(exact))
+        bits = self.bits
+        assert bits((fa * fb).coeffs) == bits(_mul_reference(a, b))
+        assert bits((ex * fa).coeffs) == bits(_mul_reference(ex.coeffs, a))
+        assert bits(fa.reciprocal().coeffs) == bits(_reciprocal_reference(a))
+        inner = [0.0] + b[1:]
+        assert bits(fa.compose(TruncatedSeries(tuple(inner))).coeffs) == bits(
+            _compose_reference(a, inner))
+        assert bits(ex.compose(TruncatedSeries(tuple(inner))).coeffs) == bits(
+            _compose_reference(ex.coeffs, inner))
+        one = [1.0] + a[1:]
+        assert bits(TruncatedSeries(tuple(one)).pow_scalar(F(-5, 3)).coeffs) == bits(
+            _pow_reference(one, F(-5, 3)))
+        unit = (F(1),) + ex.coeffs[1:]
+        assert bits(TruncatedSeries(unit).pow_scalar(0.37).coeffs) == bits(
+            _pow_reference(unit, 0.37))
+        if len(a) > 1:
+            lifted = [0.0] + a[1:]
+            assert bits(TruncatedSeries(tuple(lifted)).compositional_inverse().coeffs) == bits(
+                _inverse_reference(lifted))
 
 
 def via_fuss(p, r, order):
