@@ -128,20 +128,31 @@ class Params:
         return self.p.denominator
 
 
+#: Largest k of an exact p = k/l that ``support_endpoint`` takes, and so the
+#: densities and samplers, which ask for it before they loop over k.
+MAX_K = 128
+
+
 def support_endpoint(p: Scalar) -> Scalar:
     """Right endpoint p**p * (p-1)**(1-p) of the absolutely continuous support.
 
-    Defined for p > 1.  Exact rational when p is an integer (both powers stay
-    rational), float otherwise.
+    Defined for p > 1, and for exact p = k/l up to k = MAX_K.  Exact rational
+    when p is an integer, float otherwise: p (p/(p-1))**(p-1) where the
+    powers leave the float range.
     """
     p = as_scalar(p)
     if not p > 1:
         raise DomainError("support endpoint requires p > 1")
+    if is_exact(p) and p.numerator > MAX_K:
+        raise DomainError(f"p = k/l needs k <= {MAX_K}")
     if is_exact(p) and p.denominator == 1:
         k = p.numerator
         return Fraction(k**k, (k - 1) ** (k - 1))
     pf = float(p)
-    return pf**pf * (pf - 1.0) ** (1.0 - pf)
+    try:
+        return pf**pf * (pf - 1.0) ** (1.0 - pf)
+    except OverflowError:
+        return pf * math.exp((pf - 1.0) * math.log1p(1.0 / (pf - 1.0)))
 
 
 def _float_quotient(factors, n: int) -> float:

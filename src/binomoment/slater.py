@@ -6,17 +6,18 @@ each of the k terms is coefficient * pFq(a_h; b_h | z) * z**e_h.  The Raney
 density, with moments r/(n*p+r) * C(n*p+r, n), is the same expansion with
 the beta side of the gamma quotient moved from r to r - 1.  This module
 builds the gamma-quotient symbol behind these expansions and evaluates
-densities at many points per call.  Away from the support endpoint each
-pFq series is summed by a term recurrence in one array kernel that takes
-many z in (0, 1) at once; near z = 1, where the k series stall, the density
-comes instead from Norlund's expansion of the Meijer G-function the k terms
-add up to, in powers of 1 - z.
+densities at many points per call.  On z <= 0.9 each pFq series is summed
+by a term recurrence in one array kernel that takes many z at once; on
+1 - z <= 0.1, where the k series slow down, the density comes instead from
+Norlund's expansion of the Meijer G-function the k terms add up to, in
+powers of 1 - z, with coefficients from a recurrence run in ``decimal``.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -24,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    GAMMA_POLE_TOL,
     DomainError,
     Params,
     RegionError,
@@ -77,6 +79,7 @@ def build_symbol(params: Params) -> GammaQuotientSymbol:
     k, l = params.k, params.l
     if not k > l >= 1:
         raise DomainError("symbol needs p = k/l > 1")
+    scale = float(support_endpoint(params.p))  # refuses k > MAX_K before the loops
     r = params.r
     exact = is_exact(r)
 
@@ -111,7 +114,7 @@ def build_symbol(params: Params) -> GammaQuotientSymbol:
         alphas=alphas,
         betas=betas,
         alphas_tilde=tuple(tilde[1:]),
-        scale=float(support_endpoint(params.p)),
+        scale=scale,
     )
 
 
@@ -119,43 +122,33 @@ def build_symbol(params: Params) -> GammaQuotientSymbol:
 # generalized hypergeometric evaluation
 
 
-#: densities switch from the k direct series to the endpoint expansion once
-#: 1 - z drops below this (the series would need >~60000 terms)
-_TAIL_SWITCH = 6.5e-4
-
-_MAX_TERMS = 10**6
-
-#: Norlund coefficients kept per expansion; at 1 - z <= _TAIL_SWITCH the
-#: terms left out weigh below 1e-20 of the sum
-_ENDPOINT_TERMS = 8
-
-
-#: the sum runs in blocks of _FIRST_BLOCK terms, each block four times the
-#: last up to _LAST_BLOCK; a run of small terms never spans two blocks
-_FIRST_BLOCK = 2048
-_LAST_BLOCK = 1 << 19
+#: densities switch from the k direct series, summed to at most _BLOCK terms,
+#: to the endpoint series, of at most _ENDPOINT_TERMS, once 1 - z drops
+#: below _TAIL_SWITCH; at z = 0.9 a direct series needs a few hundred terms
+_TAIL_SWITCH = 0.1
+_BLOCK = 2048
+_ENDPOINT_TERMS = 128
 
 #: terms go in chunks, _FIRST_CHUNK long and then twice the last one, cut at
-#: block ends and to at most _MAX_CELLS entries per (points x terms) array
+#: the block end and to at most _MAX_CELLS entries per (points x terms) array
 _FIRST_CHUNK = 16
 _MAX_CELLS = 1 << 16
 
 
-def _pfq_sum(num, den, zs, rel_tol: float, max_terms: int):
+def _pfq_sum(num, den, zs):
     """sum_m prod(num)_m / prod(den)_m * z**m / m! at every z in ``zs``.
 
-    Returns (values, converged, terms_used) arrays.  All points step through
-    the terms together, and a point leaves once three consecutive terms of
-    one block fall below rel_tol times the running sum.  Each block restarts
-    from its last term t, terms = t * cumprod(ratio) and sums = acc +
-    cumsum(terms); inside a block the terms go in chunks, each chunk folding
-    the raw cumprod and cumsum of the last into its first term.  IEEE * and
-    + commute and numpy accumulates in order along a row, so every value is
-    bit for bit what one whole block at a time would give.  Each point's
-    terms are one contiguous row, so a few long sums run at full speed.
-    A lower parameter at a nonpositive integer raises DomainError, and so
-    does a non-terminating series with two or more upper than lower
-    parameters at any z != 0, where it diverges.
+    Returns (values, terms_used) arrays.  All points step through the terms
+    together, and a point leaves once three consecutive terms fall below
+    1e-16 times the running sum.  The terms go in chunks, terms =
+    cumprod(ratio) and sums = 1 + cumsum(terms), each chunk folding the raw
+    cumprod and cumsum of the last into its first term; IEEE * and + commute
+    and numpy accumulates in order along a row, so every value is bit for
+    bit what one array of _BLOCK terms would give.  A point not converged
+    after _BLOCK terms raises DomainError naming its z, as does a ratio
+    product past the float range, which never converges.  So does a lower
+    parameter at a nonpositive integer, and a non-terminating series with
+    two or more upper than lower parameters at any z != 0, where it diverges.
     """
     for b in den:
         if _at_pole(b):
@@ -167,61 +160,47 @@ def _pfq_sum(num, den, zs, rel_tol: float, max_terms: int):
         )
     num = [float(a) for a in num]
     den = [float(b) for b in den]
-    values = np.empty(zs.size)
-    converged = np.zeros(zs.size, dtype=bool)
-    terms_used = np.full(zs.size, max_terms)
+    values, terms_used = np.empty(zs.size), np.empty(zs.size, dtype=int)
     live = np.arange(zs.size)
-    acc = np.ones(zs.size)  # sum before the block
-    t_last = np.ones(zs.size)  # last term before the block
-    start = 0
-    block = _FIRST_BLOCK
-    chunk = _FIRST_CHUNK
-    while start < max_terms and live.size:
-        end = min(start + block, max_terms)
-        pos = start
-        prod_carry = sum_carry = None
-        flags = np.zeros((live.size, 2), dtype=bool)  # small flags of the last two terms
-        while pos < end and live.size:
-            n = min(chunk, end - pos, max(1, _MAX_CELLS // live.size))
-            m = np.arange(pos, pos + n, dtype=float)
-            ratio = np.repeat(zs[live][:, None], n, axis=1)
+    pos, chunk = 0, _FIRST_CHUNK
+    prod_carry, sum_carry = np.ones(zs.size), np.zeros(zs.size)
+    flags = np.zeros((live.size, 2), dtype=bool)  # small flags of the last two terms
+    while live.size:
+        if pos >= _BLOCK:
+            what, z = f"{len(num)}F{len(den)} series", float(zs[live[0]])
+            raise DomainError(f"{what} not converged after {_BLOCK} terms at z = {z!r}")
+        n = min(chunk, _BLOCK - pos, max(1, _MAX_CELLS // live.size))
+        m = np.arange(pos, pos + n, dtype=float)
+        ratio = np.repeat(zs[live][:, None], n, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
             for a in num:
                 ratio *= a + m
             for b in den:
                 ratio /= b + m
             ratio /= m + 1.0
-            if prod_carry is not None:
-                ratio[:, 0] *= prod_carry
+            ratio[:, 0] *= prod_carry
             np.cumprod(ratio, axis=1, out=ratio)
-            terms = t_last[:, None] * ratio
-            sums = terms.copy()
-            if sum_carry is not None:
-                sums[:, 0] += sum_carry
+            sums = ratio.copy()
+            sums[:, 0] += sum_carry
             np.cumsum(sums, axis=1, out=sums)
             prod_carry, sum_carry = ratio[:, -1], sums[:, -1]
-            sums = acc[:, None] + sums
-            small = np.abs(terms) < rel_tol * np.maximum(np.abs(sums), 1e-300)
-            flags = np.concatenate((flags, small), axis=1)
-            run3 = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
-            flags = flags[:, -2:]
-            hit = run3.any(axis=1)
-            if hit.any():
-                stop = run3.argmax(axis=1)[hit]
-                done = live[hit]
-                values[done] = sums[hit, stop]
-                converged[done] = True
-                terms_used[done] = pos + stop + 2
-                keep = ~hit
-                live, acc, t_last = live[keep], acc[keep], t_last[keep]
-                prod_carry, sum_carry = prod_carry[keep], sum_carry[keep]
-                flags, terms, sums = flags[keep], terms[keep], sums[keep]
-            pos += n
-            chunk *= 2
-        acc, t_last = sums[:, -1], terms[:, -1]
-        start = end
-        block = min(block * 4, _LAST_BLOCK)
-    values[live] = acc
-    return values, converged, terms_used
+            sums = 1.0 + sums
+            small = np.abs(ratio) < 1e-16 * np.maximum(np.abs(sums), 1e-300)
+        flags = np.concatenate((flags, small), axis=1)
+        run3 = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
+        flags = flags[:, -2:]
+        hit = run3.any(axis=1)
+        if hit.any():
+            stop = run3.argmax(axis=1)[hit]
+            done = live[hit]
+            values[done] = sums[hit, stop]
+            terms_used[done] = pos + stop + 2
+            keep = ~hit
+            live, flags = live[keep], flags[keep]
+            prod_carry, sum_carry = prod_carry[keep], sum_carry[keep]
+        pos += n
+        chunk *= 2
+    return values, terms_used
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +235,18 @@ class SlaterExpansion:
 
     @cached_property
     def endpoint_coeffs(self) -> tuple:
-        return _norlund_coeffs(self.alphas, self.betas, self.psi, _ENDPOINT_TERMS)
+        c0 = 1.0 / math.gamma(self.psi)
+        return tuple(c0 * float(q) for q in _norlund_coeffs(self.alphas, self.betas, self.psi))
 
 
-def _theta_image(shifts: Sequence[float], s: float) -> list:
+def _theta_image(shifts: Sequence[Decimal], s: Decimal) -> list:
     """prod_j (theta - shifts_j) w**s as coefficients of w**s, w**(s-1), ...
 
     theta = z d/dz, and with z = 1 - w it maps w**t to t w**t - t w**(t-1).
     """
-    out = [1.0]
+    out = [Decimal(1)]
     for c in shifts:
-        nxt = [0.0] * (len(out) + 1)
+        nxt = [Decimal(0)] * (len(out) + 1)
         for i, v in enumerate(out):
             t = s - i
             nxt[i] += (t - c) * v
@@ -275,8 +255,8 @@ def _theta_image(shifts: Sequence[float], s: float) -> list:
     return out
 
 
-def _norlund_coeffs(alphas, betas, psi: float, count: int) -> tuple:
-    """c_0..c_{count-1} of G^{k,0}_{k,k}(z | alphas; betas) = w**(psi-1) sum c_n w**n.
+def _norlund_coeffs(alphas, betas, psi: float) -> list:
+    """Decimal c_n/c_0 of G^{k,0}_{k,k}(z | alphas; betas) = w**(psi-1) sum_n c_n w**n.
 
     w = 1 - z, c_0 = 1/Gamma(psi) (Norlund, "Hypergeometric functions", Acta
     Math. 94 (1955)).  G solves [z prod(theta - alpha_j + 1) - prod(theta -
@@ -285,35 +265,42 @@ def _norlund_coeffs(alphas, betas, psi: float, count: int) -> tuple:
     the next power of the ansatz gives the recurrence sum_{d=0..k}
     R_d(s_{N-d}) c_{N-d} = 0, R_d = A_{k-d} - A_{k-1-d} + B_{k-1-d} and
     s_n = psi - 1 + n.  R_0(s_n) vanishes only at n = 0.  The entries of R
-    cancel to about 1e-11 relative at k = 17, which would show through c_1 w,
-    so c_1 comes from its closed form c_1/c_0 = (sum beta(beta-1) - sum
-    alpha(alpha-1) + psi(psi-1)) / (2 psi); later c_n are damped by w**n.
+    cancel, by about 0.6 digit per unit of k, so the recurrence runs in
+    ``decimal`` at 30 + k digits on the float parameters taken exactly.
+    Terms are added until three in a row weigh below 1e-17 of the sum of
+    their magnitudes at w = _TAIL_SWITCH: about 18 at k <= 31, 44 where the
+    coefficients swell first, as at (100/3, 0), and DomainError past
+    _ENDPOINT_TERMS.
     """
-    k = len(alphas)
-    shifted = [a - 1.0 for a in alphas]
-    c0 = 1.0 / math.gamma(psi)
-    quad = math.fsum(b * (b - 1.0) for b in betas) - math.fsum(a * (a - 1.0) for a in alphas)
-    coeffs = [c0, c0 * (quad + psi * (psi - 1.0)) / (2.0 * psi)]
-    rows = []
-    for n in range(count):
-        s = psi - 1.0 + n
-        a = _theta_image(shifted, s)
-        b = _theta_image(betas, s)
-        rows.append([a[k - d] - (a[k - 1 - d] - b[k - 1 - d] if d < k else 0.0)
-                     for d in range(k + 1)])
-        if n >= 2:
-            acc = math.fsum(rows[n - d][d] * coeffs[n - d] for d in range(1, min(k, n) + 1))
-            coeffs.append(-acc / rows[n][0])
-    return tuple(coeffs)
+    k, rows, ratios = len(alphas), [], []
+    weight = small = 0  # sum of |c_n/c_0| _TAIL_SWITCH**n, count of small ones
+    with localcontext() as ctx:
+        ctx.prec = 30 + k
+        shifted = [Decimal(a) - 1 for a in alphas]
+        betas = [Decimal(b) for b in betas]
+        for n in range(_ENDPOINT_TERMS):
+            s = Decimal(psi) - 1 + n
+            a = _theta_image(shifted, s)
+            b = _theta_image(betas, s)
+            rows.append([a[k - d] - (a[k - 1 - d] - b[k - 1 - d] if d < k else 0)
+                         for d in range(k + 1)])
+            acc = sum(rows[n - d][d] * ratios[n - d] for d in range(1, min(k, n) + 1))
+            ratios.append(-acc / rows[n][0] if n else Decimal(1))
+            term = abs(float(ratios[n])) * _TAIL_SWITCH**n
+            weight += term
+            small = small + 1 if term < 1e-17 * weight else 0
+            if small == 3:
+                return ratios
+    raise DomainError(f"Norlund series needs over {_ENDPOINT_TERMS} terms")
 
 
 def _at_pole(arg: Scalar) -> bool:
-    """Whether arg sits at (or within 1e-9 of) a nonpositive integer."""
+    """Whether arg sits at (or within GAMMA_POLE_TOL of) a nonpositive integer."""
     if is_exact(arg):
         a = Fraction(arg)
         return a.denominator == 1 and a <= 0
     near = round(arg)
-    return near <= 0 and abs(arg - near) < 1e-9
+    return near <= 0 and abs(arg - near) < GAMMA_POLE_TOL
 
 
 def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
@@ -328,6 +315,7 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
     k, l = params.k, params.l
     if not k > l >= 1:
         raise DomainError("density expansion needs p = k/l > 1")
+    upper = float(support_endpoint(params.p))  # refuses k > MAX_K before the loops
     r = params.r
     exact = is_exact(r)
     ra = as_scalar(r)
@@ -335,12 +323,12 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
     rf = float(ra)
     rbf = float(rb)
     pf = float(params.p)
-    gamma_factor = (
-        l
-        * (pf - 1.0) ** (pf - rf - 1.0)
-        / (pf ** (pf - rf - 0.5) * math.sqrt(2.0 * math.pi * (k - l)))
-    )
-    upper = float(support_endpoint(params.p))
+    root = math.sqrt(2.0 * math.pi * (k - l))
+    try:
+        gamma_factor = l * (pf - 1.0) ** (pf - rf - 1.0) / (pf ** (pf - rf - 0.5) * root)
+    except (OverflowError, ZeroDivisionError):  # a power leaves the float range
+        log_factor = (pf - rf - 1.0) * math.log(pf - 1.0) - (pf - rf - 0.5) * math.log(pf)
+        gamma_factor = l * math.exp(log_factor) / root if log_factor < 709.0 else math.inf
     terms = []
     for h in range(1, k + 1):
         # alpha_j - beta_h for j = 1..k: poles here zero the coefficient
@@ -356,14 +344,13 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
         if any(_at_pole(a) for a in den_args):
             coef = 0.0
         else:
-            num = 1.0
-            for j in range(1, k + 1):
-                if j != h:
-                    num *= gamma_real((j - h) / k)
-            den = 1.0
-            for a in den_args:
-                den *= gamma_real(float(a))
-            coef = num / den
+            num = math.prod(gamma_real((j - h) / k) for j in range(1, k + 1) if j != h)
+            try:
+                coef = num / math.prod(gamma_real(float(a)) for a in den_args)
+            except (OverflowError, ZeroDivisionError):
+                coef = math.inf
+            if not math.isfinite(coef * gamma_factor):
+                raise DomainError(f"density term {h} at p = {params.p}, r = {params.r} overflows")
         a_vec = tuple(
             (rbf + h) / k - (j - l) / l if j <= l else (rbf + h) / k - (rf + j - k) / (k - l)
             for j in range(1, k + 1)
@@ -398,9 +385,10 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
 
     ``dist_upper`` may carry each c - x to full relative precision
     (quadrature transforms know it exactly); without it the plain
-    differences are used.  Points with 1 - z > _TAIL_SWITCH share one
-    array sum per Slater term; closer to the endpoint each value comes
-    from ``endpoint_coeffs``.  Every value is bit for bit the one-point
+    differences are used.  Points with 1 - z > _TAIL_SWITCH = 0.1 share
+    one array sum per Slater term, which raises DomainError if it does not
+    converge in _BLOCK terms; closer to the endpoint each value comes from
+    ``endpoint_coeffs``.  Every value is bit for bit the one-point
     ``eval_density`` value.
     """
     upper = expansion.domain_upper
@@ -443,7 +431,7 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
         for term in expansion.terms:
             if term.coef == 0.0:
                 continue
-            values = _pfq_sum(term.a_vec, term.b_vec, zs, 1e-16, _MAX_TERMS)[0]
+            values = _pfq_sum(term.a_vec, term.b_vec, zs)[0]
             try:
                 powers = np.array([math.exp(term.exponent * lnz) for lnz in lnzs])
             except OverflowError:

@@ -165,6 +165,47 @@ def raney(p, r, n: int) -> Fraction:
     return acc / math.factorial(n)
 
 
+# -- Norlund's endpoint series -------------------------------------------------
+
+
+def norlund_ratios(alphas, betas, psi, count: int) -> list:
+    """c_n/c_0, n < count, of G^{k,0}_{k,k}(1 - w | alphas; betas) = w**(psi-1) sum c_n w**n.
+
+    G solves z prod(theta - alpha_j + 1) G = prod(theta - beta_j) G, with
+    theta = z d/dz, so theta w**t = t w**t - t w**(t-1), and z = 1 - w.  The
+    operator takes w**(psi-1+n) to the powers w**(psi-1+n-k) and up, the
+    lowest of which cancels; the power w**(psi-1+N-k+1) of the whole series
+    vanishing fixes c_N.  Exact in Fractions: exponents are kept as integer
+    offsets from psi - 1.
+    """
+    k = len(alphas)
+
+    def theta_product(shifts, n):
+        poly = {n: Fraction(1)}
+        for c in shifts:
+            nxt = {}
+            for m, v in poly.items():
+                t = psi - 1 + m
+                nxt[m] = nxt.get(m, 0) + (t - c) * v
+                nxt[m - 1] = nxt.get(m - 1, 0) - t * v
+            poly = nxt
+        return poly
+
+    images, ratios = [], []
+    for n in range(count):
+        image = {}
+        for m, v in theta_product([a - 1 for a in alphas], n).items():
+            image[m] = image.get(m, 0) + v  # times z = 1 - w
+            image[m + 1] = image.get(m + 1, 0) - v
+        for m, v in theta_product(betas, n).items():
+            image[m] = image.get(m, 0) - v
+        assert image[n - k] == 0
+        images.append(image)
+        known = sum(ratios[m] * images[m].get(n - k + 1, 0) for m in range(n))
+        ratios.append(-known / image[n - k + 1] if n else Fraction(1))
+    return ratios
+
+
 # -- free cumulants ---------------------------------------------------------
 
 

@@ -3,11 +3,19 @@
 import hashlib
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binomoment
 from binomoment.cli import main
+from binomoment.core import MAX_K
 from binomoment.verify import InconclusiveWitnessError
 from binomoment.freeconv import IdentityCheck
 
@@ -83,6 +91,17 @@ class TestDensity:
             code, out, err = run(capsys, "density", "--p", p, "--r", r, "--x", "5e-324")
             assert (code, out) == (1, ""), (p, r)
             assert "error: density at x = 5e-324 exceeds the float range" in err
+
+    def test_pole_tolerance_is_the_gamma_one(self, capsys):
+        # r within 2.5e-9 of 3/2 puts a gamma argument of a Slater coefficient
+        # inside gamma_real's pole tolerance, so the term is the pole's zero
+        values = []
+        for r in ("1.499999975", "1.4999999975", "3/2"):
+            code, out, err = run(capsys, "density", "--p", "5/2", "--r", r, "--x", "1")
+            assert (code, err) == (0, ""), r
+            values.append(float(out))
+        assert values[0] == pytest.approx(values[2], rel=1e-7)
+        assert values[1] == pytest.approx(values[2], rel=1e-7)
 
     def test_single_point_arcsine(self, capsys):
         code, out, _ = run(capsys, "density", "--p", "2", "--r", "0", "--x", "2")
@@ -227,22 +246,22 @@ class TestConvVerify:
 #: SHA-256 of the certify --nmax 10 report without runtime_seconds, re-dumped
 #: with indent=2; json round-trips floats exactly, so any changed digit shows
 _CERTIFY_DIGESTS = {
-    ("5/3", "-1"): "1b0bf508b414eb2819b5a60a97c88baf232b9830574cc7fc650ef62430f624c1",
-    ("5/2", "1/2"): "e785ed9b8efeab202d27528b48a82ba3f49aa8c7b6e9132e159f5bc38ab28780",
-    ("7/2", "-9/10"): "a728ff8c171883d8e5e9672bcffd881f7af0ddc6233308a4e2612a9fdc090c7e",
-    ("11/3", "8/3"): "ac9589d2b0f9ac4c962ef38f7506988f2aafb3552ca1b9b2ad867528af8d5929",
-    ("17/5", "0"): "9f69c3aa37109ee17fa6db9f42705bed0bd9801cdd3a7fef8d36ee6b293552e9",
+    ("5/3", "-1"): "b675d9711b1a5993c5b976f1e8fc44d6adbf6dcf497d2251998457f65af2543e",
+    ("5/2", "1/2"): "855a61746c80c6dc7a0f06713e7d61f1c54e053aa564626c1ee32512cd7662dc",
+    ("7/2", "-9/10"): "3c8785cb043e174046e606ae33b2c69d279f3108b8fbfbb288711b84df23a063",
+    ("11/3", "8/3"): "a24935c1c084ef6f7627a8c80fd43d4cd9db6cb4e527f14c9d92711e9b7b63bd",
+    ("17/5", "0"): "c24811b37687f51f82ee72a36079f54de2d68459a3b6e61cdd3a1db6269e634c",
     ("3", "1"): "f5857e069540d7ae18ac6d0d850d925d962eb47795778edd9f8be48a5d75a066",
 }
 
 #: SHA-256 of the bundled figure CSVs
 _FIGURE_DIGESTS = {
     1: "13668d5eb8146f397638f82ebbdc2ad9f67c37dff39cc0eda3decdc3ee0e40ab",
-    2: "984f3b36a7036dfff6bcbd571f2248d8ecf5604ec25ebf332b655196a7643c09",
-    3: "b65257d4c261e460171b33e71160f5425fdfad8e4af4a6c0b49a01af6ce31749",
-    4: "888723799f0d65a42c6e1f36d1e535f4e8dafadb6b6609dcf0ed2bdcc6732e35",
-    5: "d002c5a3d30468d2ffdf8ec5714f814a480ccfe92f59b2061bb4adf551caefe8",
-    6: "addcdd1bfe359653c96e87492b682c6379b6a98d790fbeea9b13434da7a6800f",
+    2: "d05edec28f318f53a5f72c80cad7e9eec5f79f631c6011b248793379fc151ca7",
+    3: "98a250213a16fe86121756560f690eb67ac4b52cbfa63ecda6c95b72199c98ea",
+    4: "a3adb0cb52adeb25d91c24ea1f38a1f9f73e15e730699879114a415cf06cec78",
+    5: "79a9422c47f25290529412011d55cc35ce7ef7d37928b28998a6add139576f45",
+    6: "0c1cb4c7bde910225298de26aa1782d35524a8b6355cd3dcc155fa5fb737a7e0",
 }
 
 
@@ -302,6 +321,25 @@ class TestCertify:
         report.pop("runtime_seconds")
         text = json.dumps(report, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == _CERTIFY_DIGESTS[(p, r)]
+
+
+    def test_huge_integer_p_refused_before_any_power(self):
+        # k = 10**200 would start the big-int power k**k; a child process
+        # with a memory cap and a timeout keeps a regression from taking
+        # the test run down with it
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(binomoment.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from binomoment.cli import main; sys.exit(main())",
+             "certify", "--p", "1e200", "--r", "0", "--nmax", "3"],
+            capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: p = k/l needs k <= {MAX_K}\n"
 
 
 class TestWitness:
@@ -476,3 +514,20 @@ class TestUsage:
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "exceeds the float range" in err
+
+    @pytest.mark.parametrize("argv", [
+        "density --p 301/2 --r 0 --x 1",
+        "certify --p 301/2 --r 0 --nmax 2",
+        "witness --p 1e30 --r -5",
+        "density --p 1e30 --r 0 --x 1",
+        "sample --p 1e30 --r 0 --count 2",
+        "factorize --p 1e30 --r 0",
+        "witness --p 3/2 --r -1000000",
+        "density --p 17/5 --r 1000 --x 1",
+    ])
+    def test_large_parameters_fail_with_error(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert time.perf_counter() - t0 < 2.0

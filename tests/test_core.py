@@ -2,11 +2,13 @@
 import math
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomoment.core import (
+    MAX_K,
     Branch,
     DomainError,
     GammaPoleError,
@@ -44,6 +46,24 @@ class TestSupportEndpoint:
     def test_requires_p_above_one(self, bad):
         with pytest.raises(DomainError):
             support_endpoint(bad)
+
+    def test_numerator_bound(self):
+        # k = MAX_K is taken, exactly for an integer p; past it the call
+        # fails before any power, even where k**k would never finish
+        assert support_endpoint(MAX_K) == F(MAX_K**MAX_K, (MAX_K - 1) ** (MAX_K - 1))
+        assert support_endpoint(F(MAX_K, MAX_K - 1)) > 1.0
+        for p in (F(MAX_K + 1), F(MAX_K + 2, 3), F(10) ** 200, F(10**30 + 1, 10**30)):
+            with pytest.raises(DomainError, match=f"k <= {MAX_K}"):
+                support_endpoint(p)
+
+    @pytest.mark.parametrize("p", [143.7, 150.5, 1e30, 1e300])
+    def test_float_p_past_the_powers_range(self, p):
+        # p**p leaves the float range, c = p**p (p-1)**(1-p) ~ e p does not
+        with mp.workdps(30 + int(math.log10(p))):  # p - 1 kept exact
+            pm = mp.mpf(p)
+            want = pm**pm * (pm - 1) ** (1 - pm)
+        assert support_endpoint(p) == pytest.approx(float(want), rel=1e-12)
+        assert support_endpoint(140.5) == 140.5**140.5 * 139.5 ** (1.0 - 140.5)
 
 
 class TestGenBinomial:

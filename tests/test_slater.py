@@ -29,6 +29,7 @@ from binomoment.slater import (
     eval_density_many,
     raney_density,
 )
+from oracles import norlund_ratios
 
 mp.mp.dps = 30
 
@@ -44,56 +45,54 @@ def _mpq(q) -> mp.mpf:
 # the pFq kernel
 
 
-def _pfq(num, den, z, rel_tol=1e-16, max_terms=10**6):
-    """(value, converged, terms_used) of the array kernel at one z."""
-    values, converged, used = _pfq_sum(num, den, [z], rel_tol, max_terms)
-    return float(values[0]), bool(converged[0]), int(used[0])
+def _pfq(num, den, z):
+    """(value, terms_used) of the array kernel at one z."""
+    values, used = _pfq_sum(num, den, [z])
+    return float(values[0]), int(used[0])
 
 
 class TestPfq:
     """The kernel ``_pfq_sum`` on 0 <= z < 1, the only arguments densities give it."""
 
     def test_arcsine_value(self):
-        value, converged, _ = _pfq([0.5, 0.5], [1.5], 0.25)
-        assert converged
+        value, _ = _pfq([0.5, 0.5], [1.5], 0.25)
         assert value == pytest.approx(math.asin(0.5) / 0.5, rel=1e-15)
 
     def test_quadratic_transform_value(self):
         # 2F1(a, a+1/2; 2a; z) = (1-z)^(-1/2) ((1+sqrt(1-z))/2)^(1-2a)
         t = 1.0 / 3.0
         z = 0.5
-        value, _, _ = _pfq([t / 2, (t + 1) / 2], [t], z)
+        value, _ = _pfq([t / 2, (t + 1) / 2], [t], z)
         s = math.sqrt(1.0 - z)
         want = ((1.0 + s) / 2.0) ** (1.0 - t) / s
         assert value == pytest.approx(want, rel=1e-14)
 
     def test_terminating_series_is_polynomial(self):
-        value, converged, _ = _pfq([-3, 0.7], [1.3], 0.6)
+        value, _ = _pfq([-3, 0.7], [1.3], 0.6)
         acc, term = 0.0, 1.0
         for m in range(4):
             acc += term
             term *= (-3 + m) * (0.7 + m) / (1.3 + m) / (m + 1) * 0.6
-        assert converged
         assert value == pytest.approx(acc, rel=1e-15)
 
     def test_lower_parameter_pole_rejected(self):
         for den in ([-2], [0.0], [F(-3)], [1.5, -1.0]):
             with pytest.raises(DomainError, match="nonpositive integer"):
-                _pfq_sum([0.5] * (len(den) + 1), den, [0.3], 1e-16, 10**6)
+                _pfq_sum([0.5] * (len(den) + 1), den, [0.3])
         # a lower parameter near, not at, a pole is summed
-        assert _pfq([0.5], [-2.5], 0.3)[1]
+        assert math.isfinite(_pfq([0.5], [-2.5], 0.3)[0])
 
     def test_more_than_one_extra_upper_parameter_rejected(self):
         # 3F1 diverges at every z != 0: refused at once, not summed to inf
         t0 = time.perf_counter()
         for zs in ([0.5], [-0.5], [1e-3], [0.0, 0.5]):
             with pytest.raises(DomainError, match="diverges"):
-                _pfq_sum([1, 1, 1], [1], zs, 1e-16, 10**6)
+                _pfq_sum([1, 1, 1], [1], zs)
         assert time.perf_counter() - t0 < 0.05
         assert _pfq([1, 1, 1], [1], 0.0)[0] == 1.0
         # a terminating series is a polynomial, summed at any z
-        value, converged, _ = _pfq([-2, 1, 1], [1], 0.5)
-        assert converged and value == 1.0 - 2.0 * 0.5 + 2.0 * 0.25
+        value, _ = _pfq([-2, 1, 1], [1], 0.5)
+        assert value == 1.0 - 2.0 * 0.5 + 2.0 * 0.25
 
     def test_expansion_terms_fit_the_kernel(self):
         # every Slater term has one more upper than lower parameter and no
@@ -124,14 +123,13 @@ class TestPfq:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_independent_evaluation(self, z, a1, a2, b1):
-        value, converged, _ = _pfq([a1, a2], [b1], z)
+        value, _ = _pfq([a1, a2], [b1], z)
         want = float(mp.hyper([a1, a2], [b1], z))
-        assert converged
         assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_stalling_series_near_unit_argument_rejected(self, monkeypatch):
-        # the 3F2 series at 1 - z <= _TAIL_SWITCH would need >~60000 terms:
-        # densities there never hand them to the kernel
+        # the 3F2 series at 1 - z <= _TAIL_SWITCH may need more terms than
+        # the kernel sums: densities there never hand them to it
         exp = build_slater_expansion(Params(F(3), F(0)))
         c = exp.domain_upper
         summed = []
@@ -148,53 +146,44 @@ class TestPfq:
         # a terminating series, or one with fewer upper than lower parameters,
         # is summed directly however close z is to 1
         z = 1.0 - 1e-6
-        assert _pfq([-3, 0.7], [1.3], z)[1]
-        value, _, _ = _pfq([0.5], [1.5, 2.0], z)
+        assert _pfq([-3, 0.7], [1.3], z)[1] < 10
+        value, _ = _pfq([0.5], [1.5, 2.0], z)
         assert value == pytest.approx(float(mp.hyper([0.5], [1.5, 2.0], z)), rel=1e-14)
 
     def test_nonconvergence_is_reported(self):
-        _, converged, used = _pfq([0.5, 0.5], [1.5], 0.99, max_terms=50)
-        assert not converged
-        assert used == 50
+        # this 2F1 needs 2346 terms at z = 0.99: the kernel refuses it
+        # after one block, naming the point, instead of returning a partial sum
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match=r"not converged after 2048 terms at z = 0\.99$"):
+            _pfq_sum([0.5, 0.5], [1.5], [0.5, 0.99, 0.3])
+        assert time.perf_counter() - t0 < 0.05
+        assert _pfq([0.5, 0.5], [1.5], 0.9)[1] < 2048
 
 
-def _pfq_reference(num, den, z, rel_tol, max_terms):
-    """The one-point block loop the array kernel replaces, kept as its oracle.
+def _pfq_reference(num, den, z, block=2048):
+    """The one-point sum the array kernel replaces, kept as its oracle.
 
-    Sums 2048 terms at a time, each block four times the last up to 2**19,
-    and stops at the first run of three small terms inside one block.
-    Returns (value, converged, terms_used).
+    Sums ``block`` terms in one array and stops at the first run of three
+    small terms.  Returns (value, terms_used), or None when no run ends
+    inside the block.
     """
     num = [float(a) for a in num]
     den = [float(b) for b in den]
-    acc = 1.0  # t_0
-    t_last = 1.0
-    m0 = 0
-    block = 2048
-    while m0 < max_terms:
-        n = min(block, max_terms - m0)
-        m = np.arange(m0, m0 + n, dtype=float)
-        ratio = np.full(n, z)
-        for a in num:
-            ratio *= a + m
-        for b in den:
-            ratio /= b + m
-        ratio /= m + 1.0
-        terms = t_last * np.cumprod(ratio)
-        csum = acc + np.cumsum(terms)
-        floor = np.maximum(np.abs(csum), 1e-300)
-        small = np.abs(terms) < rel_tol * floor
-        if n >= 3:
-            run3 = small[2:] & small[1:-1] & small[:-2]
-            hits = np.nonzero(run3)[0]
-            if hits.size:
-                stop = int(hits[0]) + 2
-                return float(csum[stop]), True, m0 + stop + 2
-        acc = float(csum[-1])
-        t_last = float(terms[-1])
-        m0 += n
-        block = min(block * 4, 1 << 19)
-    return acc, False, max_terms
+    m = np.arange(block, dtype=float)
+    ratio = np.full(block, z)
+    for a in num:
+        ratio *= a + m
+    for b in den:
+        ratio /= b + m
+    ratio /= m + 1.0
+    terms = np.cumprod(ratio)
+    csum = 1.0 + np.cumsum(terms)
+    small = np.abs(terms) < 1e-16 * np.maximum(np.abs(csum), 1e-300)
+    hits = np.nonzero(small[2:] & small[1:-1] & small[:-2])[0]
+    if not hits.size:
+        return None
+    stop = int(hits[0]) + 2
+    return float(csum[stop]), stop + 2
 
 
 def _density_reference(exp, x, dist):
@@ -207,54 +196,72 @@ def _density_reference(exp, x, dist):
     total = 0.0
     for t in exp.terms:
         if t.coef != 0.0:
-            value = _pfq_reference(t.a_vec, t.b_vec, math.exp(lnz), 1e-16, 10**6)[0]
+            value = _pfq_reference(t.a_vec, t.b_vec, math.exp(lnz))[0]
             total += t.coef * value * math.exp(t.exponent * lnz)
     return exp.gamma_factor * total
 
 
-def _kernel_rows(num, den, zs, rel_tol=1e-16, max_terms=10**6):
-    values, converged, used = _pfq_sum(num, den, zs, rel_tol, max_terms)
-    return list(zip(values.tolist(), converged.tolist(), used.tolist()))
+def _kernel_rows(num, den, zs):
+    values, used = _pfq_sum(num, den, zs)
+    return list(zip(values.tolist(), used.tolist()))
+
+
+def _check_against_reference(num, den, zs, block=2048):
+    """Hold the kernel to ``_pfq_reference`` at every z in ``zs``.
+
+    Where the sum ends inside the block the two agree bit for bit; at each
+    other z the kernel raises DomainError naming it.  Returns the reference
+    rows, None where the sum does not end.
+    """
+    want = [_pfq_reference(num, den, z, block) for z in zs]
+    ended = [z for z, row in zip(zs, want) if row is not None]
+    assert _kernel_rows(num, den, ended) == [row for row in want if row is not None]
+    for z, row in zip(zs, want):
+        if row is None:
+            with pytest.raises(DomainError, match=f"after {block} terms at z = {float(z)!r}$"):
+                _pfq_sum(num, den, [z])
+    return want
 
 
 class TestPfqKernel:
-    """The array kernel against the one-point loop, bit for bit."""
+    """The array kernel against the one-point sum, bit for bit."""
 
     STALLING = ([0.5, 5.0 / 6.0, 7.0 / 6.0], [2.0 / 3.0, 4.0 / 3.0])
 
     @pytest.mark.parametrize("lo,hi", [(0.98525, 0.98527), (0.99719, 0.99721)])
     def test_across_block_ends(self, lo, hi):
-        # these z stop just before, at and after the 2048 and 2048 + 8192
-        # block ends; no run of small terms may count across one
+        # the first z stop just before, at and after the end of the 2048-term
+        # block: each sum that ends inside it is the reference's to the bit,
+        # and each other raises; the second z all need over 2048 + 8192
         num, den = self.STALLING
         zs = np.linspace(lo, hi, 81)
-        want = [_pfq_reference(num, den, z, 1e-16, 10**6) for z in zs]
-        assert _kernel_rows(num, den, zs) == want
-        used = {u for _, _, u in want}
-        end = 2048 if lo < 0.99 else 2048 + 8192
-        assert min(used) <= end + 1 < end + 4 <= max(used)
+        used = [row[1] for row in _check_against_reference(num, den, zs) if row is not None]
+        if lo < 0.99:
+            # the last sum to end does so on term 2047, the block's last
+            assert 0 < len(used) < len(zs) and max(used) == 2047 + 2
+        else:
+            assert used == []
 
     def test_negative_and_zero_argument(self):
         # alternating terms at z < 0 follow the same stopping rule; z = 0 sums to 1
         zs = [-0.99, -0.5, -1e-8, 0.0]
         for num, den in (([0.5, 0.5], [1.5]), ([1.3, 0.2], [2.7]), ([0.5, 0.7, 0.2], [1.5, 2.0])):
-            want = [_pfq_reference(num, den, z, 1e-16, 10**6) for z in zs]
-            assert _kernel_rows(num, den, zs) == want, num
-            assert want[-1][:2] == (1.0, True)
+            want = _check_against_reference(num, den, zs)
+            assert want[-1][0] == 1.0, num
 
     def test_terminating_series(self):
         zs = [0.0, 0.3, 0.9, 0.9999, -0.7]
         for num, den in (([-3, 0.7], [1.3]), ([-40, 0.5, 1.5], [2.5, 0.25])):
-            want = [_pfq_reference(num, den, z, 1e-16, 10**6) for z in zs]
-            assert _kernel_rows(num, den, zs) == want
+            assert None not in _check_against_reference(num, den, zs)
 
     @pytest.mark.parametrize("max_terms", [0, 1, 2, 3, 5, 50, 2049, 2050])
-    def test_small_term_budget(self, max_terms):
+    def test_small_term_budget(self, monkeypatch, max_terms):
+        # the block length is the only budget: a shorter or longer one moves
+        # which sums end and which raise, never a value
+        monkeypatch.setattr(slater, "_BLOCK", max_terms)
         num, den = self.STALLING
-        zs = [0.1, 0.9, 0.99, 0.995]
-        want = [_pfq_reference(num, den, z, 1e-16, max_terms) for z in zs]
-        assert _kernel_rows(num, den, zs, max_terms=max_terms) == want
-        assert not want[-1][1]
+        want = _check_against_reference(num, den, [0.1, 0.9, 0.99, 0.995], max_terms)
+        assert want[-1] is None
 
     @pytest.mark.parametrize("p,r", [(F(5, 2), F(1, 2)), (F(7, 2), F(-9, 10)),
                                      (F(17, 5), F(0)), (F(17, 5), 0.3), (F(5, 2), F(2))])
@@ -689,8 +696,43 @@ class TestEndpointExpansion:
             d = dist_rel * c
             assert f(c - d, d) == pytest.approx(float(want), rel=4e-15), (p, r, dist_rel)
 
+    @pytest.mark.parametrize("p,r", [(F(17, 5), F(0)), (F(31, 3), F(0))])
+    def test_coefficients_match_exact_recurrence(self, p, r):
+        # the recurrence in decimal against the operator applied to each
+        # power in Fractions, on the same float parameters taken exactly
+        exp = build_slater_expansion(Params(p, r))
+        got = slater._norlund_coeffs(exp.alphas, exp.betas, exp.psi)
+        want = norlund_ratios([F(a) for a in exp.alphas], [F(b) for b in exp.betas],
+                              F(exp.psi), len(got))
+        assert len(got) == 18
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert abs(F(g) - w) <= F(1, 10**20) * abs(w), n
+
+    @pytest.mark.parametrize("p,r", [(F(17, 5), F(0)), (F(31, 3), F(0))])
+    def test_matches_meijer_g_out_to_the_switch(self, p, r):
+        # from 1 - z just inside the switch down to 1e-3, against the Meijer
+        # G-function at 30 digits: mpmath's meijerg where it takes seconds,
+        # the Mellin-side series everywhere (meijerg runs for minutes at 1e-3)
+        exp = build_slater_expansion(Params(p, r))
+        l = exp.l
+        alphas, betas = _meijer_parameters(p, r, r)
+        c = _mpq(p) ** _mpq(p) * (_mpq(p) - 1) ** (1 - _mpq(p))
+        scale = l * mp.fprod(map(mp.gamma, alphas)) / (c * mp.fprod(map(mp.gamma, betas)))
+        meijer = ("0.099", "0.05", "0.01") if p.numerator == 17 else ("0.099",)
+        for w in ("0.099", "0.05", "0.01", "0.001"):
+            d = float(c * (1 - (1 - mp.mpf(w)) ** (mp.mpf(1) / l)))
+            got = eval_density(exp, exp.domain_upper - d, dist_upper=d)
+            z = (1 - mp.mpf(d) / c) ** l  # at the abscissa evaluated
+            head = scale * z ** (mp.mpf(-1) / l)
+            want = head * _mellin_side_g(alphas, betas, 1 - z, 30)
+            assert got == pytest.approx(float(want), rel=4e-15), (p, w)
+            if w in meijer:
+                want = head * mp.meijerg([[], alphas], [betas, []], z)
+                assert got == pytest.approx(float(want), rel=4e-15), (p, w)
+
     @pytest.mark.parametrize(
-        "p,r,raney", [(F(5, 3), F(0), False), (F(17, 5), F(0), False), (F(3), F(1), True)]
+        "p,r,raney", [(F(5, 3), F(0), False), (F(17, 5), F(0), False), (F(3), F(1), True),
+                      (F(100, 3), F(0), False)]  # 44 coefficients at k = 100
     )
     def test_continuous_across_switch(self, p, r, raney):
         # the two sides of 1 - z = _TAIL_SWITCH are summed by different series
@@ -711,11 +753,11 @@ class TestEndpointExpansion:
         # (summed however long they take) agree with the endpoint expansion
         exp = build_slater_expansion(Params(F(7, 2), F(-9, 10)))
         c = exp.domain_upper
-        for one_minus_z in (3e-4, 5e-4, 8e-4, 2e-3):
+        for one_minus_z in (0.03, 0.06, 0.12, 0.2):
             lnz = math.log1p(-one_minus_z)
             x = c * math.exp(lnz / exp.l)
             direct = exp.gamma_factor * math.fsum(
-                t.coef * _pfq_reference(t.a_vec, t.b_vec, 1.0 - one_minus_z, 1e-16, 10**6)[0]
+                t.coef * _pfq_reference(t.a_vec, t.b_vec, 1.0 - one_minus_z)[0]
                 * math.exp(t.exponent * lnz)
                 for t in exp.terms if t.coef != 0.0
             )

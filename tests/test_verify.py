@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from binomoment.core import (
 )
 from binomoment.series import TruncatedSeries, binomial_series
 from binomoment.verify import (
+    CERTIFY_REL_TOL,
     InconclusiveWitnessError,
     QuadratureSpec,
     Witness,
@@ -172,6 +174,18 @@ class TestCertifyMeasure:
             res = integrate_density(model, row["n"], spec)
             assert (row["quadrature"], row["error_estimate"], row["converged"]) == (
                 res.value, res.error_estimate, res.converged)
+
+    def test_p_near_one_at_k_101(self):
+        # 101 series of 101 parameters: summed directly their ratio products
+        # once left the float range near the endpoint and never finished
+        p = F(101, 100)
+        t0 = time.perf_counter()
+        report = certify_measure(Params(p, F(0)), 10)
+        assert time.perf_counter() - t0 < 10.0
+        assert report["passed"]
+        for row in report["moments"]:
+            exact = gen_binomial(p, 0, row["n"])
+            assert abs(F(row["quadrature"]) - exact) <= CERTIFY_REL_TOL * max(1, exact)
 
     def test_outside_region_rejected(self):
         with pytest.raises(RegionError):
