@@ -2,12 +2,14 @@
 
 Library layout:
 
-- ``core``       scalars, parameters, binomial/Raney numbers, region classifiers
+- ``core``       scalars, parameters, binomial/Raney numbers, region classifiers,
+                 the real gamma function and its pole test
 - ``series``     exact truncated power series and the generating functions
-- ``slater``     binomial and Raney density expansions; one array kernel sums their
-                 series at many points at once, Norlund's series near the endpoint
-- ``closedform`` elementary closed-form densities and assembled measure models
-- ``mellin``     beta-factor Mellin factorizations and sampling
+- ``slater``     the binomial density expansion; one array kernel sums its series
+                 at many points at once, Norlund's series near the endpoint
+- ``closedform`` elementary densities (p = 2, and a table of six algebraic rows),
+                 the choice between them and the expansion, and measure models
+- ``mellin``     gamma-quotient symbol, beta-factor Mellin factorizations, sampling
 - ``freeconv``   moment-series transforms and convolution identities
 - ``quadrature`` tanh-sinh quadrature over arrays of nodes
 - ``verify``     moment certification, negativity witnesses

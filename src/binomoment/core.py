@@ -34,6 +34,7 @@ __all__ = [
     "raney_number",
     "classify_binomial",
     "classify_raney",
+    "at_pole",
     "gamma_real",
 ]
 
@@ -301,17 +302,26 @@ def _sinpi(x: float) -> float:
     return -s if (m & 1) else s
 
 
+def at_pole(arg: Scalar) -> bool:
+    """Whether arg sits at (or within GAMMA_POLE_TOL of) a nonpositive integer."""
+    if is_exact(arg):
+        a = Fraction(arg)
+        return a.denominator == 1 and a <= 0
+    near = round(arg)
+    return near <= 0 and abs(arg - near) < GAMMA_POLE_TOL
+
+
 def gamma_real(x: Scalar) -> float:
     """Gamma on the real axis via the fixed-coefficient rational core.
 
     Reflection handles x < 0.5.  Relative error stays below 1e-13 for
     |x| <= 50.  Raises GammaPoleError within GAMMA_POLE_TOL of a nonpositive
-    integer.
+    integer, and DomainError where Gamma leaves the float range (x above
+    about 171.6).
     """
     x = float(x)
     if x < 0.5:
-        near = round(x)
-        if near <= 0 and abs(x - near) < GAMMA_POLE_TOL:
+        if at_pole(x):
             raise GammaPoleError(f"gamma pole at x={x!r}")
         return math.pi / (_sinpi(x) * gamma_real(1.0 - x))
     z = x - 1.0
@@ -319,4 +329,17 @@ def gamma_real(x: Scalar) -> float:
     for i in range(1, 15):
         acc += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    except OverflowError:
+        pass
+    # from x of about 142.9 the power leaves the float range before exp(-t)
+    # scales it down: take it as two half-powers on either side of exp(-t)
+    try:
+        half = t ** (0.5 * (z + 0.5))
+        value = math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"gamma at x = {x!r} exceeds the float range")
+    return value

@@ -7,19 +7,21 @@ samples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
 
 import numpy as np
 
 from .core import (
     DomainError,
     Params,
+    RegionError,
     Scalar,
+    as_scalar,
     is_exact,
     support_endpoint,
 )
-from .slater import build_symbol
 
 __all__ = [
     "BetaFactor",
@@ -57,7 +59,45 @@ class BetaFactor:
 class MellinFactorization:
     factors: tuple
     dilation: Scalar  # support endpoint c(p)
-    params: Optional[Params] = None
+
+
+def _symbol(params: Params) -> tuple:
+    """(l, betas, alphas_tilde) of the gamma-quotient symbol at p = k/l > 1.
+
+    The symbol has alpha_j = j/l for j <= l, (r + j - l)/(k - l) above, and
+    beta_j = (r + j)/k.  ``alphas_tilde`` is the permutation-compatible
+    reindexing of the alphas that dominates the betas entrywise: the
+    positions j'_i = floor(i*k/l - r), i = 1..l, must be strictly
+    increasing inside 1..k, which holds exactly when -1 < r <= p-1
+    (RegionError otherwise).
+    """
+    k, l = params.k, params.l
+    if not k > l >= 1:
+        raise DomainError("symbol needs p = k/l > 1")
+    support_endpoint(params.p)  # refuses k > MAX_K before the loops
+    r = params.r
+    exact = is_exact(r)
+
+    def frac(num, den):
+        return Fraction(num, den) if exact else num / den
+
+    betas = tuple(frac(as_scalar(r) + j, k) for j in range(1, k + 1))
+    if exact:
+        jprime = [math.floor(Fraction(i * k, l) - Fraction(r)) for i in range(1, l + 1)]
+    else:
+        jprime = [math.floor(i * k / l - r) for i in range(1, l + 1)]
+    ok = all(jprime[i] < jprime[i + 1] for i in range(l - 1))
+    if not (ok and 1 <= jprime[0] and jprime[-1] <= k):
+        raise RegionError("tilde reindexing needs -1 < r <= p-1")
+
+    tilde = [None] * (k + 1)
+    for i, jp in enumerate(jprime, start=1):
+        tilde[jp] = Fraction(i, l)
+    bounds = [0] + jprime + [k + 1]
+    for i in range(l + 1):
+        for j in range(bounds[i] + 1, bounds[i + 1]):
+            tilde[j] = frac(as_scalar(r) + j - i, k - l)
+    return l, betas, tuple(tilde[1:])
 
 
 def factorize(params: Params) -> MellinFactorization:
@@ -68,20 +108,16 @@ def factorize(params: Params) -> MellinFactorization:
     guarantees v >= 0 on the stated region.  The product is finished by a
     dilation to [0, c(p)].
     """
-    sym = build_symbol(params)
+    l, betas, alphas_tilde = _symbol(params)
     factors = []
-    for at, b in zip(sym.alphas_tilde, sym.betas):
+    for at, b in zip(alphas_tilde, betas):
         v = at - b
         if is_exact(v):
             vf = float(v)
         else:
             vf = 0.0 if abs(v) < 1e-12 else float(v)
-        factors.append(BetaFactor(u=float(b), v=vf, l=sym.l))
-    return MellinFactorization(
-        factors=tuple(factors),
-        dilation=support_endpoint(params.p),
-        params=params,
-    )
+        factors.append(BetaFactor(u=float(b), v=vf, l=l))
+    return MellinFactorization(factors=tuple(factors), dilation=support_endpoint(params.p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,121 +1,45 @@
-"""Hypergeometric expansion of the binomial and Raney family densities.
+"""Hypergeometric expansion of the binomial family density.
 
 The density attached to C(n*p+r, n) with p = k/l > 1 is a finite combination
 of generalized hypergeometric series in z = (x/c)**l, c the support endpoint:
-each of the k terms is coefficient * pFq(a_h; b_h | z) * z**e_h.  The Raney
-density, with moments r/(n*p+r) * C(n*p+r, n), is the same expansion with
-the beta side of the gamma quotient moved from r to r - 1.  This module
-builds the gamma-quotient symbol behind these expansions and evaluates
-densities at many points per call.  On z <= 0.9 each pFq series is summed
-by a term recurrence in one array kernel that takes many z at once; on
-1 - z <= 0.1, where the k series slow down, the density comes instead from
-Norlund's expansion of the Meijer G-function the k terms add up to, in
-powers of 1 - z, with coefficients from a recurrence run in ``decimal``.
+each of the k terms is coefficient * pFq(a_h; b_h | z) * z**e_h.  This module
+builds that expansion and evaluates the density at many points per call.
+On z <= 0.9 each pFq series is summed by a term recurrence in one array
+kernel that takes many z at once; on 1 - z <= 0.1, where the k series slow
+down, the density comes instead from Norlund's expansion of the Meijer
+G-function the k terms add up to, in powers of 1 - z, with coefficients
+from a recurrence run in ``decimal``.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    GAMMA_POLE_TOL,
     DomainError,
     Params,
-    RegionError,
-    Scalar,
     as_scalar,
+    at_pole,
     gamma_real,
     is_exact,
     support_endpoint,
 )
 
 __all__ = [
-    "GammaQuotientSymbol",
     "SlaterTerm",
     "SlaterExpansion",
-    "build_symbol",
     "build_slater_expansion",
     "eval_density",
     "eval_density_many",
-    "raney_density",
+    "support_points",
 ]
-
-
-# ---------------------------------------------------------------------------
-# gamma-quotient symbol
-
-
-@dataclass(frozen=True)
-class GammaQuotientSymbol:
-    """Parameters of the gamma-quotient form of the moment symbol.
-
-    ``alphas_tilde`` is the permutation-compatible reindexing of ``alphas``
-    that dominates ``betas`` entrywise whenever -1 < r <= p-1.
-    """
-
-    params: Params
-    k: int
-    l: int
-    alphas: tuple
-    betas: tuple
-    alphas_tilde: tuple
-    scale: float
-
-
-def build_symbol(params: Params) -> GammaQuotientSymbol:
-    """Assemble the gamma-quotient data for p = k/l > 1.
-
-    The reindexing positions are j'_i = floor(i*k/l - r), i = 1..l; they must
-    be strictly increasing inside 1..k, which holds exactly when
-    -1 < r <= p-1 (RegionError otherwise).
-    """
-    k, l = params.k, params.l
-    if not k > l >= 1:
-        raise DomainError("symbol needs p = k/l > 1")
-    scale = float(support_endpoint(params.p))  # refuses k > MAX_K before the loops
-    r = params.r
-    exact = is_exact(r)
-
-    def frac(num, den):
-        return Fraction(num, den) if exact else num / den
-
-    alphas = tuple(
-        Fraction(j, l) if j <= l else frac(as_scalar(r) + j - l, k - l)
-        for j in range(1, k + 1)
-    )
-    betas = tuple(frac(as_scalar(r) + j, k) for j in range(1, k + 1))
-
-    if exact:
-        jprime = [math.floor(Fraction(i * k, l) - Fraction(r)) for i in range(1, l + 1)]
-    else:
-        jprime = [math.floor(i * k / l - r) for i in range(1, l + 1)]
-    ok = all(jprime[i] < jprime[i + 1] for i in range(l - 1))
-    if not (ok and 1 <= jprime[0] and jprime[-1] <= k):
-        raise RegionError("tilde reindexing needs -1 < r <= p-1")
-
-    tilde = [None] * (k + 1)
-    for i, jp in enumerate(jprime, start=1):
-        tilde[jp] = Fraction(i, l)
-    bounds = [0] + jprime + [k + 1]
-    for i in range(l + 1):
-        for j in range(bounds[i] + 1, bounds[i + 1]):
-            tilde[j] = frac(as_scalar(r) + j - i, k - l)
-    return GammaQuotientSymbol(
-        params=params,
-        k=k,
-        l=l,
-        alphas=alphas,
-        betas=betas,
-        alphas_tilde=tuple(tilde[1:]),
-        scale=scale,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +75,10 @@ def _pfq_sum(num, den, zs):
     two or more upper than lower parameters at any z != 0, where it diverges.
     """
     for b in den:
-        if _at_pole(b):
+        if at_pole(b):
             raise DomainError(f"lower parameter {b} is a nonpositive integer")
     zs = np.asarray(zs, dtype=float)
-    if len(num) > len(den) + 1 and not any(_at_pole(a) for a in num) and np.any(zs != 0.0):
+    if len(num) > len(den) + 1 and not any(at_pole(a) for a in num) and np.any(zs != 0.0):
         raise DomainError(
             f"{len(num)}F{len(den)} series diverges at every z != 0 unless it terminates"
         )
@@ -231,12 +155,17 @@ class SlaterExpansion:
     domain_upper: float  # support endpoint c
     alphas: tuple
     betas: tuple
-    psi: float  # sum(alphas) - sum(betas), kept exact
 
     @cached_property
     def endpoint_coeffs(self) -> tuple:
-        c0 = 1.0 / math.gamma(self.psi)
-        return tuple(c0 * float(q) for q in _norlund_coeffs(self.alphas, self.betas, self.psi))
+        c0 = 1.0 / math.gamma(0.5)  # 1/Gamma(_PSI)
+        return tuple(c0 * float(q) for q in _norlund_coeffs(self.alphas, self.betas))
+
+
+#: psi = sum(alphas) - sum(betas), the exponent in Norlund's expansion: the
+#: alphas add up to (l + 1)/2 + r + (k - l + 1)/2 and the betas to
+#: r + (k + 1)/2, so psi = 1/2 at every binomial pair
+_PSI = 0.5
 
 
 def _theta_image(shifts: Sequence[Decimal], s: Decimal) -> list:
@@ -255,16 +184,16 @@ def _theta_image(shifts: Sequence[Decimal], s: Decimal) -> list:
     return out
 
 
-def _norlund_coeffs(alphas, betas, psi: float) -> list:
+def _norlund_coeffs(alphas, betas) -> list:
     """Decimal c_n/c_0 of G^{k,0}_{k,k}(z | alphas; betas) = w**(psi-1) sum_n c_n w**n.
 
-    w = 1 - z, c_0 = 1/Gamma(psi) (Norlund, "Hypergeometric functions", Acta
+    w = 1 - z, psi = _PSI, c_0 = 1/Gamma(psi) (Norlund, "Hypergeometric functions", Acta
     Math. 94 (1955)).  G solves [z prod(theta - alpha_j + 1) - prod(theta -
     beta_j)] G = 0.  With A_i(s), B_i(s) the coefficients of w**(s-i) in the
     two products applied to w**s, the power w**(s-k) cancels identically, and
     the next power of the ansatz gives the recurrence sum_{d=0..k}
     R_d(s_{N-d}) c_{N-d} = 0, R_d = A_{k-d} - A_{k-1-d} + B_{k-1-d} and
-    s_n = psi - 1 + n.  R_0(s_n) vanishes only at n = 0.  The entries of R
+    s_n = _PSI - 1 + n.  R_0(s_n) vanishes only at n = 0.  The entries of R
     cancel, by about 0.6 digit per unit of k, so the recurrence runs in
     ``decimal`` at 30 + k digits on the float parameters taken exactly.
     Terms are added until three in a row weigh below 1e-17 of the sum of
@@ -279,7 +208,7 @@ def _norlund_coeffs(alphas, betas, psi: float) -> list:
         shifted = [Decimal(a) - 1 for a in alphas]
         betas = [Decimal(b) for b in betas]
         for n in range(_ENDPOINT_TERMS):
-            s = Decimal(psi) - 1 + n
+            s = Decimal(_PSI) - 1 + n
             a = _theta_image(shifted, s)
             b = _theta_image(betas, s)
             rows.append([a[k - d] - (a[k - 1 - d] - b[k - 1 - d] if d < k else 0)
@@ -294,22 +223,13 @@ def _norlund_coeffs(alphas, betas, psi: float) -> list:
     raise DomainError(f"Norlund series needs over {_ENDPOINT_TERMS} terms")
 
 
-def _at_pole(arg: Scalar) -> bool:
-    """Whether arg sits at (or within GAMMA_POLE_TOL of) a nonpositive integer."""
-    if is_exact(arg):
-        a = Fraction(arg)
-        return a.denominator == 1 and a <= 0
-    near = round(arg)
-    return near <= 0 and abs(arg - near) < GAMMA_POLE_TOL
+def build_slater_expansion(params: Params) -> SlaterExpansion:
+    """Construct the k-term hypergeometric expansion of the density V at (p, r).
 
-
-def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
-    """k-term expansion of the Meijer G-function with parameters alpha, beta.
-
-    The alpha_j are those of the binomial symbol at (p, r); the beta side is
-    taken at ``r_beta``, beta_h = (r_beta + h)/k.  ``gamma_factor`` is the
-    binomial one at (p, r).  Terms whose coefficient carries a gamma pole in
-    its denominator are stored with coefficient exactly 0 and skipped during
+    Valid for rational p = k/l > 1 and any real r.  The Meijer G-function
+    has alpha_j = j/l for j <= l, (r + j - l)/(k - l) above, and beta_h =
+    (r + h)/k.  Terms whose coefficient carries a gamma pole in its
+    denominator are stored with coefficient exactly 0 and skipped during
     evaluation.
     """
     k, l = params.k, params.l
@@ -319,9 +239,7 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
     r = params.r
     exact = is_exact(r)
     ra = as_scalar(r)
-    rb = as_scalar(r_beta)
     rf = float(ra)
-    rbf = float(rb)
     pf = float(params.p)
     root = math.sqrt(2.0 * math.pi * (k - l))
     try:
@@ -333,15 +251,15 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
     for h in range(1, k + 1):
         # alpha_j - beta_h for j = 1..k: poles here zero the coefficient
         den_args = [
-            Fraction(j, l) - (rb + h) / k if exact else j / l - (rb + h) / k
+            Fraction(j, l) - (ra + h) / k if exact else j / l - (ra + h) / k
             for j in range(1, l + 1)
         ] + [
-            Fraction(ra + j - l, 1) / (k - l) - (rb + h) / k
+            Fraction(ra + j - l, 1) / (k - l) - (ra + h) / k
             if exact
-            else (ra + j - l) / (k - l) - (rb + h) / k
+            else (ra + j - l) / (k - l) - (ra + h) / k
             for j in range(l + 1, k + 1)
         ]
-        if any(_at_pole(a) for a in den_args):
+        if any(at_pole(a) for a in den_args):
             coef = 0.0
         else:
             num = math.prod(gamma_real((j - h) / k) for j in range(1, k + 1) if j != h)
@@ -352,11 +270,11 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
             if not math.isfinite(coef * gamma_factor):
                 raise DomainError(f"density term {h} at p = {params.p}, r = {params.r} overflows")
         a_vec = tuple(
-            (rbf + h) / k - (j - l) / l if j <= l else (rbf + h) / k - (rf + j - k) / (k - l)
+            (rf + h) / k - (j - l) / l if j <= l else (rf + h) / k - (rf + j - k) / (k - l)
             for j in range(1, k + 1)
         )
         b_vec = tuple((k + h - j) / k for j in range(1, k + 1) if j != h)
-        exponent = (rbf + h) / k - 1.0 / l
+        exponent = (rf + h) / k - 1.0 / l
         terms.append(SlaterTerm(coef, a_vec, b_vec, exponent))
     return SlaterExpansion(
         params=params,
@@ -366,17 +284,29 @@ def _expansion(params: Params, r_beta: Scalar) -> SlaterExpansion:
         terms=tuple(terms),
         domain_upper=upper,
         alphas=tuple(j / l if j <= l else (rf + j - l) / (k - l) for j in range(1, k + 1)),
-        betas=tuple((rbf + h) / k for h in range(1, k + 1)),
-        psi=0.5 + float(ra - rb),
+        betas=tuple((rf + h) / k for h in range(1, k + 1)),
     )
 
 
-def build_slater_expansion(params: Params) -> SlaterExpansion:
-    """Construct the k-term hypergeometric expansion of the density V at (p, r).
+def support_points(xs: Sequence[float], dist_upper: Optional[Sequence[float]],
+                   upper: float) -> tuple:
+    """(xs, distances to ``upper``) as lists of floats, all inside (0, upper).
 
-    Valid for rational p = k/l > 1 and any real r.
+    Without ``dist_upper`` the distances are the plain differences.  An
+    explicit distance is authoritative: x itself may have rounded onto the
+    endpoint even though the true abscissa is interior.  Raises DomainError
+    at any point outside.
     """
-    return _expansion(params, params.r)
+    xs = np.asarray(xs, dtype=float).tolist()
+    if dist_upper is None:
+        if not all(0.0 < x < upper for x in xs):
+            raise DomainError(f"density defined on (0, {upper})")
+        dists = [upper - x for x in xs]
+    else:
+        dists = np.asarray(dist_upper, dtype=float).tolist()
+    if not all(x > 0.0 and d > 0.0 for x, d in zip(xs, dists)):
+        raise DomainError(f"density defined on (0, {upper})")
+    return xs, dists
 
 
 def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
@@ -392,17 +322,7 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
     ``eval_density`` value.
     """
     upper = expansion.domain_upper
-    xs = np.asarray(xs, dtype=float).tolist()
-    if dist_upper is None:
-        if not all(0.0 < x < upper for x in xs):
-            raise DomainError(f"density defined on (0, {upper})")
-        dists = [upper - x for x in xs]
-    else:
-        dists = np.asarray(dist_upper, dtype=float).tolist()
-    # an explicit distance is authoritative: x itself may have rounded onto
-    # the endpoint even though the true abscissa is interior
-    if not all(x > 0.0 and d > 0.0 for x, d in zip(xs, dists)):
-        raise DomainError(f"density defined on (0, {upper})")
+    xs, dists = support_points(xs, dist_upper, upper)
     out = np.empty(len(xs))
     direct, lnzs = [], []
     for i, (x, d) in enumerate(zip(xs, dists)):
@@ -418,7 +338,7 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
             series = 0.0
             for c in reversed(expansion.endpoint_coeffs):
                 series = series * w + c
-            g = w ** (expansion.psi - 1.0) * series
+            g = w ** -0.5 * series  # w**(_PSI - 1)
             out[i] = expansion.gamma_factor * math.exp(-lnz / expansion.l) * g
         else:
             direct.append(i)
@@ -449,26 +369,3 @@ def eval_density(expansion: SlaterExpansion, x: float,
     dists = None if dist_upper is None else [dist_upper]
     return float(eval_density_many(expansion, [x], dists)[0])
 
-
-# ---------------------------------------------------------------------------
-# Raney-family density
-
-
-def raney_density(params: Params) -> Callable[..., float]:
-    """Evaluator (x, dist_upper=None) -> W(x) of the Raney density at (p, r).
-
-    Needs p = k/l > 1 and r > 0.  The Raney moments r/(n*p+r) * C(n*p+r, n)
-    are the binomial gamma quotient at (p, r) with the beta side moved to
-    r - 1, times r/k, so W is the same k-term expansion as V with
-    beta_h = (r - 1 + h)/k (Mlotkowski, Penson and Zyczkowski, "Densities
-    of the Raney distributions").
-    """
-    k, l = params.k, params.l
-    if not k > l >= 1:
-        raise DomainError("raney density needs p = k/l > 1")
-    r = params.r
-    if not float(r) > 0.0:
-        raise DomainError("raney density needs r > 0")
-    expansion = _expansion(params, r - 1)
-    expansion = replace(expansion, gamma_factor=expansion.gamma_factor * float(r) / k)
-    return lambda x, dist_upper=None: eval_density(expansion, x, dist_upper=dist_upper)

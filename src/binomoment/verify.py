@@ -3,9 +3,7 @@
 Three layers of evidence about a parameter pair: quadrature showing that
 the computed density reproduces the exact moment sequence, Hankel matrix
 eigenvalue probes on moment series, and a budgeted search for negativity
-certificates outside the positive-definite region.  ``QuadratureSpec`` and
-``IntegralResult`` live in :mod:`binomoment.quadrature` and are re-exported
-here for callers of ``integrate_density``.
+certificates outside the positive-definite region.
 """
 from __future__ import annotations
 
@@ -15,20 +13,17 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .closedform import MeasureModel, measure_model
+from .closedform import measure_model
 from .core import DomainError, Params, RegionError, classify_binomial, gen_binomial
-from .quadrature import IntegralResult, QuadratureSpec, integrate, integrate_many
+from .quadrature import QuadratureSpec, integrate_many
 from .series import TruncatedSeries, binomial_series
 from .slater import build_slater_expansion, eval_density_many
 
 __all__ = [
-    "QuadratureSpec",
-    "IntegralResult",
     "Witness",
     "InconclusiveWitnessError",
     "WITNESS_TOL",
     "CERTIFY_REL_TOL",
-    "integrate_density",
     "certify_measure",
     "hankel_matrix_min_eig",
     "scan_for_witness",
@@ -73,23 +68,6 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     return np.array([v**n for v in x.tolist()])
 
 
-def integrate_density(m: MeasureModel, n: int, spec: QuadratureSpec) -> IntegralResult:
-    """Quadrature of x^n against the density part of a measure model.
-
-    The atom never contributes here.  The double-exponential transform
-    hands the integrand exact distances to both endpoints, which the
-    density evaluators need to resolve the inverse-square-root edge and
-    the algebraic behavior at zero.
-    """
-    if n < 0:
-        raise DomainError("moment order must be nonnegative")
-
-    def f(x: np.ndarray, dist_left: np.ndarray, dist_right: np.ndarray) -> np.ndarray:
-        return _powers(x, n) * m.density(x, dist_right)
-
-    return integrate(f, 0.0, m.upper, spec)
-
-
 def certify_measure(params: Params, n_max: int) -> dict:
     """Check that the computed measure reproduces its exact moments.
 
@@ -102,7 +80,7 @@ def certify_measure(params: Params, n_max: int) -> dict:
     Returns a JSON-ready report with one row per moment.  All moments are
     integrated together: each quadrature level evaluates the density once
     at its nodes, and every moment applies its own stopping rule to that
-    sweep, so each gets the result ``integrate_density`` would give it.
+    sweep, so each gets the result its own tanh-sinh quadrature would give it.
     The summation order inside the quadrature is fixed, so the report
     apart from ``runtime_seconds`` is the same on every run.
     """

@@ -283,6 +283,67 @@ _EXACT_DIGESTS = {
 }
 
 
+#: SHA-256 of the stdout of ``density`` on the elementary rows: a grid
+#: across (0, c), the smallest subnormal abscissa and c (1 - 1e-12)
+_DENSITY_DIGESTS = {
+    "density --p 2 --r 1 --grid 0.000001,3.999999,801":
+        "426bd1672e4f8c779e2457fc7ee7a8e49ad4918df0d7d705a4fda068de512e27",
+    "density --p 2 --r 1 --x 5e-324":
+        "589d38e0f3a87f58de5770fcb1252ac281dc3e9753a0862ae9c25509aeb79e35",
+    "density --p 2 --r 1 --x 3.999999999996":
+        "a27221c70deac38065c4a217d5854abb33c95248829fdc1180cd3415822e27b7",
+    "density --p 2 --r 1/2 --grid 0.000001,3.999999,801":
+        "358b1da3f86eac28473dd9c1b049036b8c575b39c9f3971bdd3290b4a51aa0c3",
+    "density --p 2 --r 1/2 --x 5e-324":
+        "b784a79724655e0b7eb8eb97fee67702517ce0cf81254d84bfd60e14ffb130ea",
+    "density --p 2 --r 1/2 --x 3.999999999996":
+        "6969289cbeecec9051cb491da20d410facf51498e8e4f4de83de46e9231d118e",
+    "density --p 3 --r 0 --grid 0.000001,6.749999,801":
+        "60fc8cf76caf8b76f35c44b2e06256c801f7e240857bb340afe19342c7ae3171",
+    "density --p 3 --r 0 --x 5e-324":
+        "186e8fb520c216c02924750c11e2c1928dc0c606fb2d885cf40f88d1140cfc72",
+    "density --p 3 --r 0 --x 6.74999999999325":
+        "6abb4d90b1c5953114ff74c052d646890662f6c1bc4086d0723995548653d452",
+    "density --p 3 --r 1 --grid 0.000001,6.749999,801":
+        "3b3d0568391837aeb61a5b72167705e69fca04a543fe68394be143fee8a47c18",
+    "density --p 3 --r 1 --x 5e-324":
+        "7bbcd83fdd33c2ba8b4e489f946c3dc79af7f0127c91930183e2e4c7884be115",
+    "density --p 3 --r 1 --x 6.74999999999325":
+        "f38995de90030a004089461029a1f71c08fe7d7b79507e409b0e88aed01ef7bd",
+    "density --p 3 --r 2 --grid 0.000001,6.749999,801":
+        "de3d6d005242f4c9ff7f183bee7c6a41669429a4b183bdda4daff761f098f094",
+    "density --p 3 --r 2 --x 5e-324":
+        "87e7ce79c26a3d35706e62a6d9baa047a662bee3f0cd0239bdd31b4f53d78bf7",
+    "density --p 3 --r 2 --x 6.74999999999325":
+        "791e5dd0402f6a1ee15f1bc678b95a66472794eedf54ca752ebe54a477756750",
+    "density --p 3/2 --r -1/2 --grid 0.000001,2.598075,801":
+        "c0812a6d03f2078c8aa09007d9f05edb2bc674408345b6be36c03c9f3df613e2",
+    "density --p 3/2 --r -1/2 --x 5e-324":
+        "3b078c5ad5e015b54b6224b20e732e057a0145fdfc85110af1d79fc15e0e4a1b",
+    "density --p 3/2 --r -1/2 --x 2.598076211350718":
+        "38860643282f1be4d044f0c9f631619208436e0962bc3b888c6f1d65ec88668a",
+    "density --p 3/2 --r 0 --grid 0.000001,2.598075,801":
+        "417e0330871ed16894f2ec70309c9af4b3c127b9f2331cffe75b41a3ce12d5f5",
+    "density --p 3/2 --r 0 --x 5e-324":
+        "890fed963516ee38d3a89eef4af6bb18a856d882baf0146043828fd779802528",
+    "density --p 3/2 --r 0 --x 2.598076211350718":
+        "2bc7d3509a7ed10b0373df2cae3c49561e132920eaf57b97be7fb5c7dbf4f479",
+    "density --p 3/2 --r 1/2 --grid 0.000001,2.598075,801":
+        "9a6525fcca5ee1fcb5c48c968be95a9fac8a73f769c9db4f24fe46f519e92b46",
+    "density --p 3/2 --r 1/2 --x 5e-324":
+        "0e72331cfed568ae411ea48d43d4339fbdc4545e3b7ba2d7e7e34be97b2453ea",
+    "density --p 3/2 --r 1/2 --x 2.598076211350718":
+        "fa6fec57721fdcd3d0726cd4ca5c7dc04a7b9ffae8e5098a0aea68377b6db2ff",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DENSITY_DIGESTS))
+def test_density_output_bits_are_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DENSITY_DIGESTS[command]
+
+
 @pytest.mark.parametrize("command", sorted(_EXACT_DIGESTS))
 def test_exact_output_bits_are_pinned(capsys, command):
     code, out, _ = run(capsys, *command.split())

@@ -7,13 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from binomoment.core import DomainError, Params, RegionError, gen_binomial
-from binomoment.closedform import (
-    ClosedFormId,
-    closed_form_for,
-    eval_closed,
-    measure_model,
-)
+from binomoment.core import DomainError, Params, RegionError, gen_binomial, support_endpoint
+from binomoment.closedform import _is_elementary, eval_closed, measure_model
 from binomoment.slater import build_slater_expansion, eval_density
 from binomoment.quadrature import QuadratureSpec, integrate
 
@@ -27,102 +22,89 @@ def central_grid(upper, count=200, margin=0.02):
     return np.linspace(margin * upper, (1.0 - margin) * upper, count)
 
 
-def closed_on_nodes(cid):
-    """(xs, dists_to_upper) -> array of the elementary density at each node."""
-    return lambda y, dr: np.array([eval_closed(cid, v, dist_upper=d) for v, d in zip(y, dr)])
+def closed(p, r, x, dist=None):
+    """The elementary density at (p, r) at one abscissa."""
+    return float(eval_closed(Params(p, r), [x], None if dist is None else [dist])[0])
 
 
 class TestClosedFormId:
+    """Which (p, r) have an elementary form, and the support it lives on."""
+
     def test_support_endpoints(self):
-        assert ClosedFormId("V2", F(0)).support_upper == 4.0
-        assert ClosedFormId("V3", F(1)).support_upper == 6.75
-        assert ClosedFormId("V32", F(0)).support_upper == pytest.approx(
-            math.sqrt(6.75)
-        )
+        assert float(support_endpoint(F(2))) == 4.0
+        assert float(support_endpoint(F(3))) == 6.75
+        assert float(support_endpoint(F(3, 2))) == math.sqrt(6.75)
 
     def test_quadratic_family_accepts_any_order(self):
-        for r in (F(-3, 2), F(0), F(1, 2), F(7, 5)):
-            ClosedFormId("V2", r)
+        for r in (F(-3, 2), F(0), F(1, 2), F(7, 5), 0.123456789):
+            assert math.isfinite(closed(F(2), r, 1.0))
 
     def test_cubic_families_restrict_order(self):
         with pytest.raises(DomainError):
-            ClosedFormId("V3", F(1, 2))
+            eval_closed(Params(F(3), F(1, 2)), [1.0])
         with pytest.raises(DomainError):
-            ClosedFormId("V32", F(1))
+            eval_closed(Params(F(3, 2), F(1)), [1.0])
 
     def test_rejects_unknown_family(self):
         with pytest.raises(DomainError):
-            ClosedFormId("V5", F(0))
+            eval_closed(Params(F(5), F(0)), [1.0])
         with pytest.raises(DomainError):
-            ClosedFormId("V32")
+            eval_closed(Params(F(5, 3), F(1, 3)), [1.0])
 
 
 class TestSpotValues:
     def test_arcsine_midpoint(self):
-        cid = ClosedFormId("V2", F(0))
-        assert eval_closed(cid, 2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+        assert closed(F(2), F(0), 2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
 
     def test_shifted_quadratic_midpoint(self):
         # at x = 2 the r = 1 density sqrt(x/(4-x))/(2 pi) is also 1/(2 pi)
-        cid = ClosedFormId("V2", F(1))
-        assert eval_closed(cid, 2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+        assert closed(F(2), F(1), 2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
 
     def test_explicit_distance_is_authoritative(self):
-        cid = ClosedFormId("V2", F(0))
         d = 1e-18
-        got = eval_closed(cid, 4.0, dist_upper=d)
+        got = closed(F(2), F(0), 4.0, d)
         assert got == pytest.approx(1.0 / (math.pi * math.sqrt(4.0 * d)), rel=1e-12)
 
     @pytest.mark.parametrize("r", [F(-9, 10), F(-1, 2), F(0), F(1, 2)])
     def test_quadratic_row_at_subnormal_abscissae(self, r):
         # x^(1-r) (4-x) falls below the smallest normal float, or to zero,
         # while the density stays finite; against 40 digits
-        cid = ClosedFormId("V2", r)
         for x in (1e-300, 1e-310, 2e-323, 5e-324):
             with mpmath.workdps(40):
                 mx, mr = mpmath.mpf(x), mpmath.mpf(r.numerator) / r.denominator
                 want = mpmath.cos(mr * mpmath.acos(mpmath.sqrt(mx / 4))) / (
                     mpmath.pi * mpmath.sqrt(mx ** (1 - mr) * (4 - mx))
                 )
-            assert eval_closed(cid, x) == pytest.approx(float(want), rel=1e-12), (r, x)
+            assert closed(F(2), r, x) == pytest.approx(float(want), rel=1e-12), (r, x)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError, match="exceeds the float range"):
-            eval_closed(ClosedFormId("V2", F(-1)), 5e-324)
-        cid = ClosedFormId("V3", F(0))
+            closed(F(2), F(-1), 5e-324)
+        for x in (0.0, 6.75, -1.0, 7.0):
+            with pytest.raises(DomainError):
+                closed(F(3), F(0), x)
         with pytest.raises(DomainError):
-            eval_closed(cid, 0.0)
-        with pytest.raises(DomainError):
-            eval_closed(cid, 6.75)
-        with pytest.raises(DomainError):
-            eval_closed(cid, -1.0)
-        with pytest.raises(DomainError):
-            eval_closed(cid, 7.0)
+            eval_closed(Params(F(3), F(0)), [1.0, 7.0])
 
 
 class TestLadders:
     def test_cubic_top_row_rides_on_bottom(self):
-        v0 = ClosedFormId("V3", F(0))
-        v2 = ClosedFormId("V3", F(2))
         for x in central_grid(6.75, count=40):
             z = 4.0 * x / 27.0
-            assert eval_closed(v2, float(x)) == pytest.approx(
-                2.25 * z * eval_closed(v0, float(x)), rel=1e-13
+            assert closed(F(3), F(2), float(x)) == pytest.approx(
+                2.25 * z * closed(F(3), F(0), float(x)), rel=1e-13
             )
 
     def test_half_family_top_rides_on_middle(self):
-        w0 = ClosedFormId("V32", F(0))
-        w1 = ClosedFormId("V32", F(1, 2))
         for x in central_grid(math.sqrt(6.75), count=40):
             z = 4.0 * x * x / 27.0
-            assert eval_closed(w1, float(x)) == pytest.approx(
-                math.sqrt(3.0 * z) * eval_closed(w0, float(x)), rel=1e-13
+            assert closed(F(3, 2), F(1, 2), float(x)) == pytest.approx(
+                math.sqrt(3.0 * z) * closed(F(3, 2), F(0), float(x)), rel=1e-13
             )
 
     def test_rescaled_compact_display(self):
         # direct two-branch formula for the r = -1/2 row with x scaled by 4,
         # the law of 4X on (0, 6 sqrt(3)): y -> V(y/4)/4
-        cid = ClosedFormId("V32", F(-1, 2))
         for x in central_grid(6.0 * math.sqrt(3.0), count=40):
             x = float(x)
             z = x * x / 108.0
@@ -131,17 +113,15 @@ class TestLadders:
                 (1.0 + s) ** (2.0 / 3.0) * z ** (-1.0 / 3.0)
                 + (1.0 + s) ** (-2.0 / 3.0) * z ** (1.0 / 3.0)
             ) / (12.0 * math.pi * math.sqrt(3.0) * s)
-            assert eval_closed(cid, x / 4.0) / 4.0 == pytest.approx(want, rel=1e-12)
+            assert closed(F(3, 2), F(-1, 2), x / 4.0) / 4.0 == pytest.approx(want, rel=1e-12)
 
     def test_square_pushforward_of_arcsine(self):
         # squaring the arcsine variable lands on the quarter-scaled
         # half-order density: V(sqrt(x))/(2 sqrt(x)) = V'(x/4)/4
-        v20 = ClosedFormId("V2", F(0))
-        v2m = ClosedFormId("V2", F(-1, 2))
         for x in central_grid(16.0, count=40):
             x = float(x)
-            left = eval_closed(v20, math.sqrt(x)) / (2.0 * math.sqrt(x))
-            right = eval_closed(v2m, x / 4.0) / 4.0
+            left = closed(F(2), F(0), math.sqrt(x)) / (2.0 * math.sqrt(x))
+            right = closed(F(2), F(-1, 2), x / 4.0) / 4.0
             assert left == pytest.approx(right, rel=1e-12)
 
 
@@ -161,37 +141,34 @@ NINE_CASES = [
 class TestAgainstExpansion:
     @pytest.mark.parametrize("p,r", NINE_CASES)
     def test_closed_form_matches_series(self, p, r):
-        cid = closed_form_for(Params(p, r))
-        assert cid is not None
+        assert _is_elementary(Params(p, r))
         exp = build_slater_expansion(Params(p, r))
-        upper = cid.support_upper
-        for x in central_grid(upper):
-            x = float(x)
-            got = eval_closed(cid, x)
-            want = eval_density(exp, x)
-            assert got == pytest.approx(want, rel=1e-9)
+        xs = central_grid(float(support_endpoint(p)))
+        got = eval_closed(Params(p, r), xs).tolist()
+        want = [eval_density(exp, float(x)) for x in xs]
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_no_closed_form_off_the_known_rows(self):
-        assert closed_form_for(Params(F(5, 3), F(1, 3))) is None
-        assert closed_form_for(Params(F(3), F(1, 2))) is None
-        assert closed_form_for(Params(F(7, 2), F(0))) is None
+        assert not _is_elementary(Params(F(5, 3), F(1, 3)))
+        assert not _is_elementary(Params(F(3), F(1, 2)))
+        assert not _is_elementary(Params(F(7, 2), F(0)))
 
     def test_quadratic_row_covers_all_orders(self):
-        assert closed_form_for(Params(F(2), F(-3, 2))).family == "V2"
-        assert closed_form_for(Params(F(2), F(3, 4))).family == "V2"
+        assert _is_elementary(Params(F(2), F(-3, 2)))
+        assert _is_elementary(Params(F(2), F(3, 4)))
+        # a float r that is a row's rational lands on that row
+        assert _is_elementary(Params(F(3), 1.0))
 
 
 class TestSignBehavior:
     def test_large_order_quadratic_goes_negative(self):
-        cid = ClosedFormId("V2", F(3, 2))
-        vals = [eval_closed(cid, float(x)) for x in central_grid(4.0)]
+        vals = eval_closed(Params(F(2), F(3, 2)), central_grid(4.0)).tolist()
         assert min(vals) < 0.0
         assert max(vals) > 0.0
 
     @pytest.mark.parametrize("r", [F(-1), F(-1, 2), F(0), F(1, 2), F(1)])
     def test_band_orders_stay_nonnegative(self, r):
-        cid = ClosedFormId("V2", r)
-        vals = [eval_closed(cid, float(x)) for x in central_grid(4.0)]
+        vals = eval_closed(Params(F(2), r), central_grid(4.0)).tolist()
         assert min(vals) >= 0.0
 
 
@@ -201,13 +178,12 @@ class TestIntegerSequenceMoments:
     LITERALS = [1, 4, 30, 256, 2310, 21504, 204204, 1966080, 19122246]
 
     def test_moments_match_literals(self):
-        cid = ClosedFormId("V32", F(-1, 2))
-        density = closed_on_nodes(cid)
+        params = Params(F(3, 2), F(-1, 2))
         for n, lit in enumerate(self.LITERALS):
             res = integrate(
-                lambda y, dl, dr: (4.0 * y) ** n * density(y, dr),
+                lambda y, dl, dr: (4.0 * y) ** n * eval_closed(params, y, dr),
                 0.0,
-                cid.support_upper,
+                math.sqrt(6.75),
                 QUAD,
             )
             assert res.value == pytest.approx(float(lit), rel=1e-7)
@@ -218,13 +194,12 @@ class TestIntegerSequenceMoments:
 
     def test_squared_variable_moments(self):
         # (4X)**2 has the even-indexed literals as its moments
-        cid = ClosedFormId("V32", F(-1, 2))
-        density = closed_on_nodes(cid)
+        params = Params(F(3, 2), F(-1, 2))
         for n in (0, 1, 2, 3):
             res = integrate(
-                lambda y, dl, dr: (16.0 * y * y) ** n * density(y, dr),
+                lambda y, dl, dr: (16.0 * y * y) ** n * eval_closed(params, y, dr),
                 0.0,
-                cid.support_upper,
+                math.sqrt(6.75),
                 QUAD,
             )
             want = float(gen_binomial(F(3, 2), F(-1, 2), 2 * n)) * 16.0**n
@@ -258,10 +233,9 @@ class TestMeasureModel:
 
     def test_boundary_row_density_is_scaled_base_row(self):
         m = measure_model(Params(F(3), F(-1)))
-        base = ClosedFormId("V3", F(0))
         for x in (1.0, 3.0, 6.0):
             assert m.density([x], [6.75 - x])[0] == pytest.approx(
-                (2.0 / 3.0) * eval_closed(base, x), rel=1e-13
+                (2.0 / 3.0) * closed(F(3), F(0), x), rel=1e-13
             )
 
     def test_moment_integrals(self):

@@ -267,6 +267,16 @@ class TestGammaReal:
     def test_near_but_not_at_pole_evaluates(self):
         assert math.isfinite(gamma_real(-3.0 + 1e-7))
 
+    @pytest.mark.parametrize("x", [143.0, 160.0, 171.0, -150.5])
+    def test_past_the_range_of_the_lanczos_power(self, x):
+        # t**(x - 1/2) leaves the float range from x of about 142.9, before
+        # exp(-t) scales it down; Gamma itself stays inside up to about 171.6
+        assert gamma_real(x) == pytest.approx(math.gamma(x), rel=1e-13)
+
+    def test_past_the_float_range(self):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            gamma_real(172.0)
+
 
 class TestScalarPlumbing:
     def test_parse_scalar(self):

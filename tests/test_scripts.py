@@ -38,13 +38,6 @@ ROOT = SCRIPTS.parent
 
 #: public names that stay with no caller in src/, bench/ or scripts/
 UNCALLED_EXCEPTIONS = {
-    # the Raney density W matches the moments that `moments --raney` and
-    # `classify --family raney` print; no command evaluates it, and giving
-    # it one (`density --raney`) would be a new option, not a deletion
-    "raney_density",
-    # the one-moment quadrature that certify's batched sweep must reproduce
-    # bit for bit; tests/test_verify.py holds certify to it
-    "integrate_density",
     # the reader of the `series --json` schema that `to_json_dict` writes
     "TruncatedSeries.from_json_dict",
 }
@@ -117,3 +110,25 @@ def test_every_public_name_has_a_caller():
     uncalled = {name for name in public if name.split(".")[-1] not in used}
     assert sorted(uncalled - UNCALLED_EXCEPTIONS) == []
     assert UNCALLED_EXCEPTIONS <= uncalled
+
+
+def _traced_table() -> tuple:
+    """``bench/tracing.py``'s TRACED table, read from its source."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TRACED table")
+
+
+@pytest.mark.parametrize("span,module,attr", _traced_table())
+def test_traced_functions_resolve(span, module, attr):
+    # the bench tracer patches each entry by getattr; a renamed or deleted
+    # function breaks `bench/run.py --trace 1`, which no other test runs
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner), span
+

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from binomoment import slater
 from binomoment.closedform import measure_model
+from binomoment.mellin import _symbol
 from binomoment.core import (
     DomainError,
     Params,
@@ -24,10 +25,8 @@ from binomoment.slater import (
     _TAIL_SWITCH,
     _pfq_sum,
     build_slater_expansion,
-    build_symbol,
     eval_density,
     eval_density_many,
-    raney_density,
 )
 from oracles import norlund_ratios
 
@@ -288,17 +287,14 @@ class TestPfqKernel:
 
 
 class TestSymbol:
+    """The gamma-quotient symbol behind the Mellin factorization."""
+
     def test_three_halves_example(self):
-        sym = build_symbol(Params(F(3, 2), F(0)))
-        assert sym.alphas == (F(1, 2), F(1), F(1))
-        assert sym.betas == (F(1, 3), F(2, 3), F(1))
-        assert sym.alphas_tilde == (F(1, 2), F(1), F(1))
-        assert sym.scale == pytest.approx(3.0 * math.sqrt(3.0) / 2.0)
+        assert _symbol(Params(F(3, 2), F(0))) == (
+            2, (F(1, 3), F(2, 3), F(1)), (F(1, 2), F(1), F(1)))
 
     def test_integer_p_rows(self):
-        sym = build_symbol(Params(F(3), F(1)))
-        assert sym.alphas == (F(1), F(1), F(3, 2))
-        assert sym.betas == (F(2, 3), F(1), F(4, 3))
+        assert _symbol(Params(F(3), F(1))) == (1, (F(2, 3), F(1), F(4, 3)), (F(1), F(1), F(3, 2)))
 
     @given(
         k=st.integers(min_value=2, max_value=9),
@@ -314,21 +310,22 @@ class TestSymbol:
         params = Params(F(k, l), r)
         if not -1 < r <= params.p - 1:
             with pytest.raises(RegionError):
-                build_symbol(params)
+                _symbol(params)
             return
-        sym = build_symbol(params)
-        assert sorted(sym.alphas_tilde) == sorted(sym.alphas)
-        assert all(a >= b for a, b in zip(sym.alphas_tilde, sym.betas))
+        _, betas, alphas_tilde = _symbol(params)
+        alphas = [F(j, l) if j <= l else (r + j - l) / (k - l) for j in range(1, k + 1)]
+        assert sorted(alphas_tilde) == sorted(alphas)
+        assert all(a >= b for a, b in zip(alphas_tilde, betas))
 
     def test_out_of_band_r_rejected(self):
         with pytest.raises(RegionError):
-            build_symbol(Params(F(3, 2), F(2)))
+            _symbol(Params(F(3, 2), F(2)))
         with pytest.raises(RegionError):
-            build_symbol(Params(F(2), F(-1)))
+            _symbol(Params(F(2), F(-1)))
 
     def test_non_admissible_p_rejected(self):
         with pytest.raises(DomainError):
-            build_symbol(Params(F(1, 2), F(0)))
+            _symbol(Params(F(1, 2), F(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -647,19 +644,35 @@ def _mellin_side_g(alphas, betas, w, count):
     return w ** (psi - 1) * total
 
 
-def _endpoint_oracle(p, r, r_beta, dist_rel):
+def _endpoint_oracle(p, r, dist_rel):
     """K z**(-1/l) G(z) at x = c (1 - dist_rel), the test_matches_meijer_g form."""
     l = p.denominator
-    alphas, betas = _meijer_parameters(p, r, r_beta)
+    alphas, betas = _meijer_parameters(p, r, r)
     c = _mpq(p) ** _mpq(p) * (_mpq(p) - 1) ** (1 - _mpq(p))
     scale = l * mp.fprod(map(mp.gamma, alphas)) / (c * mp.fprod(map(mp.gamma, betas)))
     z = (1 - mp.mpf(dist_rel)) ** l
     return scale * z ** (mp.mpf(-1) / l) * _mellin_side_g(alphas, betas, 1 - z, 16)
 
 
+def _raney_density(p, r):
+    """W(x, dist_upper=None) of the Raney density at (p, r), from two binomial ones.
+
+    r/(n*p+r) C(n*p+r, n) = C(n*p+r, n) - p C((n-1)*p + r+p-1, n-1), so
+    W(x) = V_{p,r}(x) - p V_{p,r+p-1}(x)/x.  The two terms cancel near the
+    endpoint, where V grows like (c - x)**(-1/2) and W vanishes like its root.
+    """
+    v = build_slater_expansion(Params(p, r))
+    shifted = build_slater_expansion(Params(p, r + p - 1))
+
+    def w(x, dist_upper=None):
+        return eval_density(v, x, dist_upper) - float(p) * eval_density(shifted, x, dist_upper) / x
+
+    return w
+
+
 def _endpoint_density(p, r, raney):
     if raney:
-        return raney_density(Params(p, r))
+        return _raney_density(p, r)
     exp = build_slater_expansion(Params(p, r))
     return lambda x, dist_upper: eval_density(exp, x, dist_upper=dist_upper)
 
@@ -675,35 +688,34 @@ class TestEndpointExpansion:
                 assert abs(got - want) < mp.mpf("1e-20") * abs(want), (p, r, w)
 
     @pytest.mark.parametrize(
-        "p,r,raney",
+        "p,r",
         [
-            (F(5, 3), F(0), False),
-            (F(5, 2), F(1, 2), False),
-            (F(7, 2), F(-9, 10), False),
-            (F(11, 3), F(8, 3), False),  # r = p - 1
-            (F(2), F(1), False),  # r = p - 1
-            (F(17, 5), F(0), False),  # k = 17
-            (F(17, 5), 0.3, False),  # float r
-            (F(3), F(1), True),
-            (F(5, 2), F(1, 2), True),
+            (F(5, 3), F(0)),
+            (F(5, 2), F(1, 2)),
+            (F(7, 2), F(-9, 10)),
+            (F(11, 3), F(8, 3)),  # r = p - 1
+            (F(2), F(1)),  # r = p - 1
+            (F(17, 5), F(0)),  # k = 17
+            (F(17, 5), 0.3),  # float r
         ],
     )
-    def test_matches_meijer_g_near_endpoint(self, p, r, raney):
-        f = _endpoint_density(p, r, raney)
+    def test_matches_meijer_g_near_endpoint(self, p, r):
+        exp = build_slater_expansion(Params(p, r))
         c = float(support_endpoint(p))
         for dist_rel in (1e-4, 1e-8, 1e-12):
-            want = _endpoint_oracle(p, r, r - 1 if raney else r, dist_rel)
+            want = _endpoint_oracle(p, r, dist_rel)
             d = dist_rel * c
-            assert f(c - d, d) == pytest.approx(float(want), rel=4e-15), (p, r, dist_rel)
+            got = eval_density(exp, c - d, dist_upper=d)
+            assert got == pytest.approx(float(want), rel=4e-15), (p, r, dist_rel)
 
     @pytest.mark.parametrize("p,r", [(F(17, 5), F(0)), (F(31, 3), F(0))])
     def test_coefficients_match_exact_recurrence(self, p, r):
         # the recurrence in decimal against the operator applied to each
         # power in Fractions, on the same float parameters taken exactly
         exp = build_slater_expansion(Params(p, r))
-        got = slater._norlund_coeffs(exp.alphas, exp.betas, exp.psi)
+        got = slater._norlund_coeffs(exp.alphas, exp.betas)
         want = norlund_ratios([F(a) for a in exp.alphas], [F(b) for b in exp.betas],
-                              F(exp.psi), len(got))
+                              F(slater._PSI), len(got))
         assert len(got) == 18
         for n, (g, w) in enumerate(zip(got, want)):
             assert abs(F(g) - w) <= F(1, 10**20) * abs(w), n
@@ -762,7 +774,7 @@ class TestEndpointExpansion:
                 for t in exp.terms if t.coef != 0.0
             )
             series = math.fsum(cn * one_minus_z**n for n, cn in enumerate(exp.endpoint_coeffs))
-            endpoint = exp.gamma_factor * math.exp(-lnz / exp.l) * one_minus_z ** (exp.psi - 1) * series
+            endpoint = exp.gamma_factor * math.exp(-lnz / exp.l) * one_minus_z ** (slater._PSI - 1) * series
             assert endpoint == pytest.approx(direct, rel=1e-12), one_minus_z
             assert eval_density(exp, x, dist_upper=c - x) == pytest.approx(direct, rel=1e-12)
 
@@ -783,7 +795,7 @@ class TestRaneyDensity:
     def test_quarter_circle_case(self):
         # Raney family at (2,1) has Catalan moments; density is the
         # Marchenko-Pastur form sqrt((4-x)/x)/(2 pi)
-        w = raney_density(Params(F(2), F(1)))
+        w = _raney_density(F(2), F(1))
         for x in (0.5, 2.0, 3.0):
             want = math.sqrt((4.0 - x) / x) / (2.0 * math.pi)
             assert w(x) == pytest.approx(want, rel=1e-10)
@@ -800,7 +812,7 @@ class TestRaneyDensity:
         betas = [_mpq((r - 1 + j) / k) for j in range(1, k + 1)]
         c = _mpq(p) ** _mpq(p) * (_mpq(p) - 1) ** (1 - _mpq(p))
         scale = l * mp.fprod(map(mp.gamma, alphas)) / (c * mp.fprod(map(mp.gamma, betas)))
-        w = raney_density(Params(p, r))
+        w = _raney_density(p, r)
         for t in (0.05, 0.3, 0.7, 0.95):
             z = _mpq(F(t)) ** l
             want = scale * z ** (mp.mpf(-1) / l) * mp.meijerg([[], alphas], [betas, []], z)
@@ -808,7 +820,7 @@ class TestRaneyDensity:
 
     def test_moments_match_raney_numbers(self):
         for p, r in ((F(3), F(1)), (F(3, 2), F(3, 2)), (F(5, 3), F(1, 5)), (F(3), 0.5)):
-            w = raney_density(Params(p, r))
+            w = _raney_density(p, r)
             upper = float(support_endpoint(p))
             for n in (0, 1, 3):
                 res = integrate(lambda x, dl, du: _on_nodes(w, x, du) * x**n, 0.0, upper, SPEC)
@@ -816,14 +828,8 @@ class TestRaneyDensity:
                 assert res.value == pytest.approx(want, rel=1e-8), (p, r, n)
 
     def test_catalan_moments(self):
-        w = raney_density(Params(F(2), F(1)))
+        w = _raney_density(F(2), F(1))
         for n in (1, 2, 4, 6):
             res = integrate(lambda x, dl, du: _on_nodes(w, x, du) * x**n, 0.0, 4.0, SPEC)
             want = float(raney_number(F(2), F(1), n))
             assert res.value == pytest.approx(want, rel=1e-8)
-
-    def test_parameter_validation(self):
-        with pytest.raises(DomainError):
-            raney_density(Params(F(1, 2), F(1)))
-        with pytest.raises(DomainError):
-            raney_density(Params(F(2), F(0)))

@@ -18,22 +18,32 @@ from binomoment.core import (
     gen_binomial,
     support_endpoint,
 )
+from binomoment.quadrature import QuadratureSpec, integrate
 from binomoment.series import TruncatedSeries, binomial_series
 from binomoment.verify import (
     CERTIFY_REL_TOL,
     InconclusiveWitnessError,
-    QuadratureSpec,
     Witness,
     certify_measure,
     find_negativity_witness,
     hankel_matrix_min_eig,
-    integrate_density,
     scan_for_witness,
 )
 
 
 F = Fraction
 SPEC = QuadratureSpec(target_abs_tol=1e-10)
+
+
+def integrate_density(m, n, spec):
+    """Quadrature of x^n against the density part of a measure model.
+
+    One moment at a time: the reference that certify's batched sweep must
+    reproduce bit for bit.  The atom never contributes here.
+    """
+    if n < 0:
+        raise DomainError("moment order must be nonnegative")
+    return integrate(lambda x, dl, dr: verify._powers(x, n) * m.density(x, dr), 0.0, m.upper, spec)
 
 IN_REGION = (
     (F(2), F(0)),
