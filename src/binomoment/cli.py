@@ -25,8 +25,10 @@ from .core import (
     DomainError,
     Params,
     RegionError,
+    binomial_verdict,
     classify_binomial,
     classify_raney,
+    comparable,
     gen_binomial,
     is_exact,
     parse_scalar,
@@ -122,7 +124,7 @@ def _cmd_sample(args) -> int:
     fact = factorize(Params(args.p, args.r))
     draws = sample(fact, args.count, args.seed)
     if args.binary:
-        sys.stdout.buffer.write(draws.astype("<f8").tobytes())
+        sys.stdout.buffer.write(memoryview(draws.astype("<f8", copy=False)))
         sys.stdout.buffer.flush()
     else:
         sys.stdout.write("\n".join(_fmt_float(v) for v in draws) + "\n")
@@ -197,14 +199,17 @@ def _raster_rows(cfg: dict) -> Iterator[list]:
     except (OverflowError, ValueError) as exc:
         raise DomainError(f"figure config: raster bounds must be finite: {exc}") from exc
 
+    def axis(start, count):
+        # (text, comparable value) of each grid line, made once per line
+        # rather than once per cell
+        return [(f"{float(x):g}", comparable(x)) for x in (start + i * step for i in range(count))]
+
     def rows():
         yield ["p", "r", "verdict"]
-        for i in range(p_count):
-            p = p_min + i * step
-            for j in range(r_count):
-                r = r_min + j * step
-                verdict = classify_binomial(p, r)
-                yield [f"{float(p):g}", f"{float(r):g}", verdict.branch.value]
+        columns = axis(r_min, r_count)
+        for p_text, pc in axis(p_min, p_count):
+            for r_text, rc in columns:
+                yield [p_text, r_text, binomial_verdict(pc, rc).branch.value]
 
     return rows()
 

@@ -33,6 +33,7 @@ __all__ = [
     "gen_binomial",
     "raney_number",
     "classify_binomial",
+    "binomial_verdict",
     "classify_raney",
     "at_pole",
     "gamma_real",
@@ -239,13 +240,22 @@ def classify_binomial(p: Scalar, r: Scalar) -> RegionVerdict:
     Positive definite exactly on the two closed bands
     p >= 1, -1 <= r <= p-1 (main) and p <= 0, p-1 <= r <= 0 (reflected).
     """
-    pc = comparable(as_scalar(p))
-    rc = comparable(as_scalar(r))
+    return binomial_verdict(comparable(as_scalar(p)), comparable(as_scalar(r)))
+
+
+_MAIN = RegionVerdict(True, Branch.MAIN)
+_REFLECTED = RegionVerdict(True, Branch.REFLECTED)
+_OUTSIDE = RegionVerdict(False, Branch.OUTSIDE)
+
+
+def binomial_verdict(pc: Scalar, rc: Scalar) -> RegionVerdict:
+    """The band rule of ``classify_binomial`` on values already passed
+    through ``comparable``, for callers that classify many cells of a grid."""
     if pc >= 1 and -1 <= rc <= pc - 1:
-        return RegionVerdict(True, Branch.MAIN)
+        return _MAIN
     if pc <= 0 and pc - 1 <= rc <= 0:
-        return RegionVerdict(True, Branch.REFLECTED)
-    return RegionVerdict(False, Branch.OUTSIDE)
+        return _REFLECTED
+    return _OUTSIDE
 
 
 def classify_raney(p: Scalar, r: Scalar) -> RegionVerdict:
@@ -314,7 +324,9 @@ def at_pole(arg: Scalar) -> bool:
 def gamma_real(x: Scalar) -> float:
     """Gamma on the real axis via the fixed-coefficient rational core.
 
-    Reflection handles x < 0.5.  Relative error stays below 1e-13 for
+    Reflection handles x < 0.5; below x of about -170.6, where Gamma(1 - x)
+    leaves the float range, it is taken in logs and the value falls through
+    the subnormals to a signed zero.  Relative error stays below 1e-13 for
     |x| <= 50.  Raises GammaPoleError within GAMMA_POLE_TOL of a nonpositive
     integer, and DomainError where Gamma leaves the float range (x above
     about 171.6).
@@ -323,7 +335,12 @@ def gamma_real(x: Scalar) -> float:
     if x < 0.5:
         if at_pole(x):
             raise GammaPoleError(f"gamma pole at x={x!r}")
-        return math.pi / (_sinpi(x) * gamma_real(1.0 - x))
+        s = _sinpi(x)
+        try:
+            return math.pi / (s * gamma_real(1.0 - x))
+        except DomainError:
+            log_value = math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
+            return math.copysign(math.exp(log_value), s)
     z = x - 1.0
     acc = _LANCZOS_COEF[0]
     for i in range(1, 15):

@@ -8,6 +8,7 @@ samples.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,8 +127,17 @@ def factorize(params: Params) -> MellinFactorization:
 #: samples are generated in fixed-size chunks; chunk i of a run with seed s
 #: uses the substream SeedSequence((s, i)), so the whole chunks at the
 #: head of a run do not depend on its count: a longer run with the same
-#: seed starts with every complete chunk of a shorter one
+#: seed starts with every complete chunk of a shorter one.  Chunks depend
+#: on nothing but (s, i), so ``sample`` fills them on parallel threads and
+#: its output does not depend on how many run
 SAMPLE_CHUNK = 1 << 16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
 
 
 def sample(f: MellinFactorization, count: int, seed: int) -> np.ndarray:
@@ -135,29 +145,40 @@ def sample(f: MellinFactorization, count: int, seed: int) -> np.ndarray:
 
     Each factor with v > 0 contributes the l-th root of a Beta(u, v) draw;
     v = 0 factors contribute the constant 1.  Deterministic under a fixed
-    (seed, count) pair; see SAMPLE_CHUNK for the splitting scheme.
+    (seed, count) pair; see SAMPLE_CHUNK for the splitting scheme.  The
+    chunks are drawn on min(usable CPUs, chunk count) threads, since numpy
+    releases the interpreter lock while it draws an array, and each writes
+    only its own slice of the result, so the bytes are those of one thread.
+    Raises DomainError when ``count`` draws cannot be allocated.
     """
     if count < 1:
         raise DomainError("need count >= 1")
     if seed < 0:
         raise DomainError("need seed >= 0")
-    out = np.empty(count)
-    pos = 0
-    chunk_index = 0
+    try:
+        out = np.empty(count)
+    except (MemoryError, ValueError):
+        raise DomainError(f"cannot allocate {count} draws") from None
     scale = float(f.dilation)
-    while pos < count:
-        m = min(SAMPLE_CHUNK, count - pos)
+    factors = [factor for factor in f.factors if factor.v != 0.0]
+
+    def fill(chunk_index: int) -> None:
+        pos = chunk_index * SAMPLE_CHUNK
+        prod = out[pos : pos + SAMPLE_CHUNK]
+        prod.fill(scale)
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        prod = np.full(m, scale)
-        for factor in f.factors:
-            if factor.v == 0.0:
-                continue
-            draws = rng.beta(factor.u, factor.v, size=m)
-            if factor.l == 1:
-                prod *= draws
-            else:
-                prod *= draws ** (1.0 / factor.l)
-        out[pos : pos + m] = prod
-        pos += m
-        chunk_index += 1
+        for factor in factors:
+            draws = rng.beta(factor.u, factor.v, size=prod.size)
+            if factor.l != 1:
+                # the in-place form of draws ** (1/l), with the same dispatch
+                draws **= 1.0 / factor.l
+            prod *= draws
+
+    # imported here: at module level it would add to every CLI start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    chunks = -(-count // SAMPLE_CHUNK)
+    with ThreadPoolExecutor(min(_usable_cpus(), chunks)) as pool:
+        for future in [pool.submit(fill, i) for i in range(chunks)]:
+            future.result()
     return out

@@ -15,7 +15,7 @@ import pytest
 
 import binomoment
 from binomoment.cli import main
-from binomoment.core import MAX_K
+from binomoment.core import MAX_K, classify_binomial, parse_scalar
 from binomoment.verify import InconclusiveWitnessError
 from binomoment.freeconv import IdentityCheck
 
@@ -172,6 +172,109 @@ class TestFactorize:
         assert len(factors) == 2
 
 
+#: SHA-256 of ``sample`` stdout, binary at counts around one chunk and past
+#: three, text at count 5, as the one-thread sampler printed them; the
+#: parallel chunks must keep every byte
+_SAMPLE_DIGESTS = {
+    "sample --p 3 --r 0 --count 1 --seed 0 --binary":
+        "0acaa36e0da172eaa403fcf67d718b8e90c9f64014fd4afc3b83ad8f30c6ca88",
+    "sample --p 3 --r 0 --count 65535 --seed 0 --binary":
+        "81c7e50fd4e8dec030871fb941278aa8446e13b680ba5906949974c9c6a0694b",
+    "sample --p 3 --r 0 --count 65536 --seed 0 --binary":
+        "ac2b9e8870f3fee003fb4ca69c2968926713bc66293658b90f58a80fb6111b72",
+    "sample --p 3 --r 0 --count 65537 --seed 0 --binary":
+        "1a044d010d98fa46bd9a34eb10500708f4bc886ad46e8a4cf8fa432834d3e4c1",
+    "sample --p 3 --r 0 --count 200001 --seed 0 --binary":
+        "e637f6445cc2f43d3c22381a425f802f85d1ad9cbc995c4deabee96cbf0dfaa5",
+    "sample --p 3 --r 0 --count 5 --seed 0":
+        "aa572235317e41a1e45f36b8ae1e695961821ba787f3959636eb4f94a14350ae",
+    "sample --p 3 --r 0 --count 1 --seed 7 --binary":
+        "221201e617de2de87633c3199a74c508ce634098723bcb42c1e3cd7e89e72e68",
+    "sample --p 3 --r 0 --count 65535 --seed 7 --binary":
+        "957dbb125056471633fb717fd8d71049bcafde596ff1e9e073d1ba496c5248b6",
+    "sample --p 3 --r 0 --count 65536 --seed 7 --binary":
+        "5a2e54441d7d0adf5dd53e04c0de8abd9927eda193e26e9372f6bf12cba3a1a6",
+    "sample --p 3 --r 0 --count 65537 --seed 7 --binary":
+        "69389c9b7f2dc85c2249a77928eb0bf0a70ec5e5d076c8915c496f7311e62ff4",
+    "sample --p 3 --r 0 --count 200001 --seed 7 --binary":
+        "fd4fe3ae69791695c739043d10dcae8caca2a082bfc98dab4d99b75b1c86d270",
+    "sample --p 3 --r 0 --count 5 --seed 7":
+        "a654fe92e97964a4f344602cb86f8b5300c6f6852dcd1483711b242fa376f591",
+    "sample --p 7/2 --r 1 --count 1 --seed 0 --binary":
+        "8686882fd80b8342844c1317b72f6aebb4af761295e603d5b79b30bec37a772c",
+    "sample --p 7/2 --r 1 --count 65535 --seed 0 --binary":
+        "f558498bc975bf409828a8bfce989ec7fdf77b739d2a4971a689f0ff5fc88929",
+    "sample --p 7/2 --r 1 --count 65536 --seed 0 --binary":
+        "fadc44a8671bb0361668d74fc746a6517a171c35d2b5173f98ed3c8d4b94392c",
+    "sample --p 7/2 --r 1 --count 65537 --seed 0 --binary":
+        "c817758fa213cfc336dadcb4ad41dbafdb0df010ac7249e583f07e2b2b4fdcae",
+    "sample --p 7/2 --r 1 --count 200001 --seed 0 --binary":
+        "fcedeeb3cc53306a241ef13fd3096d6fffe29aea58f23086c6c78b8185762d22",
+    "sample --p 7/2 --r 1 --count 5 --seed 0":
+        "d42986c4be8d9021b81ed12537e98188c8280e594c587d704c0d392eeafd65b1",
+    "sample --p 7/2 --r 1 --count 1 --seed 7 --binary":
+        "319c4fdb62ec9290d1611156e71037bb60c01ba317bdbcbc1e394f75a4e9c461",
+    "sample --p 7/2 --r 1 --count 65535 --seed 7 --binary":
+        "d297a333144d1df3158ff389337b42eb5bb78c7fb592c67359506f71df8c99b0",
+    "sample --p 7/2 --r 1 --count 65536 --seed 7 --binary":
+        "bca3494932a29cd8a6fef7937db1329fbe52392489956fa2bc42830cb82d7761",
+    "sample --p 7/2 --r 1 --count 65537 --seed 7 --binary":
+        "b9b9c7bc422d2630d699ea5148b806f126d3800c7a7d60ca06841c69f3f0415d",
+    "sample --p 7/2 --r 1 --count 200001 --seed 7 --binary":
+        "7fa873c8b16f5a3998e4559ff59102d095a7ae440c4e01f9a5e40477ba0394f9",
+    "sample --p 7/2 --r 1 --count 5 --seed 7":
+        "1352986044260e6f82674b9be29ca68c838fc028060d059b5f8f85daf30ab1d5",
+    "sample --p 5/2 --r -1/2 --count 1 --seed 0 --binary":
+        "9391db52c7bec73e7e96767a24740d351411ae1f7cf49e4aa1e38472eca52632",
+    "sample --p 5/2 --r -1/2 --count 65535 --seed 0 --binary":
+        "0e543ee1d578231558b8de44b030b95bf4a29faf8c9c9e9dfd1e6147197e0767",
+    "sample --p 5/2 --r -1/2 --count 65536 --seed 0 --binary":
+        "1e2f6f224abadcf41f9a9e04882015341cbfced9d298e2d955854aa3a6b256e6",
+    "sample --p 5/2 --r -1/2 --count 65537 --seed 0 --binary":
+        "4d7270b123a9c218577d3982eaef9b53847c6799c551f62f9b6db30e3f60bd48",
+    "sample --p 5/2 --r -1/2 --count 200001 --seed 0 --binary":
+        "09180085140e7aa4fe232da8f1f7e69e28a75533b8df95b6a69dff49fc4d34cb",
+    "sample --p 5/2 --r -1/2 --count 5 --seed 0":
+        "dd4b254c207c7aa8cf3e78dfdac12a89ee23df6a1bf28c86dbbc1a51ac45c297",
+    "sample --p 5/2 --r -1/2 --count 1 --seed 7 --binary":
+        "9616f18544ded5dd8db66137595c56e25419e723a55454fe80c6808743bc2e7a",
+    "sample --p 5/2 --r -1/2 --count 65535 --seed 7 --binary":
+        "13c797ceb1e37c78014a473760e6bfdec4d22abbbe451ee6604e0532d6b143d1",
+    "sample --p 5/2 --r -1/2 --count 65536 --seed 7 --binary":
+        "548ac68deda1380b6a312a9aae8b1ef4473afeebfd5e60b3b3137c94871dc293",
+    "sample --p 5/2 --r -1/2 --count 65537 --seed 7 --binary":
+        "38188a798ce9fa97a300db309dace879d0a6d12303097e8b7a7c18d1cc6defac",
+    "sample --p 5/2 --r -1/2 --count 200001 --seed 7 --binary":
+        "64275b82ec8ed5af2adef720d27cb57384349499bbb1fa4ee4768d5b8aa7d13b",
+    "sample --p 5/2 --r -1/2 --count 5 --seed 7":
+        "45324e50ed74299d01f57c3309698833677c8c415b13dc9e98937a6489c571d6",
+    "sample --p 17/5 --r 0 --count 1 --seed 0 --binary":
+        "7df46a8e61056841b6d7beeb963f3f06478090d41c0e72c7f819e5664270283d",
+    "sample --p 17/5 --r 0 --count 65535 --seed 0 --binary":
+        "da5deec999d1ee5871c55bb78a0d963890a479e93b49c91b5561ebf70110e61e",
+    "sample --p 17/5 --r 0 --count 65536 --seed 0 --binary":
+        "f3a94010a0848cafade5382a310a868b5b121949b0b7bf7398b930b16036e86c",
+    "sample --p 17/5 --r 0 --count 65537 --seed 0 --binary":
+        "1535518c92397337bfd35f9948b49df2fde91736153718c9b5c844d073f60fb4",
+    "sample --p 17/5 --r 0 --count 200001 --seed 0 --binary":
+        "13c376b1250c6a5b8ce8960dcbe6c86c0ee4201d93537743f6ba866f83b6e9a3",
+    "sample --p 17/5 --r 0 --count 5 --seed 0":
+        "572601161766b97bbf09d6c6725701ce5ac352e70153885ee8dfa6c05598fe3f",
+    "sample --p 17/5 --r 0 --count 1 --seed 7 --binary":
+        "7910030fe067dc30497b6ce5a237b19fce1856fa7c6da39e2d6b1ff89def953f",
+    "sample --p 17/5 --r 0 --count 65535 --seed 7 --binary":
+        "1beffefe20f9aeba34eb4b41155be17b6eb4d430f636bf54e7b2cbec4ac06885",
+    "sample --p 17/5 --r 0 --count 65536 --seed 7 --binary":
+        "b6f30bc91f8a1967ff899dd6570ec4011c1ae6f58544bc98ed9e8a2f2f73a904",
+    "sample --p 17/5 --r 0 --count 65537 --seed 7 --binary":
+        "668b8d77ddc09203c06f006b7d651ace2e05b811e92beee9a6a1f9b2436585b4",
+    "sample --p 17/5 --r 0 --count 200001 --seed 7 --binary":
+        "a25aaaa0972483ea081ded38baa7c0b23f58ba967d5110123c062f4d2e600822",
+    "sample --p 17/5 --r 0 --count 5 --seed 7":
+        "706ba27d883c8e1d98c3c074a0ffc4620270152a594905f8da34561be7199b06",
+}
+
+
 class TestSample:
     def test_text_output_deterministic(self, capsys):
         args = ("sample", "--p", "2", "--r", "0", "--count", "4", "--seed", "11")
@@ -196,6 +299,30 @@ class TestSample:
         )
         assert code == 0
         assert np.allclose(binary, text, rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("command", sorted(_SAMPLE_DIGESTS))
+    def test_output_bits_are_pinned(self, capsysbinary, command):
+        code = main(command.split())
+        assert code == 0
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == _SAMPLE_DIGESTS[command]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bytes_do_not_depend_on_the_worker_count(self, capsysbinary, monkeypatch, workers):
+        argv = ["sample", "--p", "17/5", "--r", "0", "--count", "200001", "--seed", "7",
+                "--binary"]
+        monkeypatch.setattr("binomoment.mellin._usable_cpus", lambda: workers)
+        assert main(argv) == 0
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == _SAMPLE_DIGESTS[" ".join(argv)]
+
+    def test_impossible_count_fails_cleanly(self, capsys):
+        # numpy refuses 8e13 bytes at once, before any chunk is drawn
+        code, out, err = run(
+            capsys, "sample", "--p", "3", "--r", "0", "--count", "10000000000000"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: cannot allocate 10000000000000 draws\n"
 
     def test_bad_count(self, capsys):
         code, _, err = run(
@@ -437,6 +564,32 @@ class TestFigure:
         verdicts = {line.split(",")[2] for line in lines[1:]}
         assert verdicts == {"MainBranch", "ReflectedBranch", "Outside"}
 
+    @pytest.mark.parametrize("bounds", [
+        ("-3/2", "2", "-5/2", "3/2", "1/4"),
+        ("-1.5", "2", "-2.5", "1.5", "0.25"),
+        ("-1.3", "1.7", "-1.9", "0.9", "0.1"),
+        ("-2", "2.5", "-3", "2", "0.1234567"),
+    ], ids=["exact", "exact-decimals", "tenths", "float-step"])
+    def test_raster_cells_match_classify(self, tmp_path, capsys, bounds):
+        # the per-cell classify_binomial loop the raster replaced, as the
+        # reference for exact, decimal and float grids
+        keys = ("p_min", "p_max", "r_min", "r_max", "step")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"1": {"kind": "raster", **dict(zip(keys, bounds))}}))
+        out_path = tmp_path / "fig1.csv"
+        code, _, _ = run(capsys, "figure", "--id", "1", "--out", str(out_path),
+                         "--params", str(config))
+        assert code == 0
+        p_min, p_max, r_min, r_max, step = (parse_scalar(b) for b in bounds)
+        expected = ["p,r,verdict"]
+        for i in range(int((p_max - p_min) / step) + 1):
+            p = p_min + i * step
+            for j in range(int((r_max - r_min) / step) + 1):
+                r = r_min + j * step
+                verdict = classify_binomial(p, r).branch.value
+                expected.append(f"{float(p):g},{float(r):g},{verdict}")
+        assert out_path.read_text().splitlines() == expected
+
     def test_curves_bundled_config(self, tmp_path, capsys):
         out_path = tmp_path / "fig2.csv"
         code, _, _ = run(capsys, "figure", "--id", "2", "--out", str(out_path))
@@ -592,3 +745,16 @@ class TestUsage:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "Traceback" not in err
         assert time.perf_counter() - t0 < 2.0
+
+
+def test_cli_import_leaves_the_thread_pool_unimported():
+    # the sampler imports concurrent.futures when it runs; at import time
+    # it would add to the start-up of every command
+    src = str(Path(binomoment.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, binomoment.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -277,6 +277,15 @@ class TestGammaReal:
         with pytest.raises(DomainError, match="exceeds the float range"):
             gamma_real(172.0)
 
+    @pytest.mark.parametrize("x", [-170.5, -171.5, -172.5, -175.25, -180.5])
+    def test_reflection_into_the_subnormals(self, x):
+        # below about -170.6 Gamma(1 - x) overflows while Gamma(x) is a
+        # subnormal float, or at -180.5 a signed zero
+        expected = float(mp.gamma(x))
+        value = gamma_real(x)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-320)
+        assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+
 
 class TestScalarPlumbing:
     def test_parse_scalar(self):

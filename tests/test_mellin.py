@@ -252,6 +252,13 @@ class TestSample:
         with pytest.raises(DomainError, match="seed"):
             sample(fac, 2, seed=-1)
 
+    @pytest.mark.parametrize("count", [10**13, 10**20])
+    def test_impossible_count_is_a_domain_error(self, count):
+        # 8e13 bytes is refused as memory, 10**20 as a dimension past intp
+        fac = factorize(Params(F(2), F(0)))
+        with pytest.raises(DomainError, match=f"cannot allocate {count} draws"):
+            sample(fac, count, seed=0)
+
 
 class TestRaneyLink:
     @pytest.mark.parametrize(
