@@ -4,11 +4,11 @@ The density attached to C(n*p+r, n) with p = k/l > 1 is a finite combination
 of generalized hypergeometric series in z = (x/c)**l, c the support endpoint:
 each of the k terms is coefficient * pFq(a_h; b_h | z) * z**e_h.  This module
 builds that expansion and evaluates the density at many points per call.
-On z <= 0.9 each pFq series is summed by a term recurrence in one array
-kernel that takes many z at once; on 1 - z <= 0.1, where the k series slow
-down, the density comes instead from Norlund's expansion of the Meijer
-G-function the k terms add up to, in powers of 1 - z, with coefficients
-from a recurrence run in ``decimal``.
+On z <= 0.9 the pFq series are summed by their term recurrence in an array
+kernel that takes many series at many z in one pass; on 1 - z <= 0.1, where
+the k series slow down, the density comes instead from Norlund's expansion
+of the Meijer G-function the k terms add up to, in powers of 1 - z, with
+coefficients from a recurrence run in ``decimal``.
 """
 from __future__ import annotations
 
@@ -58,49 +58,80 @@ _ENDPOINT_TERMS = 128
 _FIRST_CHUNK = 16
 _MAX_CELLS = 1 << 16
 
+#: rows (series x points) per kernel pass, so that the first three chunks,
+#: to term 112, keep their full length; 512 and 2048 were no faster
+_PASS_ROWS = _MAX_CELLS // (_FIRST_CHUNK << 2)
 
-def _pfq_sum(num, den, zs):
-    """sum_m prod(num)_m / prod(den)_m * z**m / m! at every z in ``zs``.
 
-    Returns (values, terms_used) arrays.  All points step through the terms
-    together, and a point leaves once three consecutive terms fall below
-    1e-16 times the running sum.  The terms go in chunks, terms =
-    cumprod(ratio) and sums = 1 + cumsum(terms), each chunk folding the raw
-    cumprod and cumsum of the last into its first term; IEEE * and + commute
-    and numpy accumulates in order along a row, so every value is bit for
-    bit what one array of _BLOCK terms would give.  A point not converged
-    after _BLOCK terms raises DomainError naming its z, as does a ratio
-    product past the float range, which never converges.  So does a lower
-    parameter at a nonpositive integer, and a non-terminating series with
-    two or more upper than lower parameters at any z != 0, where it diverges.
+class _NotConverged(DomainError):
+    """A kernel sum that does not end in _BLOCK terms; ``point`` indexes its z."""
+
+    def __init__(self, message: str, point: int):
+        super().__init__(message)
+        self.point = point
+
+
+def _pfq_sum(nums, dens, zs):
+    """sum_m prod(a)_m / prod(b)_m * z**m / m! for each series at every z in ``zs``.
+
+    ``nums`` and ``dens`` hold one row of upper and one of lower parameters
+    per series, of one length each.  Returns (values, terms_used) arrays of
+    shape (series, points).  The (series, point) pairs are the rows of one
+    pass, series-major, and all rows step through the terms together; a row
+    leaves once three consecutive terms fall below 1e-16 times the running
+    sum.  The terms go in chunks, terms = cumprod(ratio) and sums = 1 +
+    cumsum(terms), each chunk folding the raw cumprod and cumsum of the last
+    into its first term; IEEE * and + commute and numpy accumulates in order
+    along a row, so every value is bit for bit what one array of _BLOCK
+    terms of its series alone would give.  Each parameter is added to the
+    term indices once per series, and that row is repeated for the series'
+    live rows.  Rows not converged after _BLOCK terms raise _NotConverged
+    naming the z of the first one; a ratio product past the float range,
+    which never converges, raises as soon as its row is the first live
+    one.  Before any term, series by series, a lower parameter at a
+    nonpositive integer raises DomainError, as does a non-terminating series
+    with two or more upper than lower parameters at any z != 0, where it
+    diverges.
     """
-    for b in den:
-        if at_pole(b):
-            raise DomainError(f"lower parameter {b} is a nonpositive integer")
     zs = np.asarray(zs, dtype=float)
-    if len(num) > len(den) + 1 and not any(at_pole(a) for a in num) and np.any(zs != 0.0):
-        raise DomainError(
-            f"{len(num)}F{len(den)} series diverges at every z != 0 unless it terminates"
-        )
-    num = [float(a) for a in num]
-    den = [float(b) for b in den]
-    values, terms_used = np.empty(zs.size), np.empty(zs.size, dtype=int)
-    live = np.arange(zs.size)
+    for num, den in zip(nums, dens):
+        for b in den:
+            if at_pole(b):
+                raise DomainError(f"lower parameter {b} is a nonpositive integer")
+        if len(num) > len(den) + 1 and not any(at_pole(a) for a in num) and np.any(zs != 0.0):
+            raise DomainError(
+                f"{len(num)}F{len(den)} series diverges at every z != 0 unless it terminates"
+            )
+    series, points = len(nums), zs.size
+    what = f"{len(nums[0])}F{len(dens[0])} series"
+    # each parameter as a (series, 1) column: a + m is then one row of sums
+    # per series, repeated for each of its live rows
+    num = np.array(nums, dtype=float).T[:, :, None]
+    den = np.array(dens, dtype=float).T[:, :, None]
+    z_rows = np.tile(zs, series)
+    values, terms_used = np.empty(z_rows.size), np.empty(z_rows.size, dtype=int)
+    live = np.arange(z_rows.size)
     pos, chunk = 0, _FIRST_CHUNK
-    prod_carry, sum_carry = np.ones(zs.size), np.zeros(zs.size)
+    prod_carry, sum_carry = np.ones(live.size), np.zeros(live.size)
     flags = np.zeros((live.size, 2), dtype=bool)  # small flags of the last two terms
     while live.size:
-        if pos >= _BLOCK:
-            what, z = f"{len(num)}F{len(den)} series", float(zs[live[0]])
-            raise DomainError(f"{what} not converged after {_BLOCK} terms at z = {z!r}")
+        # past the float range a term product stays inf or nan and its row
+        # never ends, so the first live row's fails without waiting for the
+        # block end
+        finite = math.isfinite(prod_carry[0])
+        if pos >= _BLOCK or not finite:
+            why = f"not converged after {_BLOCK} terms" if finite else "terms leave the float range"
+            z = float(z_rows[live[0]])
+            raise _NotConverged(f"{what} {why} at z = {z!r}", int(live[0]) % points)
         n = min(chunk, _BLOCK - pos, max(1, _MAX_CELLS // live.size))
         m = np.arange(pos, pos + n, dtype=float)
-        ratio = np.repeat(zs[live][:, None], n, axis=1)
+        ratio = np.repeat(z_rows[live][:, None], n, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
+            counts = np.bincount(live // points, minlength=series)
             for a in num:
-                ratio *= a + m
+                ratio *= np.repeat(a + m, counts, axis=0)
             for b in den:
-                ratio /= b + m
+                ratio /= np.repeat(b + m, counts, axis=0)
             ratio /= m + 1.0
             ratio[:, 0] *= prod_carry
             np.cumprod(ratio, axis=1, out=ratio)
@@ -124,7 +155,7 @@ def _pfq_sum(num, den, zs):
             prod_carry, sum_carry = prod_carry[keep], sum_carry[keep]
         pos += n
         chunk *= 2
-    return values, terms_used
+    return values.reshape(series, points), terms_used.reshape(series, points)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +346,13 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
 
     ``dist_upper`` may carry each c - x to full relative precision
     (quadrature transforms know it exactly); without it the plain
-    differences are used.  Points with 1 - z > _TAIL_SWITCH = 0.1 share
-    one array sum per Slater term, which raises DomainError if it does not
-    converge in _BLOCK terms; closer to the endpoint each value comes from
-    ``endpoint_coeffs``.  Every value is bit for bit the one-point
-    ``eval_density`` value.
+    differences are used.  At points with 1 - z > _TAIL_SWITCH = 0.1 the
+    Slater terms are summed in groups, as many series to a kernel pass as
+    keep it within _PASS_ROWS rows.  A sum not converged in _BLOCK terms
+    raises DomainError naming its z and its x; closer to the endpoint each
+    value comes from ``endpoint_coeffs``.  Values, and which error is
+    raised first, are bit for bit those of summing one term at a time, and
+    every value is the one-point ``eval_density`` value.
     """
     upper = expansion.domain_upper
     xs, dists = support_points(xs, dist_upper, upper)
@@ -347,18 +380,31 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
         # z and its powers through libm, point by point: numpy's exp may
         # differ from it in the last bit
         zs = np.array([math.exp(lnz) for lnz in lnzs])
-        total = np.zeros(len(direct))
-        for term in expansion.terms:
-            if term.coef == 0.0:
-                continue
-            values = _pfq_sum(term.a_vec, term.b_vec, zs)[0]
+
+        def summed(terms):
+            # the series of ``terms`` in one kernel pass, as (terms, points)
             try:
-                powers = np.array([math.exp(term.exponent * lnz) for lnz in lnzs])
+                return _pfq_sum([t.a_vec for t in terms], [t.b_vec for t in terms], zs)[0]
+            except _NotConverged as err:
+                raise DomainError(f"{err} (x = {xs[direct[err.point]]!r})") from None
+
+        nonzero = [term for term in expansion.terms if term.coef != 0.0]
+        group = max(1, _PASS_ROWS // len(direct))
+        total = np.zeros(len(direct))
+        for start in range(0, len(nonzero), group):
+            terms, powers = nonzero[start:start + group], []
+            try:
+                for term in terms:
+                    powers.append(np.array([math.exp(term.exponent * lnz) for lnz in lnzs]))
             except OverflowError:
-                # only a negative exponent overflows, first at the smallest z
+                # only a negative exponent overflows, first at the smallest z.
+                # Term by term each series is summed before its power is
+                # taken, so a sum up to this term may fail first
+                summed(terms[:len(powers) + 1])
                 x = xs[direct[lnzs.index(min(lnzs))]]
                 raise DomainError(f"density at x = {x!r} exceeds the float range") from None
-            total += term.coef * values * powers
+            for term, value, power in zip(terms, summed(terms), powers):
+                total += term.coef * value * power
         out[direct] = expansion.gamma_factor * total
     return out
 

@@ -510,6 +510,16 @@ class TestCertify:
         text = json.dumps(report, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == _CERTIFY_DIGESTS[(p, r)]
 
+    def test_unconverged_series_names_the_abscissa(self, capsys):
+        # at k = 128 the direct series near z = 0.89 leave the float range
+        # before they converge; the error names z = (x/c)**l and x itself
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "certify", "--p", "128", "--r", "0", "--nmax", "1")
+        assert (code, out) == (1, "")
+        assert err == ("error: 128F127 series terms leave the float range"
+                       " at z = 0.8903037194916001 (x = 308.56150298537915)\n")
+        assert time.perf_counter() - t0 < 4.0
+
 
     def test_huge_integer_p_refused_before_any_power(self):
         # k = 10**200 would start the big-int power k**k; a child process

@@ -46,8 +46,8 @@ def _mpq(q) -> mp.mpf:
 
 def _pfq(num, den, z):
     """(value, terms_used) of the array kernel at one z."""
-    values, used = _pfq_sum(num, den, [z])
-    return float(values[0]), int(used[0])
+    values, used = _pfq_sum([num], [den], [z])
+    return float(values[0, 0]), int(used[0, 0])
 
 
 class TestPfq:
@@ -77,7 +77,7 @@ class TestPfq:
     def test_lower_parameter_pole_rejected(self):
         for den in ([-2], [0.0], [F(-3)], [1.5, -1.0]):
             with pytest.raises(DomainError, match="nonpositive integer"):
-                _pfq_sum([0.5] * (len(den) + 1), den, [0.3])
+                _pfq_sum([[0.5] * (len(den) + 1)], [den], [0.3])
         # a lower parameter near, not at, a pole is summed
         assert math.isfinite(_pfq([0.5], [-2.5], 0.3)[0])
 
@@ -86,7 +86,7 @@ class TestPfq:
         t0 = time.perf_counter()
         for zs in ([0.5], [-0.5], [1e-3], [0.0, 0.5]):
             with pytest.raises(DomainError, match="diverges"):
-                _pfq_sum([1, 1, 1], [1], zs)
+                _pfq_sum([[1, 1, 1]], [[1]], zs)
         assert time.perf_counter() - t0 < 0.05
         assert _pfq([1, 1, 1], [1], 0.0)[0] == 1.0
         # a terminating series is a polynomial, summed at any z
@@ -131,8 +131,8 @@ class TestPfq:
         # the kernel sums: densities there never hand them to it
         exp = build_slater_expansion(Params(F(3), F(0)))
         c = exp.domain_upper
-        summed = []
-        monkeypatch.setattr(slater, "_pfq_sum", lambda *args: summed.append(args))
+        summed, kernel = [], slater._pfq_sum
+        monkeypatch.setattr(slater, "_pfq_sum", lambda *args: summed.append(args) or kernel(*args))
         for one_minus_z in (6e-4, 1e-4, 1e-9):
             d = c * one_minus_z  # l = 1: 1 - z = d / c
             t0 = time.perf_counter()
@@ -140,6 +140,9 @@ class TestPfq:
             assert time.perf_counter() - t0 < 0.05
             assert value > 0.0
         assert summed == []
+        # the recorder is on the density path: an interior point reaches it
+        assert eval_density(exp, 0.5 * c) > 0.0
+        assert len(summed) == 1
 
     def test_near_unit_argument_still_summed_where_it_ends(self):
         # a terminating series, or one with fewer upper than lower parameters,
@@ -154,7 +157,7 @@ class TestPfq:
         # after one block, naming the point, instead of returning a partial sum
         t0 = time.perf_counter()
         with pytest.raises(DomainError, match=r"not converged after 2048 terms at z = 0\.99$"):
-            _pfq_sum([0.5, 0.5], [1.5], [0.5, 0.99, 0.3])
+            _pfq_sum([[0.5, 0.5]], [[1.5]], [0.5, 0.99, 0.3])
         assert time.perf_counter() - t0 < 0.05
         assert _pfq([0.5, 0.5], [1.5], 0.9)[1] < 2048
 
@@ -201,8 +204,8 @@ def _density_reference(exp, x, dist):
 
 
 def _kernel_rows(num, den, zs):
-    values, used = _pfq_sum(num, den, zs)
-    return list(zip(values.tolist(), used.tolist()))
+    values, used = _pfq_sum([num], [den], zs)
+    return list(zip(values[0].tolist(), used[0].tolist()))
 
 
 def _check_against_reference(num, den, zs, block=2048):
@@ -218,7 +221,7 @@ def _check_against_reference(num, den, zs, block=2048):
     for z, row in zip(zs, want):
         if row is None:
             with pytest.raises(DomainError, match=f"after {block} terms at z = {float(z)!r}$"):
-                _pfq_sum(num, den, [z])
+                _pfq_sum([num], [den], [z])
     return want
 
 
@@ -280,6 +283,88 @@ class TestPfqKernel:
         got = eval_density_many(exp, xs, dists).tolist()
         assert got == [_density_reference(exp, x, d) for x, d in zip(xs, dists)]
         assert got[:40] == eval_density_many(exp, xs[:40]).tolist()
+
+    def test_many_series_in_one_pass(self):
+        # series that end after 4 to over 1000 terms, two of them terminating,
+        # at z <= 0 and up to 0.97, all in one call: every row is its own
+        # series' reference sum to the bit, and rows leave in many chunks
+        nums = [[0.5, 5 / 6, 7 / 6], [-3, 0.7, 0.2], [1.3, 0.2, 2.5], [-40, 0.5, 1.5],
+                [0.5, 0.5, 0.5]]
+        dens = [[2 / 3, 4 / 3], [1.3, 2.0], [2.7, 0.4], [2.5, 0.25], [1.5, 1.5]]
+        zs = [-0.9, -0.5, 0.0, 1e-8, 0.3, 0.9, 0.97]
+        want = [_pfq_reference(num, den, z) for num, den in zip(nums, dens) for z in zs]
+        assert None not in want
+        values, used = _pfq_sum(nums, dens, zs)
+        assert values.shape == used.shape == (len(nums), len(zs))
+        assert list(zip(values.ravel().tolist(), used.ravel().tolist())) == want
+        # the third small term of a row sits at index used - 2 of its terms;
+        # chunk j covers indices below _FIRST_CHUNK * (2**(j+1) - 1)
+        chunks = {int(np.log2((u - 2) // slater._FIRST_CHUNK + 1)) for _, u in want}
+        assert len(chunks) >= 5
+
+    @pytest.mark.parametrize("case", ["stalling", "past the float range"])
+    def test_unconverged_row_is_named_as_one_series_would(self, case):
+        # the first unconverged row, series-major, gives the message the
+        # one-series call at its z gives, whatever the rows around it do
+        if case == "stalling":
+            num, den = self.STALLING
+            nums, dens = [[-3, 0.7, 0.2], num, num], [[1.3, 2.0], den, den]
+            zs, first, z = [0.3, 0.995, 0.999], 1, 0.995
+        else:
+            # at k = 128 the term products leave the float range near z = 0.89
+            terms = [t for t in build_slater_expansion(Params(F(128), F(0))).terms if t.coef]
+            nums, dens = [t.a_vec for t in terms[:4]], [t.b_vec for t in terms[:4]]
+            zs, first, z = [0.5, 0.8903037194916001], 0, 0.8903037194916001
+        with pytest.raises(DomainError) as many:
+            _pfq_sum(nums, dens, zs)
+        with pytest.raises(DomainError) as one:
+            _pfq_sum([nums[first]], [dens[first]], [z])
+        assert str(many.value) == str(one.value)
+        assert str(one.value).endswith(f"at z = {z!r}")
+
+    @pytest.mark.parametrize("p,r,points", [(F(17, 5), F(0), "all in one pass"),
+                                            (F(17, 5), F(0), "one point more"),
+                                            (F(5, 2), F(1, 2), "two series a pass"),
+                                            (F(5, 2), F(1, 2), "one series a pass"),
+                                            (F(5, 2), F(1, 2), 2000)])
+    def test_density_across_pass_sizes(self, p, r, points):
+        # on both sides of each change in the number of series per pass, and
+        # on a 2000-point grid: the same bits as one series at one point
+        exp = build_slater_expansion(Params(p, r))
+        nonzero = sum(t.coef != 0.0 for t in exp.terms)
+        points = {"all in one pass": slater._PASS_ROWS // nonzero,
+                  "one point more": slater._PASS_ROWS // nonzero + 1,
+                  "two series a pass": slater._PASS_ROWS // 2,
+                  "one series a pass": slater._PASS_ROWS // 2 + 1}.get(points, points)
+        # every point on the direct side: z = (x/c)**l <= 0.94**2 < 0.9
+        xs = [exp.domain_upper * 0.94 * i / points for i in range(1, points + 1)]
+        dists = [exp.domain_upper - x for x in xs]
+        got = eval_density_many(exp, xs).tolist()
+        assert got == [_density_reference(exp, x, d) for x, d in zip(xs, dists)]
+
+    def test_kernel_passes_per_sweep(self, monkeypatch):
+        # a 200-point sweep sums the k series in groups, not one call each
+        exp = build_slater_expansion(Params(F(17, 5), F(0)))
+        xs = [exp.domain_upper * i / 201 for i in range(1, 201)]
+        calls, kernel = [], slater._pfq_sum
+        monkeypatch.setattr(slater, "_pfq_sum", lambda *args: calls.append(args) or kernel(*args))
+        eval_density_many(exp, xs)
+        group = max(1, slater._PASS_ROWS // 200)
+        assert 1 <= len(calls) <= math.ceil(exp.k / group) < exp.k
+
+    def test_error_precedence_is_term_by_term(self):
+        # summed one term at a time, each term's series comes before its
+        # power.  At (127/2, 0) the first two series converge at z = 0.8903
+        # and the third leaves the float range, while the first power
+        # overflows at x = 5e-324: the overflow is met first.  At (128, 0)
+        # the first series already fails at z = 0.8903, before any power.
+        for p, first in ((F(127, 2), "density at x = 5e-324 exceeds the float range"),
+                         (F(128), "128F127 series terms leave the float range at z = ")):
+            exp = build_slater_expansion(Params(p, F(0)))
+            x89 = exp.domain_upper * 0.8903037194916001 ** (1 / exp.l)
+            for xs in ([x89, 5e-324], [5e-324, x89]):
+                with pytest.raises(DomainError, match="^" + first):
+                    eval_density_many(exp, xs)
 
 
 # ---------------------------------------------------------------------------
