@@ -1,0 +1,134 @@
+"""Fresh-process wall time of each binomoment command, for one or two trees.
+
+    python scripts/cli_walltime.py [--repeats N] [--only NAME]... SRC [SRC]
+
+Each SRC is a ``src`` directory holding the ``binomoment`` package.  Every
+command of the fixed list below runs N times in a new interpreter per
+tree, the trees alternating call by call and trading places every repeat,
+so both see the same drifting host.  A run is timed from the start of the
+child until it has exited; its output is read through pipes until they
+close, so the time is not rounded up to a wait's polling step, as a plain
+``subprocess.run(..., timeout=...)`` rounds it.  One JSON object goes to
+stdout: per command its argv, the median and quartile seconds per tree, and
+each tree's outcome, its exit code and the start of its stdout's SHA-256
+(certify's ``runtime_seconds`` line left out), which must agree between
+trees.  With
+two trees, ``change`` is the second tree's median over the first's, minus
+one: -0.5 means the second tree's command took half the time.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+#: (name, argv): the exact commands, then those that load the numeric layer;
+#: "{out}" is a file in a scratch directory
+COMMANDS = (
+    ("moments", ["moments", "--p", "3", "--r", "1", "--n", "10"]),
+    ("series", ["series", "--p", "3", "--r", "1", "--order", "10"]),
+    ("classify", ["classify", "--p", "3/2", "--r", "1", "--family", "binomial"]),
+    ("conv-verify", ["conv-verify"]),
+    ("figure-raster", ["figure", "--id", "1", "--out", "{out}"]),
+    ("certify", ["certify", "--p", "17/5", "--r", "0", "--nmax", "10"]),
+    ("figure-curves", ["figure", "--id", "2", "--out", "{out}"]),
+    ("sample", ["sample", "--p", "3", "--r", "0", "--count", "1000", "--seed", "1"]),
+    ("witness", ["witness", "--p", "3/2", "--r", "1"]),
+    ("density", ["density", "--p", "7/2", "--r", "1", "--x", "0.7"]),
+)
+
+_ENTRY = "import sys; from binomoment.cli import main; sys.exit(main())"
+
+
+def run_once(src: Path, argv, scratch: str):
+    """(seconds, outcome) of one fresh ``binomoment argv``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [a.replace("{out}", os.path.join(scratch, "out.csv")) for a in argv]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _ENTRY, *argv], env=env, cwd=scratch,
+                          capture_output=True, timeout=120)
+    seconds = time.perf_counter() - t0
+    stdout = b"".join(line for line in proc.stdout.splitlines(keepends=True)
+                      if b'"runtime_seconds"' not in line)
+    return seconds, f"{proc.returncode} {hashlib.sha256(stdout).hexdigest()[:16]}"
+
+
+def _quartiles(values) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def measure(trees, commands, repeats: int) -> dict:
+    times = {name: [[] for _ in trees] for name, _ in commands}
+    outcome = {name: [set() for _ in trees] for name, _ in commands}
+    with tempfile.TemporaryDirectory() as scratch:
+        for rep in range(repeats):
+            order = list(range(len(trees)))
+            if rep % 2:
+                order.reverse()
+            for name, argv in commands:
+                for t in order:
+                    seconds, result = run_once(trees[t], argv, scratch)
+                    times[name][t].append(seconds)
+                    outcome[name][t].add(result)
+    rows = []
+    for name, argv in commands:
+        seen = ["; ".join(sorted(o)) for o in outcome[name]]
+        medians = [statistics.median(ts) for ts in times[name]]
+        row = {
+            "name": name,
+            "argv": " ".join(argv),
+            "median_s": [round(m, 4) for m in medians],
+            "quartiles_s": [[round(q, 4) for q in _quartiles(ts)] for ts in times[name]],
+            "outcome": seen,
+            "same_output": len(set(seen)) == 1 and ";" not in seen[0],
+        }
+        if len(trees) == 2:
+            row["change"] = round(medians[1] / medians[0] - 1.0, 3)
+        rows.append(row)
+    return {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
+        "repeats": repeats,
+        "trees": [str(t) for t in trees],
+        "commands": rows,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("src", nargs="+", type=Path, help="one or two src directories")
+    ap.add_argument("--repeats", type=int, default=9, help="fresh runs per command and tree")
+    ap.add_argument("--only", action="append", metavar="NAME",
+                    help=f"run only this command (repeatable); one of: "
+                         f"{', '.join(name for name, _ in COMMANDS)}")
+    args = ap.parse_args(argv)
+    if len(args.src) > 2:
+        ap.error("give one or two src directories")
+    missing = [str(s) for s in args.src if not (s / "binomoment" / "__init__.py").is_file()]
+    if missing:
+        ap.error(f"no binomoment package under {', '.join(missing)}")
+    unknown = sorted(set(args.only or ()) - set(dict(COMMANDS)))
+    if unknown:
+        ap.error(f"unknown command names: {', '.join(unknown)}")
+    if args.repeats < 1:
+        ap.error("need --repeats >= 1")
+    commands = [(name, argv) for name, argv in COMMANDS if not args.only or name in args.only]
+    trees = [s.resolve() for s in args.src]
+    print(json.dumps(measure(trees, commands, args.repeats), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

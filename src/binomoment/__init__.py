@@ -1,19 +1,26 @@
 """Measures with generalized binomial and Raney moment sequences.
 
-Library layout:
+Library layout.  The exact layer is exact on rational inputs and imports no
+numpy:
 
 - ``core``       scalars, parameters, binomial/Raney numbers, region classifiers,
                  the real gamma function and its pole test
 - ``series``     exact truncated power series and the generating functions
+- ``freeconv``   moment-series transforms and convolution identities
+
+The numeric layer evaluates, integrates and samples the densities, in
+floats and numpy arrays:
+
 - ``slater``     the binomial density expansion; one array kernel sums its series
                  at many points at once, Norlund's series near the endpoint
 - ``closedform`` elementary densities (p = 2, and a table of six algebraic rows),
                  the choice between them and the expansion, and measure models
 - ``mellin``     gamma-quotient symbol, beta-factor Mellin factorizations, sampling
-- ``freeconv``   moment-series transforms and convolution identities
 - ``quadrature`` tanh-sinh quadrature over arrays of nodes
 - ``verify``     moment certification, negativity witnesses
-- ``cli``        command-line interface
+
+- ``cli``        command-line interface; it imports the exact layer, and the
+                 numeric layer only when a command that needs it runs
 """
 from .core import (
     Branch,

@@ -5,6 +5,11 @@ density tables, positive-definiteness classification, Mellin
 factorization and sampling, the convolution identity suite, moment
 certification, negativity witnesses, and figure-data emission.
 
+Only the exact layer (``core``, ``series``, ``freeconv``) is imported with
+this module, so ``moments``, ``series``, ``classify``, ``conv-verify`` and
+the raster figure start without numpy.  The commands that evaluate, sample
+or integrate the density load the numeric layer when they run.
+
 Exit codes: 0 success, 1 domain or region errors (including usage), 2
 verification failure, 3 inconclusive witness search.  Exact values print
 as integers or fractions, floats with 17 significant digits, so output
@@ -13,19 +18,20 @@ is byte-identical across platforms for a fixed argument vector.
 from __future__ import annotations
 
 import argparse
-import csv
-import importlib.resources
 import json
 import re
 import sys
+from bisect import bisect_left, bisect_right
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .closedform import density_function
 from .core import (
+    Branch,
     DomainError,
+    InconclusiveWitnessError,
     Params,
     RegionError,
-    binomial_verdict,
+    binomial_band,
     classify_binomial,
     classify_raney,
     comparable,
@@ -36,9 +42,7 @@ from .core import (
     support_endpoint,
 )
 from .freeconv import identity_suite
-from .mellin import factorize, sample
 from .series import binomial_series
-from .verify import InconclusiveWitnessError, certify_measure, find_negativity_witness
 
 __all__ = ["main"]
 
@@ -61,6 +65,18 @@ def _fmt(x) -> str:
 
 def _fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _numeric() -> SimpleNamespace:
+    """The numeric layer: ``closedform``, ``mellin`` and ``verify``, and numpy
+    with them, imported on a numeric command's first call.
+
+    The three load as one unit, so every numeric command imports the same
+    modules, whichever of them it calls.
+    """
+    from . import closedform, mellin, verify
+
+    return SimpleNamespace(closedform=closedform, mellin=mellin, verify=verify)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -88,7 +104,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_density(args) -> int:
     params = Params(args.p, args.r)
-    evaluate = density_function(params)
+    evaluate = _numeric().closedform.density_function(params)
     upper = float(support_endpoint(params.p))
     if args.x is not None:
         print(_fmt_float(evaluate([_to_float(args.x, "--x")])[0]))
@@ -111,7 +127,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    fact = factorize(Params(args.p, args.r))
+    fact = _numeric().mellin.factorize(Params(args.p, args.r))
     for factor in fact.factors:
         print(f"factor {_fmt_float(factor.u)} {_fmt_float(factor.v)} {factor.l}")
     print(f"dilation {_fmt_float(float(fact.dilation))}")
@@ -121,8 +137,9 @@ def _cmd_factorize(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 1:
         raise DomainError("need --count >= 1")
-    fact = factorize(Params(args.p, args.r))
-    draws = sample(fact, args.count, args.seed)
+    mellin = _numeric().mellin
+    fact = mellin.factorize(Params(args.p, args.r))
+    draws = mellin.sample(fact, args.count, args.seed)
     if args.binary:
         sys.stdout.buffer.write(memoryview(draws.astype("<f8", copy=False)))
         sys.stdout.buffer.flush()
@@ -148,13 +165,13 @@ def _cmd_conv_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    report = certify_measure(Params(args.p, args.r), args.nmax)
+    report = _numeric().verify.certify_measure(Params(args.p, args.r), args.nmax)
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 2
 
 
 def _cmd_witness(args) -> int:
-    w = find_negativity_witness(Params(args.p, args.r))
+    w = _numeric().verify.find_negativity_witness(Params(args.p, args.r))
     loc = str(w.location) if isinstance(w.location, int) else _fmt_float(w.location)
     print(f"{w.kind} location={loc} value={_fmt_float(w.value)}")
     return 0
@@ -162,6 +179,8 @@ def _cmd_witness(args) -> int:
 
 def _load_figure_config(path: Optional[str]) -> dict:
     if path is None:
+        import importlib.resources
+
         text = importlib.resources.files("binomoment").joinpath("figures.json").read_text()
         return json.loads(text)
     try:
@@ -207,9 +226,19 @@ def _raster_rows(cfg: dict) -> Iterator[list]:
     def rows():
         yield ["p", "r", "verdict"]
         columns = axis(r_min, r_count)
+        keys = [rc for _, rc in columns]  # ascending, as r_min + i * step is
+        outside = Branch.OUTSIDE.value
         for p_text, pc in axis(p_min, p_count):
-            for r_text, rc in columns:
-                yield [p_text, r_text, binomial_verdict(pc, rc).branch.value]
+            # the region meets a grid line in one band of r: two bisections
+            # find it, in place of a comparison per cell
+            verdicts = [outside] * r_count
+            band = binomial_band(pc)
+            if band is not None:
+                verdict, r_lo, r_hi = band
+                lo, hi = bisect_left(keys, r_lo), bisect_right(keys, r_hi)
+                verdicts[lo:hi] = [verdict.branch.value] * (hi - lo)
+            for (r_text, _), value in zip(columns, verdicts):
+                yield [p_text, r_text, value]
 
     return rows()
 
@@ -225,6 +254,7 @@ def _curve_rows(cfg: dict) -> Iterator[list]:
     pairs = cfg.get("pairs")
     if not isinstance(pairs, list):
         raise DomainError("figure config: curves entry needs a list of pairs")
+    density_function = _numeric().closedform.density_function
     curves = []
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
@@ -250,6 +280,8 @@ def _curve_rows(cfg: dict) -> Iterator[list]:
 
 
 def _cmd_figure(args) -> int:
+    import csv
+
     config = _load_figure_config(args.params)
     key = str(args.id)
     if key not in config:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -22,6 +22,7 @@ __all__ = [
     "DomainError",
     "RegionError",
     "GammaPoleError",
+    "InconclusiveWitnessError",
     "as_scalar",
     "is_exact",
     "parse_scalar",
@@ -33,7 +34,7 @@ __all__ = [
     "gen_binomial",
     "raney_number",
     "classify_binomial",
-    "binomial_verdict",
+    "binomial_band",
     "classify_raney",
     "at_pole",
     "gamma_real",
@@ -50,6 +51,10 @@ class RegionError(ValueError):
 
 class GammaPoleError(DomainError):
     """Gamma requested at (or within 1e-8 of) a nonpositive integer."""
+
+
+class InconclusiveWitnessError(RuntimeError):
+    """The witness search exhausted its budget without a certificate."""
 
 
 def as_scalar(x) -> Scalar:
@@ -240,7 +245,11 @@ def classify_binomial(p: Scalar, r: Scalar) -> RegionVerdict:
     Positive definite exactly on the two closed bands
     p >= 1, -1 <= r <= p-1 (main) and p <= 0, p-1 <= r <= 0 (reflected).
     """
-    return binomial_verdict(comparable(as_scalar(p)), comparable(as_scalar(r)))
+    pc, rc = comparable(as_scalar(p)), comparable(as_scalar(r))
+    band = binomial_band(pc)
+    if band is not None and band[1] <= rc <= band[2]:
+        return band[0]
+    return _OUTSIDE
 
 
 _MAIN = RegionVerdict(True, Branch.MAIN)
@@ -248,14 +257,15 @@ _REFLECTED = RegionVerdict(True, Branch.REFLECTED)
 _OUTSIDE = RegionVerdict(False, Branch.OUTSIDE)
 
 
-def binomial_verdict(pc: Scalar, rc: Scalar) -> RegionVerdict:
-    """The band rule of ``classify_binomial`` on values already passed
-    through ``comparable``, for callers that classify many cells of a grid."""
-    if pc >= 1 and -1 <= rc <= pc - 1:
-        return _MAIN
-    if pc <= 0 and pc - 1 <= rc <= 0:
-        return _REFLECTED
-    return _OUTSIDE
+def binomial_band(pc: Scalar) -> Optional[Tuple[RegionVerdict, Scalar, Scalar]]:
+    """(verdict, lo, hi): on the line p = pc, a value already passed through
+    ``comparable``, the sequence is positive definite exactly at lo <= r <= hi.
+    None where no r is.  Grid callers bisect a whole line with it."""
+    if pc >= 1:
+        return _MAIN, -1, pc - 1
+    if pc <= 0:
+        return _REFLECTED, pc - 1, 0
+    return None
 
 
 def classify_raney(p: Scalar, r: Scalar) -> RegionVerdict:

@@ -350,14 +350,17 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
     Slater terms are summed in groups, as many series to a kernel pass as
     keep it within _PASS_ROWS rows.  A sum not converged in _BLOCK terms
     raises DomainError naming its z and its x; closer to the endpoint each
-    value comes from ``endpoint_coeffs``.  Values, and which error is
-    raised first, are bit for bit those of summing one term at a time, and
-    every value is the one-point ``eval_density`` value.
+    value comes from ``endpoint_coeffs``, built only after the direct sums
+    have succeeded.  A failing direct sum thus raises before any coefficient
+    is built, and of several failing sums the one raised is the one that
+    summing one term at a time would raise.  Values are bit for bit those of
+    summing one term at a time, and every value is the one-point
+    ``eval_density`` value.
     """
     upper = expansion.domain_upper
     xs, dists = support_points(xs, dist_upper, upper)
     out = np.empty(len(xs))
-    direct, lnzs = [], []
+    direct, lnzs, near = [], [], []
     for i, (x, d) in enumerate(zip(xs, dists)):
         if x > 0.5 * upper:
             lnz = expansion.l * math.log1p(-d / upper)
@@ -368,11 +371,7 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
             lnz = expansion.l * ln_q
         w = -math.expm1(lnz)
         if w <= _TAIL_SWITCH:
-            series = 0.0
-            for c in reversed(expansion.endpoint_coeffs):
-                series = series * w + c
-            g = w ** -0.5 * series  # w**(_PSI - 1)
-            out[i] = expansion.gamma_factor * math.exp(-lnz / expansion.l) * g
+            near.append((i, lnz, w))
         else:
             direct.append(i)
             lnzs.append(lnz)
@@ -406,6 +405,12 @@ def eval_density_many(expansion: SlaterExpansion, xs: Sequence[float],
             for term, value, power in zip(terms, summed(terms), powers):
                 total += term.coef * value * power
         out[direct] = expansion.gamma_factor * total
+    for i, lnz, w in near:
+        series = 0.0
+        for c in reversed(expansion.endpoint_coeffs):
+            series = series * w + c
+        g = w ** -0.5 * series  # w**(_PSI - 1)
+        out[i] = expansion.gamma_factor * math.exp(-lnz / expansion.l) * g
     return out
 
 

@@ -14,7 +14,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .closedform import measure_model
-from .core import DomainError, Params, RegionError, classify_binomial, gen_binomial
+from .core import (
+    DomainError,
+    InconclusiveWitnessError,
+    Params,
+    RegionError,
+    classify_binomial,
+    gen_binomial,
+)
 from .quadrature import QuadratureSpec, integrate_many
 from .series import TruncatedSeries, binomial_series
 from .slater import build_slater_expansion, eval_density_many
@@ -37,10 +44,6 @@ WITNESS_TOL = 1e-9
 CERTIFY_REL_TOL = 1e-7
 
 WITNESS_KINDS = ("NegativeDensityPoint", "NegativeEvenMoment", "NegativeHankel")
-
-
-class InconclusiveWitnessError(RuntimeError):
-    """The witness search exhausted its budget without a certificate."""
 
 
 @dataclass(frozen=True)

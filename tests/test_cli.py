@@ -556,7 +556,7 @@ class TestWitness:
             raise InconclusiveWitnessError("budget exhausted")
 
         monkeypatch.setattr(
-            "binomoment.cli.find_negativity_witness", raise_inconclusive
+            "binomoment.verify.find_negativity_witness", raise_inconclusive
         )
         code, _, err = run(capsys, "witness", "--p", "3/2", "--r", "1")
         assert code == 3
@@ -768,3 +768,68 @@ def test_cli_import_leaves_the_thread_pool_unimported():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+#: the numeric layer and what it imports; the exact commands load none of it
+_NUMERIC_MODULES = ("numpy", "binomoment.slater", "binomoment.closedform",
+                    "binomoment.quadrature", "binomoment.verify", "binomoment.mellin")
+
+_BOUNDARY_PROBE = """
+import contextlib, io, json, sys
+from binomoment.cli import main
+
+def loaded():
+    return [m for m in json.loads(sys.argv[1]) if m in sys.modules]
+
+seen = {"import": loaded()}
+for argv in (["moments", "--p", "7/2", "--r", "1", "--n", "20"],
+             ["series", "--p", "3", "--r", "1", "--order", "10", "--json"],
+             ["classify", "--p", "3/2", "--r", "1", "--family", "binomial"],
+             ["conv-verify"],
+             ["certify", "--p", "2", "--r", "1", "--nmax", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen[argv[0]] = [code, loaded()]
+print(json.dumps(seen))
+"""
+
+
+def _run_cli_child(*args, **kwargs) -> subprocess.CompletedProcess:
+    src = str(Path(binomoment.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    # argparse wraps help text to COLUMNS
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True, timeout=60,
+                          env=env, **kwargs)
+
+
+def test_exact_commands_leave_the_numeric_layer_unimported():
+    # numpy is most of a fresh process's start-up; the exact commands need
+    # none of it.  The certify run, last, loads the whole layer at once: the
+    # bench tracer looks up every traced module once a round has run
+    proc = _run_cli_child(_BOUNDARY_PROBE, json.dumps(_NUMERIC_MODULES), text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    for step in ("moments", "series", "classify", "conv-verify"):
+        assert seen[step] == [0, []], step
+    assert seen["import"] == []
+    assert seen["certify"] == [0, list(_NUMERIC_MODULES)]
+
+
+@pytest.mark.parametrize("argv,code,out_digest,err", [
+    (["--help"], 0, "7e5986ebb43d7cb58398896ba0934304e7f93cf3fddd531409db183e6c03c8f8", b""),
+    (["certify", "--help"], 0,
+     "f7ab05fa5133f06d72799d8e0911d47e7d1431ff814b22b92b07fd01dceeeeaf", b""),
+    (["moments", "--p", "2", "--n", "3"], 1, hashlib.sha256(b"").hexdigest(),
+     b"usage: binomoment moments [-h] --p P --r R --n N [--raney]\n"
+     b"error: the following arguments are required: --r\n"),
+    (["witness", "--p", "2", "--r", "0"], 1, hashlib.sha256(b"").hexdigest(),
+     b"error: parameters lie inside the positive-definite region\n"),
+], ids=["help", "certify-help", "usage-error", "witness-in-region"])
+def test_fresh_process_output_is_pinned(argv, code, out_digest, err):
+    # help, usage and error text of a fresh process, as the parser and the
+    # handlers print them whichever modules are loaded
+    proc = _run_cli_child("import sys; from binomoment.cli import main; sys.exit(main())", *argv)
+    assert proc.returncode == code
+    assert hashlib.sha256(proc.stdout).hexdigest() == out_digest
+    assert proc.stderr == err

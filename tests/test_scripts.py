@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import pkgutil
 import re
 import runpy
@@ -132,3 +133,16 @@ def test_traced_functions_resolve(span, module, attr):
         owner = getattr(owner, part)
     assert callable(owner), span
 
+
+def test_cli_walltime_one_command(monkeypatch, capsys):
+    script = SCRIPTS / "cli_walltime.py"
+    src = str(ROOT / "src")
+    monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "1", "--only", "moments", src])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    report = json.loads(capsys.readouterr().out)
+    (row,) = report["commands"]
+    assert row["name"] == "moments" and row["same_output"] is True
+    assert row["outcome"][0].startswith("0 ") and len(row["median_s"]) == 1
+    assert row["median_s"][0] > 0

@@ -870,6 +870,37 @@ class TestEndpointExpansion:
         eval_density(exp, exp.domain_upper * (1 - 1e-6))
         assert len(vars(exp)["endpoint_coeffs"]) >= 8
 
+    def test_no_coefficients_for_a_sweep_whose_direct_sums_fail(self, monkeypatch):
+        # at k = 128 the direct series at x = 308.56... leave the float range;
+        # the endpoint point of the same sweep then needs no coefficients
+        calls = []
+        build = slater._norlund_coeffs
+        monkeypatch.setattr(slater, "_norlund_coeffs",
+                            lambda alphas, betas: calls.append(len(alphas)) or build(alphas, betas))
+        exp = build_slater_expansion(Params(F(128), F(0)))
+        sweep = [exp.domain_upper * (1 - 1e-6), 308.56150298537915]
+        with pytest.raises(DomainError, match="leave the float range"):
+            eval_density_many(exp, sweep)
+        assert calls == []
+        # a sweep whose direct sums succeed does build them
+        exp = build_slater_expansion(Params(F(5, 2), F(1, 2)))
+        eval_density_many(exp, [exp.domain_upper * (1 - 1e-6), 0.5 * exp.domain_upper])
+        assert calls == [5]
+
+    def test_a_failing_direct_sum_is_raised_before_the_coefficients_fail(self, monkeypatch):
+        def refuse(alphas, betas):
+            raise DomainError("no Norlund coefficients")
+
+        monkeypatch.setattr(slater, "_norlund_coeffs", refuse)
+        exp = build_slater_expansion(Params(F(128), F(0)))
+        x = 308.56150298537915
+        with pytest.raises(DomainError) as alone:
+            eval_density_many(exp, [x])
+        assert str(alone.value).startswith("128F127 series terms leave the float range")
+        with pytest.raises(DomainError) as err:
+            eval_density_many(exp, [x, exp.domain_upper * (1 - 1e-6)])
+        assert str(err.value) == str(alone.value)
+
 
 def _on_nodes(density, xs, dists):
     """A one-point evaluator (x, dist_upper) mapped over quadrature nodes."""
