@@ -10,6 +10,13 @@ this module, so ``moments``, ``series``, ``classify``, ``conv-verify`` and
 the raster figure start without numpy.  The commands that evaluate, sample
 or integrate the density load the numeric layer when they run.
 
+A command builds only its own parser.  The parser of all ten commands is
+built for the program's own help and errors: a first argument that names
+no command, and arguments a command does not take, which argparse reports
+with the program's usage line.  Both come from one table, ``_COMMANDS``,
+so every help text, usage line and error reads as it would from the whole
+parser.
+
 Exit codes: 0 success, 1 domain or region errors (including usage), 2
 verification failure, 3 inconclusive witness search.  Exact values print
 as integers or fractions, floats with 17 significant digits, so output
@@ -345,6 +352,81 @@ def _add_pr(sub, r_required: bool = True):
                      help="second parameter; same syntax as --p")
 
 
+def _moments_args(sp):
+    _add_pr(sp)
+    sp.add_argument("--n", type=int, required=True, help="largest moment index")
+    sp.add_argument("--raney", action="store_true",
+                    help="Raney sequence instead of the binomial one")
+
+
+def _series_args(sp):
+    _add_pr(sp)
+    sp.add_argument("--order", type=int, required=True, help="truncation order")
+    sp.add_argument("--json", action="store_true", help="emit the JSON schema")
+
+
+def _density_args(sp):
+    _add_pr(sp)
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--x", type=parse_scalar, help="single abscissa")
+    group.add_argument("--grid", type=_grid_spec, metavar="A,B,COUNT",
+                       help="evenly spaced abscissae from A to B")
+
+
+def _classify_args(sp):
+    _add_pr(sp)
+    sp.add_argument("--family", choices=("binomial", "raney"), required=True)
+
+
+def _sample_args(sp):
+    _add_pr(sp)
+    sp.add_argument("--count", type=int, required=True)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--binary", action="store_true",
+                    help="raw little-endian float64 to stdout")
+
+
+def _conv_verify_args(sp):
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--all", action="store_true",
+                       help="run every identity (the default)")
+    group.add_argument("--id", help="run a single identity by name")
+
+
+def _certify_args(sp):
+    _add_pr(sp)
+    sp.add_argument("--nmax", type=int, required=True)
+
+
+def _figure_args(sp):
+    sp.add_argument("--id", type=int, required=True, help="figure number")
+    sp.add_argument("--out", required=True, help="output CSV path")
+    sp.add_argument("--params", help="JSON config overriding the bundled one")
+
+
+#: name -> (help, handler, add-arguments) of each command, in help order
+_COMMANDS = {
+    "moments": ("print the moment sequence up to n", _cmd_moments, _moments_args),
+    "series": ("dump generating-series coefficients", _cmd_series, _series_args),
+    "density": ("evaluate the density function", _cmd_density, _density_args),
+    "classify": ("positive-definiteness verdict", _cmd_classify, _classify_args),
+    "factorize": ("Mellin beta factorization", _cmd_factorize, _add_pr),
+    "sample": ("draw samples of the measure", _cmd_sample, _sample_args),
+    "conv-verify": ("run the convolution identity suite", _cmd_conv_verify, _conv_verify_args),
+    "certify": ("certify moments against the density", _cmd_certify, _certify_args),
+    "witness": ("search for a negativity certificate", _cmd_witness, _add_pr),
+    "figure": ("emit figure data as CSV", _cmd_figure, _figure_args),
+}
+
+
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    # the arguments of command ``name``, and its handler as ``handler``
+    _, handler, add_arguments = _COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="binomoment",
@@ -352,74 +434,31 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=f"Scalar flags accept {_SCALAR_HELP}.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sp = sub.add_parser("moments", help="print the moment sequence up to n")
-    _add_pr(sp)
-    sp.add_argument("--n", type=int, required=True, help="largest moment index")
-    sp.add_argument("--raney", action="store_true",
-                    help="Raney sequence instead of the binomial one")
-    sp.set_defaults(handler=_cmd_moments)
-
-    sp = sub.add_parser("series", help="dump generating-series coefficients")
-    _add_pr(sp)
-    sp.add_argument("--order", type=int, required=True, help="truncation order")
-    sp.add_argument("--json", action="store_true", help="emit the JSON schema")
-    sp.set_defaults(handler=_cmd_series)
-
-    sp = sub.add_parser("density", help="evaluate the density function")
-    _add_pr(sp)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--x", type=parse_scalar, help="single abscissa")
-    group.add_argument("--grid", type=_grid_spec, metavar="A,B,COUNT",
-                       help="evenly spaced abscissae from A to B")
-    sp.set_defaults(handler=_cmd_density)
-
-    sp = sub.add_parser("classify", help="positive-definiteness verdict")
-    _add_pr(sp)
-    sp.add_argument("--family", choices=("binomial", "raney"), required=True)
-    sp.set_defaults(handler=_cmd_classify)
-
-    sp = sub.add_parser("factorize", help="Mellin beta factorization")
-    _add_pr(sp)
-    sp.set_defaults(handler=_cmd_factorize)
-
-    sp = sub.add_parser("sample", help="draw samples of the measure")
-    _add_pr(sp)
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--binary", action="store_true",
-                    help="raw little-endian float64 to stdout")
-    sp.set_defaults(handler=_cmd_sample)
-
-    sp = sub.add_parser("conv-verify", help="run the convolution identity suite")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true",
-                       help="run every identity (the default)")
-    group.add_argument("--id", help="run a single identity by name")
-    sp.set_defaults(handler=_cmd_conv_verify)
-
-    sp = sub.add_parser("certify", help="certify moments against the density")
-    _add_pr(sp)
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.set_defaults(handler=_cmd_certify)
-
-    sp = sub.add_parser("witness", help="search for a negativity certificate")
-    _add_pr(sp)
-    sp.set_defaults(handler=_cmd_witness)
-
-    sp = sub.add_parser("figure", help="emit figure data as CSV")
-    sp.add_argument("--id", type=int, required=True, help="figure number")
-    sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--params", help="JSON config overriding the bundled one")
-    sp.set_defaults(handler=_cmd_figure)
-
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: Sequence[str]):
+    """The parsed arguments, with the handler of their command as ``handler``.
+
+    A command parses with its own parser, the one ``_build_parser`` adds
+    for it.  The whole parser is built only where its own output is due:
+    for a first argument that names no command, and for arguments the
+    command does not take, which argparse reports with the program's usage.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = _command_parser(_Parser(prog=f"binomoment {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -199,16 +198,16 @@ class SlaterExpansion:
 _PSI = 0.5
 
 
-def _theta_image(shifts: Sequence[Decimal], s: Decimal) -> list:
+def _theta_image(shifts: Sequence[Decimal], ts: Sequence[Decimal]) -> list:
     """prod_j (theta - shifts_j) w**s as coefficients of w**s, w**(s-1), ...
 
     theta = z d/dz, and with z = 1 - w it maps w**t to t w**t - t w**(t-1).
+    ``ts`` holds the exponents s, s - 1, ..., s - len(shifts) + 1.
     """
     out = [Decimal(1)]
     for c in shifts:
         nxt = [Decimal(0)] * (len(out) + 1)
-        for i, v in enumerate(out):
-            t = s - i
+        for i, (t, v) in enumerate(zip(ts, out)):
             nxt[i] += (t - c) * v
             nxt[i + 1] -= t * v
         out = nxt
@@ -240,8 +239,9 @@ def _norlund_coeffs(alphas, betas) -> list:
         betas = [Decimal(b) for b in betas]
         for n in range(_ENDPOINT_TERMS):
             s = Decimal(_PSI) - 1 + n
-            a = _theta_image(shifted, s)
-            b = _theta_image(betas, s)
+            ts = [s - i for i in range(k)]  # the exponents both images step through
+            a = _theta_image(shifted, ts)
+            b = _theta_image(betas, ts)
             rows.append([a[k - d] - (a[k - 1 - d] - b[k - 1 - d] if d < k else 0)
                          for d in range(k + 1)])
             acc = sum(rows[n - d][d] * ratios[n - d] for d in range(1, min(k, n) + 1))
@@ -261,7 +261,12 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
     has alpha_j = j/l for j <= l, (r + j - l)/(k - l) above, and beta_h =
     (r + h)/k.  Terms whose coefficient carries a gamma pole in its
     denominator are stored with coefficient exactly 0 and skipped during
-    evaluation.
+    evaluation.  The numerator gammas Gamma((j - h)/k) come from one table
+    of 2k - 2 values keyed by j - h.  For exact r = rn/rd each alpha_j -
+    beta_h is an integer numerator over one common denominator D: it is a
+    pole when the numerator is <= 0 and a multiple of D, and its gamma
+    argument is numerator / D, which int division rounds correctly, as
+    float() of the Fraction does.
     """
     k, l = params.k, params.l
     if not k > l >= 1:
@@ -278,24 +283,32 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
     except (OverflowError, ZeroDivisionError):  # a power leaves the float range
         log_factor = (pf - rf - 1.0) * math.log(pf - 1.0) - (pf - rf - 0.5) * math.log(pf)
         gamma_factor = l * math.exp(log_factor) / root if log_factor < 709.0 else math.inf
+    gamma_num = {d: gamma_real(d / k) for d in range(1 - k, k) if d}
+    if exact:
+        # D * alpha_j as integers, D a common denominator of every alpha_j - beta_h
+        rn, rd = ra.numerator, ra.denominator
+        den = l * k * (k - l) * rd
+        scaled = [j * k * (k - l) * rd if j <= l else l * k * (rn + (j - l) * rd)
+                  for j in range(1, k + 1)]
     terms = []
     for h in range(1, k + 1):
         # alpha_j - beta_h for j = 1..k: poles here zero the coefficient
-        den_args = [
-            Fraction(j, l) - (ra + h) / k if exact else j / l - (ra + h) / k
-            for j in range(1, l + 1)
-        ] + [
-            Fraction(ra + j - l, 1) / (k - l) - (ra + h) / k
-            if exact
-            else (ra + j - l) / (k - l) - (ra + h) / k
-            for j in range(l + 1, k + 1)
-        ]
-        if any(at_pole(a) for a in den_args):
+        if exact:
+            shift = l * (k - l) * (rn + h * rd)
+            nums = [a - shift for a in scaled]
+            pole = any(n <= 0 and n % den == 0 for n in nums)
+            den_args = [n / den for n in nums]
+        else:
+            den_args = [j / l - (ra + h) / k for j in range(1, l + 1)] + [
+                (ra + j - l) / (k - l) - (ra + h) / k for j in range(l + 1, k + 1)
+            ]
+            pole = any(at_pole(a) for a in den_args)
+        if pole:
             coef = 0.0
         else:
-            num = math.prod(gamma_real((j - h) / k) for j in range(1, k + 1) if j != h)
+            num = math.prod(gamma_num[j - h] for j in range(1, k + 1) if j != h)
             try:
-                coef = num / math.prod(gamma_real(float(a)) for a in den_args)
+                coef = num / math.prod(gamma_real(a) for a in den_args)
             except (OverflowError, ZeroDivisionError):
                 coef = math.inf
             if not math.isfinite(coef * gamma_factor):

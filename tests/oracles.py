@@ -206,6 +206,69 @@ def norlund_ratios(alphas, betas, psi, count: int) -> list:
     return ratios
 
 
+# -- Slater's expansion --------------------------------------------------------
+
+
+def slater_fields(k: int, l: int, r, gamma, pole_tol: float) -> tuple:
+    """(gamma_factor, terms, alphas, betas) of the density's Slater sum at p = k/l.
+
+    The construction with every alpha_j - beta_h formed as a ``Fraction``
+    when r is exact, and its pole test on the Fraction: a nonpositive
+    integer.  For float r the differences are floats, and a pole is within
+    ``pole_tol`` of a nonpositive integer.  ``gamma`` is the gamma function
+    of the code under test, so every float here can match its bits.  Each
+    term is (coef, a_vec, b_vec, exponent); a pole zeroes coef.  A term
+    whose coefficient leaves the float range raises OverflowError.
+    """
+    exact = isinstance(r, (int, Fraction))
+    ra = Fraction(r) if exact else r
+    rf = float(ra)
+    pf = k / l
+
+    def at_pole(a) -> bool:
+        if exact:
+            return a.denominator == 1 and a <= 0
+        near = round(a)
+        return near <= 0 and abs(a - near) < pole_tol
+
+    root = math.sqrt(2.0 * math.pi * (k - l))
+    try:
+        gamma_factor = l * (pf - 1.0) ** (pf - rf - 1.0) / (pf ** (pf - rf - 0.5) * root)
+    except (OverflowError, ZeroDivisionError):
+        log_factor = (pf - rf - 1.0) * math.log(pf - 1.0) - (pf - rf - 0.5) * math.log(pf)
+        gamma_factor = l * math.exp(log_factor) / root if log_factor < 709.0 else math.inf
+    terms = []
+    for h in range(1, k + 1):
+        den_args = [
+            Fraction(j, l) - (ra + h) / k if exact else j / l - (ra + h) / k
+            for j in range(1, l + 1)
+        ] + [
+            Fraction(ra + j - l, 1) / (k - l) - (ra + h) / k
+            if exact
+            else (ra + j - l) / (k - l) - (ra + h) / k
+            for j in range(l + 1, k + 1)
+        ]
+        if any(at_pole(a) for a in den_args):
+            coef = 0.0
+        else:
+            num = math.prod(gamma((j - h) / k) for j in range(1, k + 1) if j != h)
+            try:
+                coef = num / math.prod(gamma(float(a)) for a in den_args)
+            except (OverflowError, ZeroDivisionError):
+                coef = math.inf
+            if not math.isfinite(coef * gamma_factor):
+                raise OverflowError(f"density term {h} overflows")
+        a_vec = tuple(
+            (rf + h) / k - (j - l) / l if j <= l else (rf + h) / k - (rf + j - k) / (k - l)
+            for j in range(1, k + 1)
+        )
+        b_vec = tuple((k + h - j) / k for j in range(1, k + 1) if j != h)
+        terms.append((coef, a_vec, b_vec, (rf + h) / k - 1.0 / l))
+    alphas = tuple(j / l if j <= l else (rf + j - l) / (k - l) for j in range(1, k + 1))
+    betas = tuple((rf + h) / k for h in range(1, k + 1))
+    return gamma_factor, tuple(terms), alphas, betas
+
+
 # -- free cumulants ---------------------------------------------------------
 
 

@@ -816,16 +816,102 @@ def test_exact_commands_leave_the_numeric_layer_unimported():
     assert seen["certify"] == [0, list(_NUMERIC_MODULES)]
 
 
+def test_a_command_parses_without_the_whole_parser(monkeypatch, capsys):
+    # the parser of every command is built only for the program's own help
+    # and errors; a command that parses builds its own parser alone
+    def refuse():
+        raise AssertionError("the whole parser was built")
+
+    monkeypatch.setattr(binomoment.cli, "_build_parser", refuse)
+    assert run(capsys, "moments", "--p", "3", "--r", "0", "--n", "2")[:2] == (0, "1 3 15\n")
+    assert run(capsys, "classify", "--p", "3/2", "--r", "1", "--family", "binomial")[0] == 0
+
+
+_EMPTY = hashlib.sha256(b"").hexdigest()
+
+#: the usage line of the whole program, printed before every error that is
+#: not one command's own
+_TOP_USAGE = (
+    b"usage: binomoment [-h]\n"
+    b"                  {moments,series,density,classify,factorize,sample,conv-verify,"
+    b"certify,witness,figure}\n"
+    b"                  ...\n"
+)
+
+_COMMAND_CHOICES = (b"(choose from 'moments', 'series', 'density', 'classify', 'factorize', "
+                    b"'sample', 'conv-verify', 'certify', 'witness', 'figure')\n")
+
+#: stdout digest of each command's --help
+_HELP_DIGESTS = {
+    "moments": "e845109cf54360fe9556b8326858b672063377f4240939dea2a5973801e8440b",
+    "series": "e2bdc6ac9c9b64dab129fcd593226dba925c6c25c04aeeb4cf81f648bb982900",
+    "density": "ace869f0d7e25b96f490ad4f0fdfb61c79c81d896e9d1bd3558fb35341c4d352",
+    "classify": "2d1ad0957f6c609b800b896804faf13d8ca2dfec5a2c69a02012bfcbb25da496",
+    "factorize": "3509a71218e9258e5e71db3a58bb8a4f19761edfd4f9769f96e61c1339b9f512",
+    "sample": "597b5a7c28c0912f197c1b3203976d5bfd72864563d5e1923b67b731c65b13d5",
+    "conv-verify": "a2d6b883ab2d12f7e9d509e5a6f1aee0f608ff640047a4ed1dc47132ba497cc5",
+    "certify": "f7ab05fa5133f06d72799d8e0911d47e7d1431ff814b22b92b07fd01dceeeeaf",
+    "witness": "df58488c4c484d1e6f768278156e2edc0bc28d2827913b2df82e5b7c7a83cdf4",
+    "figure": "bcf08cd61b49f087f6408eb4529f3e9c164dbf9f6ac0552b8ffd4bf2176616dc",
+}
+
+#: one missing or clashing argument per command after ``moments``: (argv, stderr)
+_COMMAND_ERRORS = [
+    (["series", "--p", "2", "--r", "1"],
+     b"usage: binomoment series [-h] --p P --r R --order ORDER [--json]\n"
+     b"error: the following arguments are required: --order\n"),
+    (["density", "--p", "2", "--r", "1"],
+     b"usage: binomoment density [-h] --p P --r R (--x X | --grid A,B,COUNT)\n"
+     b"error: one of the arguments --x --grid is required\n"),
+    (["classify", "--p", "2", "--r", "1"],
+     b"usage: binomoment classify [-h] --p P --r R --family {binomial,raney}\n"
+     b"error: the following arguments are required: --family\n"),
+    (["factorize", "--r", "1"],
+     b"usage: binomoment factorize [-h] --p P --r R\n"
+     b"error: the following arguments are required: --p\n"),
+    (["sample", "--p", "2", "--r", "1"],
+     b"usage: binomoment sample [-h] --p P --r R --count COUNT [--seed SEED]\n"
+     b"                         [--binary]\n"
+     b"error: the following arguments are required: --count\n"),
+    (["conv-verify", "--all", "--id", "x"],
+     b"usage: binomoment conv-verify [-h] [--all | --id ID]\n"
+     b"error: argument --id: not allowed with argument --all\n"),
+    (["certify", "--p", "2", "--r", "1"],
+     b"usage: binomoment certify [-h] --p P --r R --nmax NMAX\n"
+     b"error: the following arguments are required: --nmax\n"),
+    (["witness", "--p", "2"],
+     b"usage: binomoment witness [-h] --p P --r R\n"
+     b"error: the following arguments are required: --r\n"),
+    (["figure", "--id", "2"],
+     b"usage: binomoment figure [-h] --id ID --out OUT [--params PARAMS]\n"
+     b"error: the following arguments are required: --out\n"),
+]
+
+
 @pytest.mark.parametrize("argv,code,out_digest,err", [
     (["--help"], 0, "7e5986ebb43d7cb58398896ba0934304e7f93cf3fddd531409db183e6c03c8f8", b""),
-    (["certify", "--help"], 0,
-     "f7ab05fa5133f06d72799d8e0911d47e7d1431ff814b22b92b07fd01dceeeeaf", b""),
-    (["moments", "--p", "2", "--n", "3"], 1, hashlib.sha256(b"").hexdigest(),
+    *[([name, "--help"], 0, digest, b"") for name, digest in _HELP_DIGESTS.items()],
+    (["certify", "--p", "5/2", "--r", "1/2", "-h"], 0, _HELP_DIGESTS["certify"], b""),
+    (["moments", "--p", "2", "--n", "3"], 1, _EMPTY,
      b"usage: binomoment moments [-h] --p P --r R --n N [--raney]\n"
      b"error: the following arguments are required: --r\n"),
-    (["witness", "--p", "2", "--r", "0"], 1, hashlib.sha256(b"").hexdigest(),
+    *[(argv, 1, _EMPTY, err) for argv, err in _COMMAND_ERRORS],
+    # arguments a command does not take are reported with the program's usage
+    (["certify", "--p", "5/2", "--r", "1/2", "--nmax", "1", "--bogus"], 1, _EMPTY,
+     _TOP_USAGE + b"error: unrecognized arguments: --bogus\n"),
+    (["certify", "--p", "5/2", "--r", "1/2", "--nmax", "1", "stray"], 1, _EMPTY,
+     _TOP_USAGE + b"error: unrecognized arguments: stray\n"),
+    (["bogus"], 1, _EMPTY,
+     _TOP_USAGE + b"error: argument command: invalid choice: 'bogus' " + _COMMAND_CHOICES),
+    ([], 1, _EMPTY, _TOP_USAGE + b"error: the following arguments are required: command\n"),
+    (["--p", "2", "certify"], 1, _EMPTY,
+     _TOP_USAGE + b"error: argument command: invalid choice: '2' " + _COMMAND_CHOICES),
+    (["witness", "--p", "2", "--r", "0"], 1, _EMPTY,
      b"error: parameters lie inside the positive-definite region\n"),
-], ids=["help", "certify-help", "usage-error", "witness-in-region"])
+], ids=["help", *[f"{name}-help" for name in _HELP_DIGESTS], "help-after-options",
+        "usage-error", *[f"{argv[0]}-usage-error" for argv, _ in _COMMAND_ERRORS], "unknown-option",
+        "stray-positional", "unknown-command", "no-arguments", "option-before-command",
+        "witness-in-region"])
 def test_fresh_process_output_is_pinned(argv, code, out_digest, err):
     # help, usage and error text of a fresh process, as the parser and the
     # handlers print them whichever modules are loaded

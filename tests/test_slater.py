@@ -1,4 +1,5 @@
 """Hypergeometric machinery: the pFq kernel, the moment symbol, densities."""
+import functools
 import hashlib
 import math
 import time
@@ -13,9 +14,11 @@ from binomoment import slater
 from binomoment.closedform import measure_model
 from binomoment.mellin import _symbol
 from binomoment.core import (
+    GAMMA_POLE_TOL,
     DomainError,
     Params,
     RegionError,
+    gamma_real,
     gen_binomial,
     raney_number,
     support_endpoint,
@@ -27,8 +30,10 @@ from binomoment.slater import (
     build_slater_expansion,
     eval_density,
     eval_density_many,
+    SlaterExpansion,
+    SlaterTerm,
 )
-from oracles import norlund_ratios
+from oracles import norlund_ratios, slater_fields
 
 mp.mp.dps = 30
 
@@ -594,6 +599,54 @@ class TestExpansionStructure:
         # any bit shows up as a digest mismatch here before it reaches stdout
         digest = hashlib.sha256(_expansion_reprs().encode()).hexdigest()
         assert digest == _PINNED_EXPANSION_DIGEST
+
+
+#: the library's gamma, remembered: the oracle asks it for the same
+#: arguments across a grid, and a value read twice is the same value
+_gamma = functools.cache(gamma_real)
+
+
+def _fraction_oracle(params: Params) -> SlaterExpansion:
+    # the expansion as built with Fraction arithmetic, from the same gammas
+    gamma_factor, terms, alphas, betas = slater_fields(
+        params.k, params.l, params.r, _gamma, GAMMA_POLE_TOL)
+    return SlaterExpansion(
+        params=params, k=params.k, l=params.l, gamma_factor=gamma_factor,
+        terms=tuple(SlaterTerm(*t) for t in terms),
+        domain_upper=float(support_endpoint(params.p)), alphas=alphas, betas=betas)
+
+
+#: exact r of the oracle grid, r = p - 1 added per p; then two float r
+_ORACLE_RS = (F(-1), F(-9, 10), F(-1, 2), F(0), F(1, 2), F(1), F(2), F(-3, 2))
+_ORACLE_FLOAT_RS = (-0.3, 0.7)
+
+
+class TestExpansionOracle:
+    def test_small_k_grid_matches_fraction_arithmetic(self):
+        # every coprime k/l with k <= 19: dataclass equality, so every
+        # coefficient, parameter and exponent keeps its bits
+        zeroed = 0
+        for k in range(2, 20):
+            for l in range(1, k):
+                if math.gcd(k, l) != 1:
+                    continue
+                p = F(k, l)
+                for r in (*dict.fromkeys((*_ORACLE_RS, p - 1)), *_ORACLE_FLOAT_RS):
+                    params = Params(p, r)
+                    built = build_slater_expansion(params)
+                    assert built == _fraction_oracle(params), (p, r)
+                    zeroed += sum(t.coef == 0.0 for t in built.terms)
+        # pole-zeroed terms, such as term 2 of (3, 0) (alpha_1 = beta_3), are
+        # in the grid: the pole test is exercised, not only the gammas
+        assert zeroed > 100
+
+    @pytest.mark.parametrize("p,r", [
+        (F(64), F(0)), (F(100, 3), F(0)), (F(127, 2), F(1)), (F(128), F(0)),
+        (F(128, 127), F(0)), (F(101, 100), F(0)), (F(100), 0.5),
+    ], ids=str)
+    def test_large_k_matches_fraction_arithmetic(self, p, r):
+        params = Params(p, r)
+        assert build_slater_expansion(params) == _fraction_oracle(params)
 
 
 #: p values with k up to 19, crossed with exact r, float-of-exact r (one
