@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 #: (name, argv): the exact commands, then those that load the numeric layer,
-#: last two certify runs at large k (the first fails with exit code 1);
+#: last three certify runs at large k (the first fails with exit code 1);
 #: "{out}" is a file in a scratch directory
 COMMANDS = (
     ("moments", ["moments", "--p", "3", "--r", "1", "--n", "10"]),
@@ -46,6 +46,7 @@ COMMANDS = (
     ("density", ["density", "--p", "7/2", "--r", "1", "--x", "0.7"]),
     ("certify-k128", ["certify", "--p", "128", "--r", "0", "--nmax", "1"]),
     ("certify-k127", ["certify", "--p", "127/2", "--r", "1", "--nmax", "10"]),
+    ("certify-k100", ["certify", "--p", "100/3", "--r", "0", "--nmax", "10"]),
 )
 
 _ENTRY = "import sys; from binomoment.cli import main; sys.exit(main())"

@@ -87,9 +87,14 @@ def _level_nodes(level: int):
     return positive, far, near, weight
 
 
-def _sweep(f: Integrand, a: float, b: float, half: float, level: int, rows: int) -> list:
-    """Weighted values of f's rows at one level's nodes, as lists of floats."""
-    positive, far, near, weight = _level_nodes(level)
+def _sweep(f: Integrand, a: float, b: float, half: float, levels: Sequence[int],
+           rows: int) -> list:
+    """Weighted values of f's rows at the nodes of ``levels``, one call of f for all.
+
+    Returns, per level, its rows as lists of floats.
+    """
+    tables = [_level_nodes(level) for level in levels]
+    positive, far, near, weight = (np.concatenate(col) for col in zip(*tables))
     far, near, w = far * half, near * half, weight * half
     dl = np.where(positive, near, far)
     dr = np.where(positive, far, near)
@@ -98,7 +103,8 @@ def _sweep(f: Integrand, a: float, b: float, half: float, level: int, rows: int)
     values = np.zeros((rows, x.size))
     if live.any():
         values[:, live] = w[live] * f(x[live], dl[live], dr[live])
-    return values.tolist()
+    cuts = np.cumsum([table[0].size for table in tables[:-1]])
+    return [part.tolist() for part in np.split(values, cuts, axis=1)]
 
 
 class _Rule:
@@ -169,7 +175,9 @@ def integrate_many(f: Integrand, a: float, b: float,
     one row of values per spec.  Each level is swept once, out to |t| =
     _T_MAX, while any row still needs it, and every row then applies its
     own stopping rule to its values; a row gets the value, error estimate,
-    levels and evaluation count it would get on its own.
+    levels and evaluation count it would get on its own.  No row can stop
+    at level 0, so the first call of f takes the nodes of levels 0 and 1
+    together.
     """
     if not b > a:
         raise DomainError("need b > a")
@@ -177,10 +185,11 @@ def integrate_many(f: Integrand, a: float, b: float,
     rules = [_Rule(spec) for spec in specs]
     level = 0
     while any(rule.result is None for rule in rules):
-        rows = _sweep(f, a, b, half, level, len(rules))
-        for rule, row in zip(rules, rows):
-            if rule.result is None:
-                rule.take(level, row)
+        levels = (0, 1) if level == 0 else (level,)
+        for level, rows in zip(levels, _sweep(f, a, b, half, levels, len(rules))):
+            for rule, row in zip(rules, rows):
+                if rule.result is None:
+                    rule.take(level, row)
         level += 1
     return tuple(rule.result for rule in rules)
 

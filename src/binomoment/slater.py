@@ -198,20 +198,30 @@ class SlaterExpansion:
 _PSI = 0.5
 
 
-def _theta_image(shifts: Sequence[Decimal], ts: Sequence[Decimal]) -> list:
-    """prod_j (theta - shifts_j) w**s as coefficients of w**s, w**(s-1), ...
+def _difference_table(shifts: Sequence, s) -> list:
+    """Divided differences P[s, s - 1, ..., s - i], i = 0..k, of P(x) = prod_j (x - shifts_j).
 
-    theta = z d/dz, and with z = 1 - w it maps w**t to t w**t - t w**(t-1).
-    ``ts`` holds the exponents s, s - 1, ..., s - len(shifts) + 1.
+    k = len(shifts).  They are P's coefficients in the Newton basis N_i(x) =
+    (x - s)(x - s + 1)...(x - s + i - 1), and x - c = N_{i+1}/N_i + s - i - c
+    takes them through the factors one by one, each entry a product and a
+    sum: no values of P are differenced, so no digits cancel.  The last
+    entry is 1, P being monic.
     """
-    out = [Decimal(1)]
+    table = [1]
     for c in shifts:
-        nxt = [Decimal(0)] * (len(out) + 1)
-        for i, (t, v) in enumerate(zip(ts, out)):
-            nxt[i] += (t - c) * v
-            nxt[i + 1] -= t * v
-        out = nxt
-    return out
+        table = [u + (s - i - c) * v for i, (u, v) in enumerate(zip([0, *table], [*table, 0]))]
+    return table
+
+
+def _advance(table: list) -> None:
+    """Move a ``_difference_table`` from s to s + 1 in place.
+
+    With nabla the unit backward difference, table[i] = nabla^i P(s) / i!
+    and nabla^i P(s + 1) = nabla^i P(s) + nabla^(i+1) P(s + 1), so from the
+    top entry down table[i] gains (i + 1) table[i + 1].
+    """
+    for i in range(len(table) - 2, -1, -1):
+        table[i] += (i + 1) * table[i + 1]
 
 
 def _norlund_coeffs(alphas, betas) -> list:
@@ -219,9 +229,18 @@ def _norlund_coeffs(alphas, betas) -> list:
 
     w = 1 - z, psi = _PSI, c_0 = 1/Gamma(psi) (Norlund, "Hypergeometric functions", Acta
     Math. 94 (1955)).  G solves [z prod(theta - alpha_j + 1) - prod(theta -
-    beta_j)] G = 0.  With A_i(s), B_i(s) the coefficients of w**(s-i) in the
-    two products applied to w**s, the power w**(s-k) cancels identically, and
-    the next power of the ansatz gives the recurrence sum_{d=0..k}
+    beta_j)] G = 0.  theta = z d/dz maps w**t to t w**t - t w**(t-1), so on
+    the powers w**(s-i) it is lower bidiagonal with diagonal s - i and
+    subdiagonal -(s - i), and Opitz's formula for a function of a
+    bidiagonal matrix (G. Opitz, "Steigungsmatrizen", ZAMM 44 (1964); C. de
+    Boor, "Divided differences", Surv. Approx. Theory 1 (2005)) gives the
+    coefficient of w**(s-i) in prod_j(theta - c_j) w**s in closed form:
+    A_i(s) = (-1)**i C(s, i) nabla^i P(s) = prod_{j<i} (j - s) P[s, ..., s - i],
+    P(x) = prod_j (x - c_j), nabla the unit backward difference.  One
+    ``_difference_table`` per product (c_j = alpha_j - 1, and c_j = beta_j
+    for B_i) is built at s_0 = _PSI - 1 and moved on by k multiply-adds per n.
+    With these A_i and B_i the power w**(s-k) cancels identically, and the
+    next power of the ansatz gives the recurrence sum_{d=0..k}
     R_d(s_{N-d}) c_{N-d} = 0, R_d = A_{k-d} - A_{k-1-d} + B_{k-1-d} and
     s_n = _PSI - 1 + n.  R_0(s_n) vanishes only at n = 0.  The entries of R
     cancel, by about 0.6 digit per unit of k, so the recurrence runs in
@@ -235,13 +254,19 @@ def _norlund_coeffs(alphas, betas) -> list:
     weight = small = 0  # sum of |c_n/c_0| _TAIL_SWITCH**n, count of small ones
     with localcontext() as ctx:
         ctx.prec = 30 + k
-        shifted = [Decimal(a) - 1 for a in alphas]
-        betas = [Decimal(b) for b in betas]
+        s = Decimal(_PSI) - 1
+        a_table = _difference_table([Decimal(a) - 1 for a in alphas], s)
+        b_table = _difference_table([Decimal(b) for b in betas], s)
         for n in range(_ENDPOINT_TERMS):
-            s = Decimal(_PSI) - 1 + n
-            ts = [s - i for i in range(k)]  # the exponents both images step through
-            a = _theta_image(shifted, ts)
-            b = _theta_image(betas, ts)
+            if n:
+                s += 1
+                _advance(a_table)
+                _advance(b_table)
+            scale = [1]  # prod_{j<i} (j - s), shared by both products
+            for i in range(k):
+                scale.append(scale[i] * (i - s))
+            a = [f * v for f, v in zip(scale, a_table)]
+            b = [f * v for f, v in zip(scale, b_table)]
             rows.append([a[k - d] - (a[k - 1 - d] - b[k - 1 - d] if d < k else 0)
                          for d in range(k + 1)])
             acc = sum(rows[n - d][d] * ratios[n - d] for d in range(1, min(k, n) + 1))

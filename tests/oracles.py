@@ -6,6 +6,7 @@ it is checked against.
 """
 import cmath
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -168,6 +169,24 @@ def raney(p, r, n: int) -> Fraction:
 # -- Norlund's endpoint series -------------------------------------------------
 
 
+def theta_product(shifts, s0, n: int) -> dict:
+    """prod_j (theta - shifts_j) applied to w**(s0 + n), as {m: coefficient of w**(s0 + m)}.
+
+    theta = z d/dz with z = 1 - w maps w**t to t w**t - t w**(t-1); each
+    factor is applied to every power in turn.  Exact when the shifts and s0
+    are Fractions.
+    """
+    poly = {n: Fraction(1)}
+    for c in shifts:
+        nxt = {}
+        for m, v in poly.items():
+            t = s0 + m
+            nxt[m] = nxt.get(m, 0) + (t - c) * v
+            nxt[m - 1] = nxt.get(m - 1, 0) - t * v
+        poly = nxt
+    return poly
+
+
 def norlund_ratios(alphas, betas, psi, count: int) -> list:
     """c_n/c_0, n < count, of G^{k,0}_{k,k}(1 - w | alphas; betas) = w**(psi-1) sum c_n w**n.
 
@@ -179,31 +198,68 @@ def norlund_ratios(alphas, betas, psi, count: int) -> list:
     offsets from psi - 1.
     """
     k = len(alphas)
-
-    def theta_product(shifts, n):
-        poly = {n: Fraction(1)}
-        for c in shifts:
-            nxt = {}
-            for m, v in poly.items():
-                t = psi - 1 + m
-                nxt[m] = nxt.get(m, 0) + (t - c) * v
-                nxt[m - 1] = nxt.get(m - 1, 0) - t * v
-            poly = nxt
-        return poly
-
     images, ratios = [], []
     for n in range(count):
         image = {}
-        for m, v in theta_product([a - 1 for a in alphas], n).items():
+        for m, v in theta_product([a - 1 for a in alphas], psi - 1, n).items():
             image[m] = image.get(m, 0) + v  # times z = 1 - w
             image[m + 1] = image.get(m + 1, 0) - v
-        for m, v in theta_product(betas, n).items():
+        for m, v in theta_product(betas, psi - 1, n).items():
             image[m] = image.get(m, 0) - v
         assert image[n - k] == 0
         images.append(image)
         known = sum(ratios[m] * images[m].get(n - k + 1, 0) for m in range(n))
         ratios.append(-known / image[n - k + 1] if n else Fraction(1))
     return ratios
+
+
+def _theta_image(shifts, ts) -> list:
+    """prod_j (theta - shifts_j) w**s as coefficients of w**s, w**(s-1), ...
+
+    theta = z d/dz, and with z = 1 - w it maps w**t to t w**t - t w**(t-1).
+    ``ts`` holds the exponents s, s - 1, ..., s - len(shifts) + 1.
+    """
+    out = [Decimal(1)]
+    for c in shifts:
+        nxt = [Decimal(0)] * (len(out) + 1)
+        for i, (t, v) in enumerate(zip(ts, out)):
+            nxt[i] += (t - c) * v
+            nxt[i + 1] -= t * v
+        out = nxt
+    return out
+
+
+def norlund_ratios_decimal(alphas, betas, psi: float, switch: float, max_terms: int) -> list:
+    """Decimal c_n/c_0 as the library's recurrence built them with both theta-images per n.
+
+    The recurrence of ``norlund_ratios`` at 30 + k digits, on the float
+    parameters taken exactly: for every n, ``_theta_image`` applies both
+    products to w**s_n, O(k**2) operations each, and R_d = A_{k-d} -
+    A_{k-1-d} + B_{k-1-d} are read off them.  Terms are added until three in
+    a row weigh below 1e-17 of the sum of their magnitudes at w = ``switch``;
+    past ``max_terms`` it raises ValueError.
+    """
+    k, rows, ratios = len(alphas), [], []
+    weight = small = 0  # sum of |c_n/c_0| switch**n, count of small ones
+    with localcontext() as ctx:
+        ctx.prec = 30 + k
+        shifted = [Decimal(a) - 1 for a in alphas]
+        betas = [Decimal(b) for b in betas]
+        for n in range(max_terms):
+            s = Decimal(psi) - 1 + n
+            ts = [s - i for i in range(k)]  # the exponents both images step through
+            a = _theta_image(shifted, ts)
+            b = _theta_image(betas, ts)
+            rows.append([a[k - d] - (a[k - 1 - d] - b[k - 1 - d] if d < k else 0)
+                         for d in range(k + 1)])
+            acc = sum(rows[n - d][d] * ratios[n - d] for d in range(1, min(k, n) + 1))
+            ratios.append(-acc / rows[n][0] if n else Decimal(1))
+            term = abs(float(ratios[n])) * switch**n
+            weight += term
+            small = small + 1 if term < 1e-17 * weight else 0
+            if small == 3:
+                return ratios
+    raise ValueError(f"Norlund series needs over {max_terms} terms")
 
 
 # -- Slater's expansion --------------------------------------------------------

@@ -33,7 +33,7 @@ from binomoment.slater import (
     SlaterExpansion,
     SlaterTerm,
 )
-from oracles import norlund_ratios, slater_fields
+from oracles import norlund_ratios, norlund_ratios_decimal, slater_fields, theta_product
 
 mp.mp.dps = 30
 
@@ -621,21 +621,29 @@ _ORACLE_RS = (F(-1), F(-9, 10), F(-1, 2), F(0), F(1, 2), F(1), F(2), F(-3, 2))
 _ORACLE_FLOAT_RS = (-0.3, 0.7)
 
 
+@functools.cache
+def _oracle_grid() -> tuple:
+    """(params, built expansion) for every coprime k/l with k <= 19 and each grid r."""
+    grid = []
+    for k in range(2, 20):
+        for l in range(1, k):
+            if math.gcd(k, l) != 1:
+                continue
+            p = F(k, l)
+            for r in (*dict.fromkeys((*_ORACLE_RS, p - 1)), *_ORACLE_FLOAT_RS):
+                params = Params(p, r)
+                grid.append((params, build_slater_expansion(params)))
+    return tuple(grid)
+
+
 class TestExpansionOracle:
     def test_small_k_grid_matches_fraction_arithmetic(self):
         # every coprime k/l with k <= 19: dataclass equality, so every
         # coefficient, parameter and exponent keeps its bits
         zeroed = 0
-        for k in range(2, 20):
-            for l in range(1, k):
-                if math.gcd(k, l) != 1:
-                    continue
-                p = F(k, l)
-                for r in (*dict.fromkeys((*_ORACLE_RS, p - 1)), *_ORACLE_FLOAT_RS):
-                    params = Params(p, r)
-                    built = build_slater_expansion(params)
-                    assert built == _fraction_oracle(params), (p, r)
-                    zeroed += sum(t.coef == 0.0 for t in built.terms)
+        for params, built in _oracle_grid():
+            assert built == _fraction_oracle(params), (params.p, params.r)
+            zeroed += sum(t.coef == 0.0 for t in built.terms)
         # pole-zeroed terms, such as term 2 of (3, 0) (alpha_1 = beta_3), are
         # in the grid: the pole test is exercised, not only the gammas
         assert zeroed > 100
@@ -846,7 +854,7 @@ class TestEndpointExpansion:
             got = eval_density(exp, c - d, dist_upper=d)
             assert got == pytest.approx(float(want), rel=4e-15), (p, r, dist_rel)
 
-    @pytest.mark.parametrize("p,r", [(F(17, 5), F(0)), (F(31, 3), F(0))])
+    @pytest.mark.parametrize("p,r", [(F(17, 5), F(0)), (F(31, 3), F(0)), (F(41, 40), F(0))])
     def test_coefficients_match_exact_recurrence(self, p, r):
         # the recurrence in decimal against the operator applied to each
         # power in Fractions, on the same float parameters taken exactly
@@ -854,9 +862,52 @@ class TestEndpointExpansion:
         got = slater._norlund_coeffs(exp.alphas, exp.betas)
         want = norlund_ratios([F(a) for a in exp.alphas], [F(b) for b in exp.betas],
                               F(slater._PSI), len(got))
-        assert len(got) == 18
+        assert len(got) == (20 if p.numerator == 41 else 18)
         for n, (g, w) in enumerate(zip(got, want)):
             assert abs(F(g) - w) <= F(1, 10**20) * abs(w), n
+
+    def test_coefficients_keep_their_bits_on_the_grid(self):
+        # every float coefficient as the theta-image recurrence, which
+        # applies both products anew for each n, rounds it
+        for params, exp in _oracle_grid():
+            want = norlund_ratios_decimal(exp.alphas, exp.betas, slater._PSI, _TAIL_SWITCH,
+                                          slater._ENDPOINT_TERMS)
+            assert exp.endpoint_coeffs == _endpoint_coeffs(want), (params.p, params.r)
+
+    @pytest.mark.parametrize("p,r", [(F(64), F(0)), (F(100), 0.5), (F(128), F(0))], ids=str)
+    def test_large_k_coefficients_keep_their_bits(self, p, r):
+        exp = build_slater_expansion(Params(p, r))
+        want = norlund_ratios_decimal(exp.alphas, exp.betas, slater._PSI, _TAIL_SWITCH,
+                                      slater._ENDPOINT_TERMS)
+        assert exp.endpoint_coeffs == _endpoint_coeffs(want)
+
+    @given(
+        shifts=st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                        min_size=1, max_size=7),
+        s=st.fractions(min_value=-5, max_value=40, max_denominator=12),
+        steps=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_difference_table_is_the_theta_product(self, shifts, s, steps):
+        # Opitz's formula: the coefficient of w**(s-i) in prod_j (theta -
+        # c_j) w**s is prod_{j<i} (j - s) P[s, ..., s - i], exactly, both
+        # for a table built at s and for one moved on from s - steps
+        table = slater._difference_table(shifts, s - steps)
+        for _ in range(steps):
+            slater._advance(table)
+        assert table == slater._difference_table(shifts, s)
+        image = theta_product(shifts, s, 0)
+        scale = F(1)
+        for i, d in enumerate(table):
+            assert scale * d == image[-i], i
+            scale *= i - s
+
+    def test_term_cap_still_raises(self, monkeypatch):
+        # (17/5, 0) needs 18 terms
+        exp = build_slater_expansion(Params(F(17, 5), F(0)))
+        monkeypatch.setattr(slater, "_ENDPOINT_TERMS", 12)
+        with pytest.raises(DomainError, match="^Norlund series needs over 12 terms$"):
+            slater._norlund_coeffs(exp.alphas, exp.betas)
 
     @pytest.mark.parametrize("p,r", [(F(17, 5), F(0)), (F(31, 3), F(0))])
     def test_matches_meijer_g_out_to_the_switch(self, p, r):
@@ -953,6 +1004,12 @@ class TestEndpointExpansion:
         with pytest.raises(DomainError) as err:
             eval_density_many(exp, [x, exp.domain_upper * (1 - 1e-6)])
         assert str(err.value) == str(alone.value)
+
+
+def _endpoint_coeffs(ratios) -> tuple:
+    """Decimal ratios c_n/c_0 rounded as ``SlaterExpansion.endpoint_coeffs`` rounds them."""
+    c0 = 1.0 / math.gamma(slater._PSI)
+    return tuple(c0 * float(q) for q in ratios)
 
 
 def _on_nodes(density, xs, dists):
