@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    GAMMA_POLE_TOL,
     DomainError,
     Params,
     as_scalar,
@@ -93,20 +94,25 @@ def _pfq_sum(nums, dens, zs):
     diverges.
     """
     zs = np.asarray(zs, dtype=float)
-    for num, den in zip(nums, dens):
-        for b in den:
-            if at_pole(b):
-                raise DomainError(f"lower parameter {b} is a nonpositive integer")
-        if len(num) > len(den) + 1 and not any(at_pole(a) for a in num) and np.any(zs != 0.0):
-            raise DomainError(
-                f"{len(num)}F{len(den)} series diverges at every z != 0 unless it terminates"
-            )
-    series, points = len(nums), zs.size
     what = f"{len(nums[0])}F{len(dens[0])} series"
+    lower = np.array(dens, dtype=float)
+    # at_pole's float test on all lower parameters at once; numpy's round,
+    # like round(), takes halves to even
+    near = np.round(lower)
+    pole = (near <= 0) & (np.abs(lower - near) < GAMMA_POLE_TOL)
+    first = int(pole.any(axis=1).argmax()) if pole.any() else len(nums)
+    if len(nums[0]) > len(dens[0]) + 1 and np.any(zs != 0.0):
+        for num in nums[:first]:
+            if not any(at_pole(a) for a in num):
+                raise DomainError(f"{what} diverges at every z != 0 unless it terminates")
+    if first < len(nums):
+        b = dens[first][int(pole[first].argmax())]
+        raise DomainError(f"lower parameter {b} is a nonpositive integer")
+    series, points = len(nums), zs.size
     # each parameter as a (series, 1) column: a + m is then one row of sums
     # per series, repeated for each of its live rows
     num = np.array(nums, dtype=float).T[:, :, None]
-    den = np.array(dens, dtype=float).T[:, :, None]
+    den = lower.T[:, :, None]
     z_rows = np.tile(zs, series)
     values, terms_used = np.empty(z_rows.size), np.empty(z_rows.size, dtype=int)
     live = np.arange(z_rows.size)

@@ -66,9 +66,14 @@ class Witness:
             raise DomainError("witness value must be negative beyond tolerance")
 
 
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    # x**n through libm node by node, as a scalar integrand would take it
-    return np.array([v**n for v in x.tolist()])
+def _powers(x: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows x**0, ..., x**n_max from one list of the nodes.
+
+    Each power goes through libm node by node, as a scalar integrand
+    would take it.
+    """
+    xs = x.tolist()
+    return np.array([[v**n for v in xs] for n in range(n_max + 1)])
 
 
 def certify_measure(params: Params, n_max: int) -> dict:
@@ -81,9 +86,10 @@ def certify_measure(params: Params, n_max: int) -> dict:
     the first n past it raises DomainError before any quadrature runs.
 
     Returns a JSON-ready report with one row per moment.  All moments are
-    integrated together: each quadrature level evaluates the density once
-    at its nodes, and every moment applies its own stopping rule to that
-    sweep, so each gets the result its own tanh-sinh quadrature would give it.
+    integrated together: each density sweep evaluates the nodes of one or
+    more quadrature levels, the first of levels 0 to 2, and every moment
+    applies its own stopping rule to each level's values, so each gets the
+    result its own tanh-sinh quadrature would give it.
     The summation order inside the quadrature is fixed, so the report
     apart from ``runtime_seconds`` is the same on every run.
     """
@@ -93,7 +99,7 @@ def certify_measure(params: Params, n_max: int) -> dict:
 
     def moments(x: np.ndarray, dist_left: np.ndarray, dist_right: np.ndarray) -> np.ndarray:
         density = model.density(x, dist_right)
-        return np.array([_powers(x, n) * density for n in range(n_max + 1)])
+        return _powers(x, n_max) * density
 
     t0 = time.perf_counter()
     targets = []

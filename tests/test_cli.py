@@ -520,6 +520,13 @@ class TestCertify:
                        " at z = 0.8903037194916001 (x = 308.56150298537915)\n")
         assert time.perf_counter() - t0 < 4.0
 
+    def test_unconverged_series_at_one_moment(self, capsys):
+        # one moment fails on the same node as two
+        code, out, err = run(capsys, "certify", "--p", "128", "--r", "0", "--nmax", "0")
+        assert (code, out) == (1, "")
+        assert err == ("error: 128F127 series terms leave the float range"
+                       " at z = 0.8903037194916001 (x = 308.56150298537915)\n")
+
 
     def test_huge_integer_p_refused_before_any_power(self):
         # k = 10**200 would start the big-int power k**k; a child process

@@ -2,6 +2,7 @@
 import functools
 import hashlib
 import math
+import re
 import time
 from fractions import Fraction as F
 
@@ -85,6 +86,20 @@ class TestPfq:
                 _pfq_sum([[0.5] * (len(den) + 1)], [den], [0.3])
         # a lower parameter near, not at, a pole is summed
         assert math.isfinite(_pfq([0.5], [-2.5], 0.3)[0])
+        assert math.isfinite(_pfq([0.5, 0.5], [-2 - 2 * GAMMA_POLE_TOL], 0.3)[0])
+
+    @pytest.mark.parametrize("nums,dens,message", [
+        # the first pole in series order, named as it was given
+        ([[0.5, 0.5]] * 3, [[1.5], [F(-3)], [-1.0]], "lower parameter -3 is"),
+        # within GAMMA_POLE_TOL of a nonpositive integer is a pole
+        ([[0.5] * 3] * 2, [[1.5, -2 + 1e-9], [-1.0, 2.0]], "lower parameter -1.999999999 is"),
+        # series by series: a divergent series before the first pole
+        ([[1, 1, 1]] * 2, [[1], [-1]], "3F1 series diverges"),
+        ([[1, 1, 1]] * 2, [[-1], [1]], "lower parameter -1 is"),
+    ])
+    def test_first_failing_series_is_reported(self, nums, dens, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            _pfq_sum(nums, dens, [0.3])
 
     def test_more_than_one_extra_upper_parameter_rejected(self):
         # 3F1 diverges at every z != 0: refused at once, not summed to inf

@@ -7,6 +7,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from binomoment import verify
@@ -43,7 +44,11 @@ def integrate_density(m, n, spec):
     """
     if n < 0:
         raise DomainError("moment order must be nonnegative")
-    return integrate(lambda x, dl, dr: verify._powers(x, n) * m.density(x, dr), 0.0, m.upper, spec)
+    # x**n through libm node by node, as a scalar integrand would take it
+    def f(x, dl, dr):
+        return np.array([v**n for v in x.tolist()]) * m.density(x, dr)
+
+    return integrate(f, 0.0, m.upper, spec)
 
 IN_REGION = (
     (F(2), F(0)),
@@ -172,6 +177,29 @@ class TestCertifyMeasure:
         assert max(seen.values()) == 1
         assert len(results) == 7
         assert sum(res.evaluations for res in results) > len(seen)
+
+    @pytest.mark.parametrize("p,r", [
+        (F(5, 3), F(-1)), (F(5, 2), F(1, 2)), (F(7, 2), F(-9, 10)),
+        (F(11, 3), F(8, 3)), (F(17, 5), F(0)), (F(3), F(1)),
+    ])
+    def test_one_density_sweep_per_certify(self, monkeypatch, p, r):
+        # at these pairs every moment stops at level 2, and the first
+        # density sweep holds levels 0, 1 and 2, so certify needs no other
+        calls = []
+
+        def counting_model(params):
+            model = measure_model(params)
+
+            def density(xs, dist_upper):
+                calls.append(xs.size)
+                return model.density(xs, dist_upper)
+
+            return dataclasses.replace(model, density=density)
+
+        monkeypatch.setattr(verify, "measure_model", counting_model)
+        report = certify_measure(Params(p, r), 10)
+        assert report["passed"]
+        assert len(calls) == 1
 
     def test_moments_match_one_at_a_time(self):
         # the shared sweep gives each moment what its own quadrature gives
