@@ -31,13 +31,10 @@ __all__ = [
 @dataclass(frozen=True)
 class QuadratureSpec:
     target_abs_tol: float = 1e-10
-    max_levels: int = 9
 
     def __post_init__(self):
         if not self.target_abs_tol >= 1e-14:
             raise DomainError("target_abs_tol must be >= 1e-14")
-        if self.max_levels < 1:
-            raise DomainError("max_levels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,8 @@ class IntegralResult:
 # to an endpoint
 Integrand = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-_T_MAX = 6.0  # |t| cap; sinh(6) ~ 201 puts nodes ~1e-175 from the endpoints
+_T_MAX = 6.0  # |t| cap; u = pi/2 sinh(6) ~ 317 puts nodes ~1e-275 from the endpoints
+_MAX_LEVELS = 9  # a row not converged at this level stops unconverged
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +160,7 @@ class _Rule:
         achieved = max(min(err, est), abs(self.level_vals[-1]) * 1e-16)
         if err <= self.spec.target_abs_tol or achieved <= self.spec.target_abs_tol:
             self.result = IntegralResult(self.level_vals[-1], achieved, True, level, self.evals)
-        elif level == self.spec.max_levels:
+        elif level == _MAX_LEVELS:
             self.result = IntegralResult(self.level_vals[-1], err, False, level, self.evals)
         self.prev_err = err if err > 0 else prev
 
@@ -177,11 +175,10 @@ def integrate_many(f: Integrand, a: float, b: float,
     own stopping rule to its values; a row gets the value, error estimate,
     levels and evaluation count it would get on its own.
 
-    The first call of f takes the nodes of levels 0, 1 and 2 together, or
-    of levels 0 and 1 when no spec allows more than one level.  No row can
-    stop at level 0, and at certify's tolerances rows stop at level 2: on
-    the 745 in-region pairs p = 1 + j/d (d = 2..5, p <= 6, numerator of p
-    <= 40, r = -1, -3/4, ...) certify at n_max = 10 needed level 2 at
+    The first call of f takes the nodes of levels 0, 1 and 2 together.  No
+    row can stop at level 0, and at certify's tolerances rows stop at level
+    2: on the 745 in-region pairs p = 1 + j/d (d = 2..5, p <= 6, numerator
+    of p <= 40, r = -1, -3/4, ...) certify at n_max = 10 needed level 2 at
     every pair and no later level, so one call of f serves a pair where a
     call per level took two.  A row that stops at level 1, as 14 of those
     8195 rows did, ignores its level 2 values, as it ignores values past
@@ -191,10 +188,9 @@ def integrate_many(f: Integrand, a: float, b: float,
         raise DomainError("need b > a")
     half = 0.5 * (b - a)
     rules = [_Rule(spec) for spec in specs]
-    first = tuple(range(min(2, max((spec.max_levels for spec in specs), default=1)) + 1))
     level = 0
     while any(rule.result is None for rule in rules):
-        levels = first if level == 0 else (level,)
+        levels = (0, 1, 2) if level == 0 else (level,)
         for level, rows in zip(levels, _sweep(f, a, b, half, levels, len(rules))):
             for rule, row in zip(rules, rows):
                 if rule.result is None:

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    GAMMA_POLE_TOL,
     DomainError,
     Params,
     as_scalar,
@@ -75,44 +74,29 @@ def _pfq_sum(nums, dens, zs):
     """sum_m prod(a)_m / prod(b)_m * z**m / m! for each series at every z in ``zs``.
 
     ``nums`` and ``dens`` hold one row of upper and one of lower parameters
-    per series, of one length each.  Returns (values, terms_used) arrays of
-    shape (series, points).  The (series, point) pairs are the rows of one
-    pass, series-major, and all rows step through the terms together; a row
-    leaves once three consecutive terms fall below 1e-16 times the running
-    sum.  The terms go in chunks, terms = cumprod(ratio) and sums = 1 +
-    cumsum(terms), each chunk folding the raw cumprod and cumsum of the last
-    into its first term; IEEE * and + commute and numpy accumulates in order
-    along a row, so every value is bit for bit what one array of _BLOCK
-    terms of its series alone would give.  Each parameter is added to the
-    term indices once per series, and that row is repeated for the series'
-    live rows.  Rows not converged after _BLOCK terms raise _NotConverged
-    naming the z of the first one; a ratio product past the float range,
-    which never converges, raises as soon as its row is the first live
-    one.  Before any term, series by series, a lower parameter at a
-    nonpositive integer raises DomainError, as does a non-terminating series
-    with two or more upper than lower parameters at any z != 0, where it
-    diverges.
+    per series, of one length each, and are not checked: densities hand it
+    kF(k-1) series whose lower parameters lie in (0, 2).  Returns (values,
+    terms_used) arrays of shape (series, points).  The (series, point) pairs
+    are the rows of one pass, series-major, and all rows step through the
+    terms together; a row leaves once three consecutive terms fall below
+    1e-16 times the running sum.  The terms go in chunks, terms =
+    cumprod(ratio) and sums = 1 + cumsum(terms), each chunk folding the raw
+    cumprod and cumsum of the last into its first term; IEEE * and + commute
+    and numpy accumulates in order along a row, so every value is bit for
+    bit what one array of _BLOCK terms of its series alone would give.  Each
+    parameter is added to the term indices once per series, and that row is
+    repeated for the series' live rows.  Rows not converged after _BLOCK
+    terms raise _NotConverged naming the z of the first one; a ratio product
+    past the float range, which never converges, raises as soon as its row
+    is the first live one.
     """
     zs = np.asarray(zs, dtype=float)
     what = f"{len(nums[0])}F{len(dens[0])} series"
-    lower = np.array(dens, dtype=float)
-    # at_pole's float test on all lower parameters at once; numpy's round,
-    # like round(), takes halves to even
-    near = np.round(lower)
-    pole = (near <= 0) & (np.abs(lower - near) < GAMMA_POLE_TOL)
-    first = int(pole.any(axis=1).argmax()) if pole.any() else len(nums)
-    if len(nums[0]) > len(dens[0]) + 1 and np.any(zs != 0.0):
-        for num in nums[:first]:
-            if not any(at_pole(a) for a in num):
-                raise DomainError(f"{what} diverges at every z != 0 unless it terminates")
-    if first < len(nums):
-        b = dens[first][int(pole[first].argmax())]
-        raise DomainError(f"lower parameter {b} is a nonpositive integer")
     series, points = len(nums), zs.size
     # each parameter as a (series, 1) column: a + m is then one row of sums
     # per series, repeated for each of its live rows
     num = np.array(nums, dtype=float).T[:, :, None]
-    den = lower.T[:, :, None]
+    den = np.array(dens, dtype=float).T[:, :, None]
     z_rows = np.tile(zs, series)
     values, terms_used = np.empty(z_rows.size), np.empty(z_rows.size, dtype=int)
     live = np.arange(z_rows.size)
@@ -183,7 +167,6 @@ class SlaterExpansion:
     the coefficients of Norlund's expansion about z = 1, built on first use.
     """
 
-    params: Params
     k: int
     l: int
     gamma_factor: float
@@ -352,7 +335,6 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
         exponent = (rf + h) / k - 1.0 / l
         terms.append(SlaterTerm(coef, a_vec, b_vec, exponent))
     return SlaterExpansion(
-        params=params,
         k=k,
         l=l,
         gamma_factor=gamma_factor,

@@ -111,10 +111,7 @@ def certify_measure(params: Params, n_max: int) -> dict:
             raise DomainError(f"moment n = {n} exceeds the float range") from None
     # each moment's absolute target scales with its magnitude, in step with
     # the relative acceptance threshold as the moments grow
-    specs = [
-        QuadratureSpec(target_abs_tol=max(1e-11, 1e-9 * abs(target)), max_levels=9)
-        for target in targets
-    ]
+    specs = [QuadratureSpec(target_abs_tol=max(1e-11, 1e-9 * abs(target))) for target in targets]
     results = integrate_many(moments, 0.0, model.upper, specs)
     rows = []
     for n, (target, res) in enumerate(zip(targets, results)):

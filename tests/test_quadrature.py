@@ -59,13 +59,3 @@ def test_first_call_takes_levels_zero_to_two(f, specs):
     assert len(sizes) == max(res.levels for res in got) - 1
     assert sizes[0] == _nodes((0, 1, 2))
 
-
-def test_first_call_stops_at_the_last_allowed_level():
-    # specs that all stop at level 1 sweep no level 2 nodes
-    specs = tuple(QuadratureSpec(spec.target_abs_tol, max_levels=1) for spec in _SPECS)
-    sizes = []
-    got = integrate_many(_counted(_rows, sizes), 0.0, 2.0, specs)
-    assert got == _one_level_at_a_time(_rows, 0.0, 2.0, specs)
-    assert [res.levels for res in got] == [1, 1, 1]
-    assert [res.converged for res in got] == [True, False, False]
-    assert sizes == [_nodes((0, 1))]
