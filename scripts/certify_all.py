@@ -4,9 +4,10 @@ For every rational (p, r) on a configurable grid that classifies as
 positive definite with p > 1, the measure is certified by quadrature:
 each moment up to n_max is integrated against the density (plus any atom
 at the origin) and compared with the exact binomial value.  One summary
-line is printed per pair; the worst relative error over the whole sweep
-is reported at the end and the exit code reflects whether every pair
-certified cleanly.
+line is printed per pair; a pair whose certification raises a domain or
+region error prints that error and counts as a failure.  The worst
+relative error over the whole sweep is reported at the end and the exit
+code reflects whether every pair certified cleanly.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from binomoment.core import Params, classify_binomial
+from binomoment.core import DomainError, Params, RegionError, classify_binomial
 from binomoment.verify import certify_measure
 
 
@@ -39,7 +40,12 @@ def run(args) -> int:
     t0 = time.perf_counter()
     reports = []
     for params in pairs:
-        report = certify_measure(params, args.n_max)
+        try:
+            report = certify_measure(params, args.n_max)
+        except (DomainError, RegionError) as exc:
+            print(f"  p={params.p} r={params.r}  error: {exc}")
+            failures.append(params)
+            continue
         reports.append(report)
         rel = max(
             (row["abs_error"] / max(abs(row["expected"]), 1.0))

@@ -30,15 +30,18 @@ import tempfile
 import time
 from pathlib import Path
 
-#: (name, argv): the exact commands, then those that load the numeric layer,
-#: last three certify runs at large k (the first fails with exit code 1);
-#: "{out}" is a file in a scratch directory
+#: (name, argv): the exact commands, a usage error (exit code 1) and a
+#: command's help, then those that load the numeric layer, last three certify
+#: runs at large k (the first fails with exit code 1); "{out}" is a file in a
+#: scratch directory
 COMMANDS = (
     ("moments", ["moments", "--p", "3", "--r", "1", "--n", "10"]),
     ("series", ["series", "--p", "3", "--r", "1", "--order", "10"]),
     ("classify", ["classify", "--p", "3/2", "--r", "1", "--family", "binomial"]),
     ("conv-verify", ["conv-verify"]),
     ("figure-raster", ["figure", "--id", "1", "--out", "{out}"]),
+    ("usage-error", ["certify", "--p", "5/2", "--r", "1/2", "--nmax", "1", "--bogus"]),
+    ("certify-help", ["certify", "--help"]),
     ("certify", ["certify", "--p", "17/5", "--r", "0", "--nmax", "10"]),
     ("figure-curves", ["figure", "--id", "2", "--out", "{out}"]),
     ("sample", ["sample", "--p", "3", "--r", "0", "--count", "1000", "--seed", "1"]),

@@ -10,12 +10,8 @@ this module, so ``moments``, ``series``, ``classify``, ``conv-verify`` and
 the raster figure start without numpy.  The commands that evaluate, sample
 or integrate the density load the numeric layer when they run.
 
-A command builds only its own parser.  The parser of all ten commands is
-built for the program's own help and errors: a first argument that names
-no command, and arguments a command does not take, which argparse reports
-with the program's usage line.  Both come from one table, ``_COMMANDS``,
-so every help text, usage line and error reads as it would from the whole
-parser.
+One parser of all ten commands, built from the table ``_COMMANDS`` on the
+first call of ``main``, serves every later call in the process.
 
 Exit codes: 0 success, 1 domain or region errors (including usage), 2
 verification failure, 3 inconclusive witness search.  Exact values print
@@ -25,6 +21,7 @@ is byte-identical across platforms for a fixed argument vector.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -419,51 +416,28 @@ _COMMANDS = {
 }
 
 
-def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    # the arguments of command ``name``, and its handler as ``handler``
-    _, handler, add_arguments = _COMMANDS[name]
-    add_arguments(parser)
-    parser.set_defaults(handler=handler)
-    return parser
-
-
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command, with the command's handler as ``handler``."""
     parser = _Parser(
         prog="binomoment",
         description="Measures with generalized binomial and Raney moments.",
         epilog=f"Scalar flags accept {_SCALAR_HELP}.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _command_parser(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, handler, add_arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        add_arguments(command)
+        command.set_defaults(handler=handler)
     return parser
-
-
-def _parse(argv: Sequence[str]):
-    """The parsed arguments, with the handler of their command as ``handler``.
-
-    A command parses with its own parser, the one ``_build_parser`` adds
-    for it.  The whole parser is built only where its own output is due:
-    for a first argument that names no command, and for arguments the
-    command does not take, which argparse reports with the program's usage.
-    """
-    if argv and argv[0] in _COMMANDS:
-        parser = _command_parser(_Parser(prog=f"binomoment {argv[0]}"), argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, RegionError) as exc:
+    except (_UsageError, DomainError, RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InconclusiveWitnessError as exc:

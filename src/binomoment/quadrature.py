@@ -2,12 +2,12 @@
 
 The double-exponential (tanh-sinh) rule of Takahasi and Mori, "Double
 exponential formulas for numerical integration" (1974), handles integrable
-algebraic singularities at either endpoint; integrands receive stably
-computed distances to both endpoints so they can resolve behavior far below
-float spacing of the endpoints themselves.  Integrands take each level's
-nodes as arrays, and one sweep of a level serves every row of a
-vector-valued integrand.  Accumulation uses ``math.fsum`` over a fixed node
-order, so results are bit-reproducible from run to run.
+algebraic singularities at either endpoint.  Every integral runs over
+(0, b), and integrands receive a stably computed distance to b so they can
+resolve behavior far below the float spacing of b itself.  Integrands take
+each level's nodes as arrays, and one sweep of a level serves every row of
+a vector-valued integrand.  Accumulation uses ``math.fsum`` over a fixed
+node order, so results are bit-reproducible from run to run.
 """
 from __future__ import annotations
 
@@ -46,10 +46,9 @@ class IntegralResult:
     evaluations: int
 
 
-# integrands are called f(x, dist_left, dist_right) on arrays of nodes; the
-# distances are exact products of the transform, accurate even when x rounds
-# to an endpoint
-Integrand = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# integrands are called f(x, dist_upper) on arrays of nodes; the distance to
+# b is an exact product of the transform, accurate even when x rounds to b
+Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _T_MAX = 6.0  # |t| cap; u = pi/2 sinh(6) ~ 317 puts nodes ~1e-275 from the endpoints
 _MAX_LEVELS = 9  # a row not converged at this level stops unconverged
@@ -62,7 +61,7 @@ def _level_nodes(level: int):
     Level 0 is t = 0 and then t = j/2 for j = 1, 2, ... on the positive and
     then the negative side; level L >= 1 adds the odd multiples of
     h = 2**-(L+1), again positive side first.  Returned as (positive, far,
-    near, weight) arrays with entries up to the factor half = (b - a)/2:
+    near, weight) arrays with entries up to the factor half = b/2:
     ``positive`` is u >= 0, where x sits near b; far and near are 1 -+ tanh(u).
     Computed through libm point by point, so the nodes are bit for bit the
     ones a scalar loop would build.
@@ -85,8 +84,7 @@ def _level_nodes(level: int):
     return positive, far, near, weight
 
 
-def _sweep(f: Integrand, a: float, b: float, half: float, levels: Sequence[int],
-           rows: int) -> list:
+def _sweep(f: Integrand, b: float, half: float, levels: Sequence[int], rows: int) -> list:
     """Weighted values of f's rows at the nodes of ``levels``, one call of f for all.
 
     Returns, per level, its rows as lists of floats.
@@ -96,11 +94,11 @@ def _sweep(f: Integrand, a: float, b: float, half: float, levels: Sequence[int],
     far, near, w = far * half, near * half, weight * half
     dl = np.where(positive, near, far)
     dr = np.where(positive, far, near)
-    x = np.where(dl <= dr, a + dl, b - dr)
+    x = np.where(dl <= dr, dl, b - dr)
     live = w != 0.0  # a zero weight leaves its node unevaluated
     values = np.zeros((rows, x.size))
     if live.any():
-        values[:, live] = w[live] * f(x[live], dl[live], dr[live])
+        values[:, live] = w[live] * f(x[live], dr[live])
     cuts = np.cumsum([table[0].size for table in tables[:-1]])
     return [part.tolist() for part in np.split(values, cuts, axis=1)]
 
@@ -165,11 +163,10 @@ class _Rule:
         self.prev_err = err if err > 0 else prev
 
 
-def integrate_many(f: Integrand, a: float, b: float,
-                   specs: Sequence[QuadratureSpec]) -> tuple:
-    """Integrals over (a, b) of the rows of a vector-valued f, one per spec.
+def integrate_many(f: Integrand, b: float, specs: Sequence[QuadratureSpec]) -> tuple:
+    """Integrals over (0, b) of the rows of a vector-valued f, one per spec.
 
-    f(x, dist_left, dist_right) gets a level's nodes as arrays and returns
+    f(x, dist_upper) gets a level's nodes as arrays and returns
     one row of values per spec.  Each level is swept once, out to |t| =
     _T_MAX, while any row still needs it, and every row then applies its
     own stopping rule to its values; a row gets the value, error estimate,
@@ -184,14 +181,14 @@ def integrate_many(f: Integrand, a: float, b: float,
     8195 rows did, ignores its level 2 values, as it ignores values past
     any stop, so its result is the one a call per level gives it.
     """
-    if not b > a:
-        raise DomainError("need b > a")
-    half = 0.5 * (b - a)
+    if not b > 0:
+        raise DomainError("need b > 0")
+    half = 0.5 * b
     rules = [_Rule(spec) for spec in specs]
     level = 0
     while any(rule.result is None for rule in rules):
         levels = (0, 1, 2) if level == 0 else (level,)
-        for level, rows in zip(levels, _sweep(f, a, b, half, levels, len(rules))):
+        for level, rows in zip(levels, _sweep(f, b, half, levels, len(rules))):
             for rule, row in zip(rules, rows):
                 if rule.result is None:
                     rule.take(level, row)
@@ -199,10 +196,10 @@ def integrate_many(f: Integrand, a: float, b: float,
     return tuple(rule.result for rule in rules)
 
 
-def integrate(f: Integrand, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
-    """Integral of f over (a, b) by the tanh-sinh rule.
+def integrate(f: Integrand, b: float, spec: QuadratureSpec) -> IntegralResult:
+    """Integral of f over (0, b) by the tanh-sinh rule.
 
-    f(x, dist_left, dist_right) gets each level's nodes as arrays and
+    f(x, dist_upper) gets each level's nodes as arrays and
     returns the integrand values there.
     """
-    return integrate_many(f, a, b, (spec,))[0]
+    return integrate_many(f, b, (spec,))[0]

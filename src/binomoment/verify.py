@@ -97,8 +97,8 @@ def certify_measure(params: Params, n_max: int) -> dict:
         raise DomainError("n_max must be nonnegative")
     model = measure_model(params)
 
-    def moments(x: np.ndarray, dist_left: np.ndarray, dist_right: np.ndarray) -> np.ndarray:
-        density = model.density(x, dist_right)
+    def moments(x: np.ndarray, dist_upper: np.ndarray) -> np.ndarray:
+        density = model.density(x, dist_upper)
         return _powers(x, n_max) * density
 
     t0 = time.perf_counter()
@@ -112,7 +112,7 @@ def certify_measure(params: Params, n_max: int) -> dict:
     # each moment's absolute target scales with its magnitude, in step with
     # the relative acceptance threshold as the moments grow
     specs = [QuadratureSpec(target_abs_tol=max(1e-11, 1e-9 * abs(target))) for target in targets]
-    results = integrate_many(moments, 0.0, model.upper, specs)
+    results = integrate_many(moments, model.upper, specs)
     rows = []
     for n, (target, res) in enumerate(zip(targets, results)):
         atom_part = model.atom_at_zero if n == 0 else 0.0

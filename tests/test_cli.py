@@ -823,17 +823,6 @@ def test_exact_commands_leave_the_numeric_layer_unimported():
     assert seen["certify"] == [0, list(_NUMERIC_MODULES)]
 
 
-def test_a_command_parses_without_the_whole_parser(monkeypatch, capsys):
-    # the parser of every command is built only for the program's own help
-    # and errors; a command that parses builds its own parser alone
-    def refuse():
-        raise AssertionError("the whole parser was built")
-
-    monkeypatch.setattr(binomoment.cli, "_build_parser", refuse)
-    assert run(capsys, "moments", "--p", "3", "--r", "0", "--n", "2")[:2] == (0, "1 3 15\n")
-    assert run(capsys, "classify", "--p", "3/2", "--r", "1", "--family", "binomial")[0] == 0
-
-
 _EMPTY = hashlib.sha256(b"").hexdigest()
 
 #: the usage line of the whole program, printed before every error that is
@@ -893,6 +882,23 @@ _COMMAND_ERRORS = [
      b"usage: binomoment figure [-h] --id ID --out OUT [--params PARAMS]\n"
      b"error: the following arguments are required: --out\n"),
 ]
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
+    # the parser is built on the first call of main and reused by the later
+    # calls, whose help, usage and error text read as from a fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    binomoment.cli._parser.cache_clear()
+    assert run(capsys, "certify", "--p", "5/2", "--r", "1/2", "--nmax", "1", "--bogus") == (
+        1, "", (_TOP_USAGE + b"error: unrecognized arguments: --bogus\n").decode())
+    assert run(capsys, "moments", "--p", "3", "--r", "0", "--n", "2") == (0, "1 3 15\n", "")
+    assert run(capsys, "certify", "--p", "2", "--r", "1", "--nmax", "2")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == _HELP_DIGESTS["certify"]
+    assert binomoment.cli._parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv,code,out_digest,err", [

@@ -181,8 +181,7 @@ class TestIntegerSequenceMoments:
         params = Params(F(3, 2), F(-1, 2))
         for n, lit in enumerate(self.LITERALS):
             res = integrate(
-                lambda y, dl, dr: (4.0 * y) ** n * eval_closed(params, y, dr),
-                0.0,
+                lambda y, dr: (4.0 * y) ** n * eval_closed(params, y, dr),
                 math.sqrt(6.75),
                 QUAD,
             )
@@ -197,8 +196,7 @@ class TestIntegerSequenceMoments:
         params = Params(F(3, 2), F(-1, 2))
         for n in (0, 1, 2, 3):
             res = integrate(
-                lambda y, dl, dr: (16.0 * y * y) ** n * eval_closed(params, y, dr),
-                0.0,
+                lambda y, dr: (16.0 * y * y) ** n * eval_closed(params, y, dr),
                 math.sqrt(6.75),
                 QUAD,
             )
@@ -222,7 +220,7 @@ class TestMeasureModel:
     def test_total_mass_is_one(self, p, r):
         m = measure_model(Params(p, r))
         res = integrate(
-            lambda y, dl, dr: m.density(y, dr), 0.0, m.upper, QUAD
+            lambda y, dr: m.density(y, dr), m.upper, QUAD
         )
         assert m.atom_at_zero + res.value == pytest.approx(1.0, abs=1e-9)
 
@@ -242,7 +240,7 @@ class TestMeasureModel:
         m = measure_model(Params(F(2), F(1, 2)))
         for n in (1, 2, 5):
             res = integrate(
-                lambda y, dl, dr: y**n * m.density(y, dr), 0.0, m.upper, QUAD
+                lambda y, dr: y**n * m.density(y, dr), m.upper, QUAD
             )
             want = float(gen_binomial(F(2), F(1, 2), n))
             assert res.value == pytest.approx(want, rel=1e-9)

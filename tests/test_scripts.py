@@ -25,6 +25,20 @@ def test_certify_all_small_grid(monkeypatch, capsys):
     assert "4/4 certified" in capsys.readouterr().out
 
 
+def test_certify_all_reports_a_failing_pair_and_goes_on(monkeypatch, capsys):
+    # n_max = 1000 is past the float range on every pair: each pair prints
+    # its error, the sweep runs to the end and exits 1, with no traceback
+    script = SCRIPTS / "certify_all.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--p-max", "3/2", "--n-max", "1000"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count(" error: moment n = ") == 4
+    assert "0/4 certified" in out
+
+
 @pytest.mark.parametrize(
     "name",
     ["binomoment"] + [f"binomoment.{m.name}" for m in pkgutil.iter_modules(binomoment.__path__)],

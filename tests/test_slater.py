@@ -428,8 +428,7 @@ def _density_mellin(p, r, sigma: float) -> float:
     """Integral of V(x) x**(sigma - 1) over (0, c) by tanh-sinh quadrature."""
     exp = build_slater_expansion(Params(p, r))
     res = integrate(
-        lambda x, dl, du: eval_density_many(exp, x, du) * x ** (sigma - 1.0),
-        0.0,
+        lambda x, du: eval_density_many(exp, x, du) * x ** (sigma - 1.0),
         exp.domain_upper,
         SPEC,
     )
@@ -458,7 +457,7 @@ class TestMellinSymbol:
         # the atom 1/p at zero
         for p in (F(2), F(3), F(5, 2)):
             m = measure_model(Params(p, F(-1)))
-            res = integrate(lambda x, dl, du: m.density(x, du), 0.0, m.upper, SPEC)
+            res = integrate(lambda x, du: m.density(x, du), m.upper, SPEC)
             assert res.value == pytest.approx(float((p - 1) / p), rel=1e-9)
             assert m.atom_at_zero == pytest.approx(float(1 / p), rel=1e-15)
 
@@ -724,8 +723,7 @@ class TestDensityValues:
             exp = build_slater_expansion(Params(p, r))
             for n in range(0, 11, 2):
                 res = integrate(
-                    lambda x, dl, du: eval_density_many(exp, x, du) * x**n,
-                    0.0,
+                    lambda x, du: eval_density_many(exp, x, du) * x**n,
                     exp.domain_upper,
                     SPEC,
                 )
@@ -1038,13 +1036,13 @@ class TestRaneyDensity:
             w = _raney_density(p, r)
             upper = float(support_endpoint(p))
             for n in (0, 1, 3):
-                res = integrate(lambda x, dl, du: _on_nodes(w, x, du) * x**n, 0.0, upper, SPEC)
+                res = integrate(lambda x, du: _on_nodes(w, x, du) * x**n, upper, SPEC)
                 want = float(raney_number(p, r, n))
                 assert res.value == pytest.approx(want, rel=1e-8), (p, r, n)
 
     def test_catalan_moments(self):
         w = _raney_density(F(2), F(1))
         for n in (1, 2, 4, 6):
-            res = integrate(lambda x, dl, du: _on_nodes(w, x, du) * x**n, 0.0, 4.0, SPEC)
+            res = integrate(lambda x, du: _on_nodes(w, x, du) * x**n, 4.0, SPEC)
             want = float(raney_number(F(2), F(1), n))
             assert res.value == pytest.approx(want, rel=1e-8)

@@ -45,10 +45,10 @@ def integrate_density(m, n, spec):
     if n < 0:
         raise DomainError("moment order must be nonnegative")
     # x**n through libm node by node, as a scalar integrand would take it
-    def f(x, dl, dr):
+    def f(x, dr):
         return np.array([v**n for v in x.tolist()]) * m.density(x, dr)
 
-    return integrate(f, 0.0, m.upper, spec)
+    return integrate(f, m.upper, spec)
 
 IN_REGION = (
     (F(2), F(0)),
@@ -166,8 +166,8 @@ class TestCertifyMeasure:
 
             return dataclasses.replace(model, density=density)
 
-        def counting_integrate_many(f, a, b, specs):
-            results.extend(original_integrate_many(f, a, b, specs))
+        def counting_integrate_many(f, b, specs):
+            results.extend(original_integrate_many(f, b, specs))
             return tuple(results)
 
         monkeypatch.setattr(verify, "measure_model", counting_model)
