@@ -34,8 +34,7 @@ def grid_pairs(p_den: int, r_den: int, p_max: Fraction):
 def run(args) -> int:
     pairs = list(grid_pairs(args.p_den, args.r_den, Fraction(args.p_max)))
     print(f"certifying {len(pairs)} parameter pairs, n_max={args.n_max}")
-    worst_rel = 0.0
-    worst_at = None
+    worst = None  # (relative error, pair) of the worst pair with a report
     failures = []
     t0 = time.perf_counter()
     reports = []
@@ -51,8 +50,8 @@ def run(args) -> int:
             (row["abs_error"] / max(abs(row["expected"]), 1.0))
             for row in report["moments"]
         )
-        if rel > worst_rel:
-            worst_rel, worst_at = rel, params
+        if worst is None or rel > worst[0]:
+            worst = (rel, params)
         tag = "ok" if report["passed"] else "FAIL"
         print(
             f"  p={params.p} r={params.r}"
@@ -61,7 +60,10 @@ def run(args) -> int:
         if not report["passed"]:
             failures.append(params)
     elapsed = time.perf_counter() - t0
-    print(f"worst relative error {worst_rel:.3e} at {worst_at}")
+    if worst is None:
+        print("worst relative error: none (no pair certified)")
+    else:
+        print(f"worst relative error {worst[0]:.3e} at {worst[1]}")
     print(f"{len(pairs) - len(failures)}/{len(pairs)} certified in {elapsed:.1f}s")
     if args.json_out:
         with open(args.json_out, "w") as fh:

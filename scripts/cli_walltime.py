@@ -32,11 +32,12 @@ from pathlib import Path
 
 #: (name, argv): the exact commands, a usage error (exit code 1) and a
 #: command's help, then those that load the numeric layer, last three certify
-#: runs at large k (the first fails with exit code 1); "{out}" is a file in a
-#: scratch directory
+#: runs at large k (the first fails with exit code 1); the "-float-r" rows
+#: give r as a float; "{out}" is a file in a scratch directory
 COMMANDS = (
     ("moments", ["moments", "--p", "3", "--r", "1", "--n", "10"]),
     ("series", ["series", "--p", "3", "--r", "1", "--order", "10"]),
+    ("series-float-r", ["series", "--p", "4", "--r", "0.1234567", "--order", "20", "--json"]),
     ("classify", ["classify", "--p", "3/2", "--r", "1", "--family", "binomial"]),
     ("conv-verify", ["conv-verify"]),
     ("figure-raster", ["figure", "--id", "1", "--out", "{out}"]),
@@ -46,6 +47,7 @@ COMMANDS = (
     ("figure-curves", ["figure", "--id", "2", "--out", "{out}"]),
     ("sample", ["sample", "--p", "3", "--r", "0", "--count", "1000", "--seed", "1"]),
     ("witness", ["witness", "--p", "3/2", "--r", "1"]),
+    ("witness-float-r", ["witness", "--p", "5/2", "--r", "3.1234567"]),
     ("density", ["density", "--p", "7/2", "--r", "1", "--x", "0.7"]),
     ("certify-k128", ["certify", "--p", "128", "--r", "0", "--nmax", "1"]),
     ("certify-k127", ["certify", "--p", "127/2", "--r", "1", "--nmax", "10"]),

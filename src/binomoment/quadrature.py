@@ -106,9 +106,11 @@ def _sweep(f: Integrand, b: float, half: float, levels: Sequence[int], rows: int
 class _Rule:
     """The stopping rule for one integrand, fed one level's values at a time.
 
-    A side of a level stops at the fourth successive value below 1e-18 of
-    the running scale, so ``take`` reads only a prefix of each side; the
-    values past it are ignored, exactly as if they had never been computed.
+    A side of a level stops at the fourth successive value at most 1e-18 of
+    the scale, so ``take`` reads only a prefix of each side; the values past
+    it are ignored, exactly as if they had never been computed.  The scale
+    is the largest magnitude read so far at level 0, and the magnitude of
+    the running total at later levels (at least 1e-300 either way).
     """
 
     def __init__(self, spec: QuadratureSpec):
@@ -116,7 +118,6 @@ class _Rule:
         self.evals = 0
         self.level_vals = []
         self.total = 0.0
-        self.scale = 0.0
         self.prev_err = math.inf
         self.result = None
 
@@ -125,26 +126,26 @@ class _Rule:
         if level == 0:
             centre, values = values[0], values[1:]
             terms = [centre]
-            self.evals += 1
-            self.scale = max(abs(centre), 1e-300)
+            scale = max(abs(centre), 1e-300)
         else:
             terms = []
+            tiny = 1e-18 * max(abs(self.total), 1e-300)
         side = len(values) // 2
         for part in (values[:side], values[side:]):
             tiny_run = 0
-            for v in part:
-                self.evals += 1
-                terms.append(v)
+            for i, v in enumerate(part):
                 if level == 0:
-                    self.scale = max(self.scale, abs(v))
-                else:
-                    self.scale = max(abs(self.total), abs(v), 1e-300)
-                if abs(v) <= 1e-18 * self.scale:
+                    scale = max(scale, abs(v))
+                    tiny = 1e-18 * scale
+                if abs(v) <= tiny:
                     tiny_run += 1
-                    if tiny_run >= 4:
+                    if tiny_run == 4:
+                        part = part[: i + 1]
                         break
                 else:
                     tiny_run = 0
+            terms += part
+        self.evals += len(terms)
         if level == 0:
             self.total = math.fsum(terms)
             self.level_vals.append(h * self.total)

@@ -6,18 +6,21 @@ modulo z**(N+1) whenever the coefficients involved are exact rationals;
 real powers come from Miller's recurrence and the compositional inverse
 from Lagrange inversion, so rational data never leaves the rationals.
 
-Exact operations run on integers: each input series is read as integer
-numerators over the lcm of its denominators, the recurrence runs on those
+Every operation runs on integers: each input series is read as integer
+numerators over the lcm of its denominators, a float coefficient or
+exponent by its exact dyadic value, the recurrence runs on those
 numerators with the denominators tracked apart, and each output
-coefficient becomes one ``Fraction``, reduced once.  A series with a float
-coefficient, or a float exponent, takes the ``Fraction``/float loops
-instead, so float results keep their bits.
+coefficient is one integer over another.  When every input is exact it
+becomes one ``Fraction``, reduced once; otherwise it is rounded once to
+the nearest float, so a float result is the correctly rounded value of
+the exact operation on the floats' values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Callable
 
@@ -41,9 +44,31 @@ __all__ = [
 
 
 def _numerators(coeffs) -> tuple:
-    """Exact coefficients as (integer numerators, their common denominator)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    """Coefficients as (integer numerators, their common denominator).
+
+    A float enters by its exact value; a nan or an infinity raises DomainError.
+    """
+    try:
+        ratios = [c.as_integer_ratio() for c in coeffs]
+    except (ValueError, OverflowError):
+        raise DomainError(f"series operations need finite values: {coeffs}") from None
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _series(nums, dens, exact: bool) -> "TruncatedSeries":
+    """The series of coefficients nums[m] / dens[m].
+
+    Each is one reduced Fraction when ``exact``, else the nearest float:
+    int true division rounds once, correctly.  The sign moves to the
+    numerator first, so an exact zero is 0.0, as ``float(Fraction(0))``.
+    """
+    if exact:
+        return TruncatedSeries(tuple(map(Fraction, nums, dens)))
+    try:
+        return TruncatedSeries(tuple(n / d if d > 0 else -n / -d for n, d in zip(nums, dens)))
+    except OverflowError:
+        raise DomainError("float series result overflows the float range") from None
 
 
 def _convolve(a: list, b: list, n: int) -> list:
@@ -81,10 +106,6 @@ class TruncatedSeries:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def constant(cls, c, order: int) -> "TruncatedSeries":
-        return cls((c,) + (Fraction(0),) * order)
-
-    @classmethod
     def identity(cls, order: int) -> "TruncatedSeries":
         # the series z, which truncates to 0 at order 0
         return cls.from_function(lambda n: Fraction(int(n == 1)), order)
@@ -104,10 +125,6 @@ class TruncatedSeries:
 
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.coeffs)
-
-    def _seed(self, v: int) -> Scalar:
-        """v as a Fraction for an exact series, as a float otherwise."""
-        return Fraction(v) if self.is_exact() else float(v)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
@@ -141,16 +158,9 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             a, b, n = self._aligned(other)
-            if a.is_exact() and b.is_exact():
-                na, da = _numerators(a.coeffs)
-                nb, db = _numerators(b.coeffs)
-                den = da * db
-                return TruncatedSeries(tuple(Fraction(c, den) for c in _convolve(na, nb, n)))
-            out = []
-            for m in range(n + 1):
-                out.append(sum((a.coeffs[j] * b.coeffs[m - j] for j in range(m + 1)),
-                               start=Fraction(0)))
-            return TruncatedSeries(tuple(out))
+            na, da = _numerators(a.coeffs)
+            nb, db = _numerators(b.coeffs)
+            return _series(_convolve(na, nb, n), repeat(da * db), a.is_exact() and b.is_exact())
         c = as_scalar(other)
         return TruncatedSeries(tuple(c * x for x in self.coeffs))
 
@@ -158,28 +168,18 @@ class TruncatedSeries:
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        f0 = self.coeffs[0]
-        if f0 == 0:
+        if self.coeffs[0] == 0:
             raise DomainError("reciprocal needs f(0) != 0")
-        if self.is_exact():
-            # f = F/D: 1/f = D sum_m G_m z^m / F_0^(m+1) with G_0 = 1 and
-            # G_m = -sum_j F_j F_0^(j-1) G_{m-j}
-            nums, den = _numerators(self.coeffs)
-            lead = nums[0]
-            scaled = [c * lead ** (j - 1) for j, c in enumerate(nums[1:], 1)]
-            g = [1]
-            for m in range(1, self.order + 1):
-                g.append(-sum(map(mul, scaled[:m], g[::-1])))
-            return TruncatedSeries(
-                tuple(Fraction(den * c, lead ** (m + 1)) for m, c in enumerate(g))
-            )
-        inv0 = Fraction(1, 1) / f0 if is_exact(f0) else 1.0 / f0
-        out = [inv0]
+        # f = F/D: 1/f = D sum_m G_m z^m / F_0^(m+1) with G_0 = 1 and
+        # G_m = -sum_j F_j F_0^(j-1) G_{m-j}
+        nums, den = _numerators(self.coeffs)
+        lead = nums[0]
+        scaled = [c * lead ** (j - 1) for j, c in enumerate(nums[1:], 1)]
+        g = [1]
         for m in range(1, self.order + 1):
-            s = sum((self.coeffs[j] * out[m - j] for j in range(1, m + 1)),
-                    start=Fraction(0))
-            out.append(-inv0 * s)
-        return TruncatedSeries(tuple(out))
+            g.append(-sum(map(mul, scaled[:m], g[::-1])))
+        return _series([den * c for c in g], [lead ** (m + 1) for m in range(len(g))],
+                       self.is_exact())
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -196,34 +196,29 @@ class TruncatedSeries:
         n = min(self.order, inner.order)
         g = self.truncate(n)
         f = inner.truncate(n)
-        if g.is_exact() and f.is_exact():
-            # Horner on integers with acc = A / (D_g * scale).  The value
-            # after step i is later multiplied by f**i, which starts at z**i,
-            # so A needs only entries 0..n-i.  Each step multiplies scale by
-            # the inner denominator; dividing the content of (scale, A) out
-            # again keeps the integers near the size of the result.
-            outer, den = _numerators(g.coeffs)
-            nums, inner_den = _numerators(f.coeffs)
-            acc, scale = [outer[n]], 1
-            for i in range(n - 1, -1, -1):
-                acc.append(0)
-                acc = _convolve(acc, nums, n - i)
-                scale *= inner_den
-                acc[0] += outer[i] * scale
-                common = math.gcd(scale, *acc)
-                if common > 1:
-                    acc = [x // common for x in acc]
-                    scale //= common
-            den *= scale
-            return TruncatedSeries(tuple(Fraction(c, den) for c in acc))
-        acc = TruncatedSeries.constant(g.coeffs[n], n)
+        # Horner on integers with acc = A / (D_g * scale).  The value after
+        # step i is later multiplied by f**i, which starts at z**i, so A
+        # needs only entries 0..n-i.  Each step multiplies scale by the
+        # inner denominator; dividing the content of (scale, A) out again
+        # keeps the integers near the size of the result.
+        outer, den = _numerators(g.coeffs)
+        nums, inner_den = _numerators(f.coeffs)
+        acc, scale = [outer[n]], 1
         for i in range(n - 1, -1, -1):
-            acc = acc * f + g.coeffs[i]
-        return acc
+            acc.append(0)
+            acc = _convolve(acc, nums, n - i)
+            scale *= inner_den
+            acc[0] += outer[i] * scale
+            common = math.gcd(scale, *acc)
+            if common > 1:
+                acc = [x // common for x in acc]
+                scale //= common
+        return _series(acc, repeat(den * scale), g.is_exact() and f.is_exact())
 
     def shift_up(self) -> "TruncatedSeries":
         """Multiply by z (order fixed, top coefficient falls off)."""
-        return TruncatedSeries((self._seed(0),) + self.coeffs[:-1])
+        zero = Fraction(0) if self.is_exact() else 0.0
+        return TruncatedSeries((zero,) + self.coeffs[:-1])
 
     def compositional_inverse(self) -> "TruncatedSeries":
         """Series g with g(self(z)) = z mod z^(N+1); needs f(0)=0, f'(0)!=0.
@@ -235,31 +230,17 @@ class TruncatedSeries:
             raise DomainError("compositional inverse needs f(0) = 0")
         if self.order < 1 or self.coeffs[1] == 0:
             raise DomainError("compositional inverse needs f'(0) != 0")
-        if self.is_exact():
-            # f = F/D, so h = H/F_1 with H_j = F_(j+1), and
-            # [z^(m-1)] h^(-m) = e_(m-1) / (F_1^(m-1) (m-1)!) from _miller,
-            # hence g_m = e_(m-1) D^m / (F_1^(2m-1) m!)
-            nums, den = _numerators(self.coeffs)
-            f1 = nums[1]
-            q = [0] + [c * f1 ** (j - 1) for j, c in enumerate(nums[2:], 1)]
-            g = [Fraction(0)]
-            for m in range(1, self.order + 1):
-                top = _miller(q, -m, 1, m - 1)[m - 1]
-                g.append(Fraction(top * den**m, f1 ** (2 * m - 1) * math.factorial(m)))
-            return TruncatedSeries(tuple(g))
-        f1 = self.coeffs[1]
-        h = TruncatedSeries(self.coeffs[1:]) / f1
-        g = [self._seed(0)]
+        # f = F/D, so h = H/F_1 with H_j = F_(j+1), and
+        # [z^(m-1)] h^(-m) = e_(m-1) / (F_1^(m-1) (m-1)!) from _miller,
+        # hence g_m = e_(m-1) D^m / (F_1^(2m-1) m!)
+        nums, den = _numerators(self.coeffs)
+        f1 = nums[1]
+        q = [0] + [c * f1 ** (j - 1) for j, c in enumerate(nums[2:], 1)]
+        tops, bottoms = [0], [1]
         for m in range(1, self.order + 1):
-            # f1**m is nonzero for exact f1, but a float f1**m can underflow
-            # to 0.0, where the inverse's g_m overflows
-            lead = f1**m
-            if lead == 0:
-                raise DomainError(
-                    f"float compositional inverse overflows: f'(0)**{m} underflows to 0"
-                )
-            g.append(h.truncate(m - 1).pow_scalar(-m)[m - 1] / (m * lead))
-        return TruncatedSeries(tuple(g))
+            tops.append(_miller(q, -m, 1, m - 1)[m - 1] * den**m)
+            bottoms.append(f1 ** (2 * m - 1) * math.factorial(m))
+        return _series(tops, bottoms, self.is_exact())
 
     def pow_scalar(self, w) -> "TruncatedSeries":
         """f**w for f(0) = 1; exact for an exact series and rational w.
@@ -270,25 +251,14 @@ class TruncatedSeries:
         if self.coeffs[0] != 1:
             raise DomainError("pow_scalar needs f(0) = 1")
         w = as_scalar(w)
-        if is_exact(w) and self.is_exact():
-            nums, den = _numerators(self.coeffs)
-            a, b = w.numerator, w.denominator
-            scale = den * b
-            q = [0] + [c * scale ** (j - 1) for j, c in enumerate(nums[1:], 1)]
-            e = _miller(q, a, b, self.order)
-            fact = math.factorial(self.order)
-            return TruncatedSeries(
-                tuple(Fraction(c, scale**m * fact) for m, c in enumerate(e))
-            )
-        w1 = w + 1
-        f = self.coeffs
-        # g_0 takes the type of the rest: float unless f and w are both exact
-        g = [self._seed(1) if is_exact(w) else 1.0]
-        for m in range(1, self.order + 1):
-            s = sum(((w1 * j - m) * f[j] * g[m - j] for j in range(1, m + 1)),
-                    start=Fraction(0))
-            g.append(s / m)
-        return TruncatedSeries(tuple(g))
+        nums, den = _numerators(self.coeffs)
+        (a,), b = _numerators((w,))
+        scale = den * b
+        q = [0] + [c * scale ** (j - 1) for j, c in enumerate(nums[1:], 1)]
+        e = _miller(q, a, b, self.order)
+        fact = math.factorial(self.order)
+        return _series(e, [scale**m * fact for m in range(len(e))],
+                       is_exact(w) and self.is_exact())
 
     # -- evaluation / serialization -----------------------------------------
 
@@ -300,19 +270,6 @@ class TruncatedSeries:
             else:
                 cs.append(c)
         return {"order": self.order, "coeffs": cs}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TruncatedSeries":
-        cs = []
-        for c in d["coeffs"]:
-            if isinstance(c, dict):
-                cs.append(Fraction(int(c["num"]), int(c["den"])))
-            else:
-                cs.append(float(c))
-        s = cls(tuple(cs))
-        if s.order != d["order"]:
-            raise DomainError("order field disagrees with coefficient count")
-        return s
 
 
 # -- generating functions ---------------------------------------------------

