@@ -10,11 +10,11 @@ child until it has exited; its output is read through pipes until they
 close, so the time is not rounded up to a wait's polling step, as a plain
 ``subprocess.run(..., timeout=...)`` rounds it.  One JSON object goes to
 stdout: per command its argv, the median and quartile seconds per tree, and
-each tree's outcome, its exit code and the start of its stdout's SHA-256
-(certify's ``runtime_seconds`` line left out), which must agree between
-trees.  With
-two trees, ``change`` is the second tree's median over the first's, minus
-one: -0.5 means the second tree's command took half the time.
+each tree's outcome, which must agree between trees: the exit code and the
+start of the SHA-256 of stdout (certify's ``runtime_seconds`` line left
+out), of stderr and, for a command that writes ``{out}``, of that file.
+With two trees, ``change`` is the second tree's median over the first's,
+minus one: -0.5 means the second tree's command took half the time.
 """
 from __future__ import annotations
 
@@ -31,9 +31,10 @@ import time
 from pathlib import Path
 
 #: (name, argv): the exact commands, a usage error (exit code 1) and a
-#: command's help, then those that load the numeric layer, last three certify
-#: runs at large k (the first fails with exit code 1); the "-float-r" rows
-#: give r as a float; "{out}" is a file in a scratch directory
+#: command's help, then those that load the numeric layer, among them a
+#: certify at p = 1 (exit code 1), last three certify runs at large k (the
+#: first fails with exit code 1); the "-float-r" rows give r as a float;
+#: "{out}" is a file in a scratch directory
 COMMANDS = (
     ("moments", ["moments", "--p", "3", "--r", "1", "--n", "10"]),
     ("series", ["series", "--p", "3", "--r", "1", "--order", "10"]),
@@ -44,6 +45,7 @@ COMMANDS = (
     ("usage-error", ["certify", "--p", "5/2", "--r", "1/2", "--nmax", "1", "--bogus"]),
     ("certify-help", ["certify", "--help"]),
     ("certify", ["certify", "--p", "17/5", "--r", "0", "--nmax", "10"]),
+    ("certify-p1", ["certify", "--p", "1", "--r", "0", "--nmax", "2"]),
     ("figure-curves", ["figure", "--id", "2", "--out", "{out}"]),
     ("sample", ["sample", "--p", "3", "--r", "0", "--count", "1000", "--seed", "1"]),
     ("witness", ["witness", "--p", "3/2", "--r", "1"]),
@@ -57,17 +59,28 @@ COMMANDS = (
 _ENTRY = "import sys; from binomoment.cli import main; sys.exit(main())"
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def run_once(src: Path, argv, scratch: str):
     """(seconds, outcome) of one fresh ``binomoment argv``."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [a.replace("{out}", os.path.join(scratch, "out.csv")) for a in argv]
+    out = Path(scratch, "out.csv")
+    writes = "{out}" in argv
+    argv = [a.replace("{out}", str(out)) for a in argv]
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", _ENTRY, *argv], env=env, cwd=scratch,
                           capture_output=True, timeout=120)
     seconds = time.perf_counter() - t0
     stdout = b"".join(line for line in proc.stdout.splitlines(keepends=True)
                       if b'"runtime_seconds"' not in line)
-    return seconds, f"{proc.returncode} {hashlib.sha256(stdout).hexdigest()[:16]}"
+    outcome = f"{proc.returncode} out={_digest(stdout)} err={_digest(proc.stderr)}"
+    if writes:
+        # removed once read, so no run can hash a file an earlier run wrote
+        outcome += f" file={_digest(out.read_bytes())}" if out.exists() else " file=none"
+        out.unlink(missing_ok=True)
+    return seconds, outcome
 
 
 def _quartiles(values) -> tuple:

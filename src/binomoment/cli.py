@@ -50,8 +50,6 @@ from .series import binomial_series
 
 __all__ = ["main"]
 
-_NEG_TOL = 1e-9
-
 
 def _to_float(value, what: str) -> float:
     # an exact scalar parses at any size; float() overflows past 1.8e308
@@ -258,7 +256,8 @@ def _curve_rows(cfg: dict) -> Iterator[list]:
     pairs = cfg.get("pairs")
     if not isinstance(pairs, list):
         raise DomainError("figure config: curves entry needs a list of pairs")
-    density_function = _numeric().closedform.density_function
+    numeric = _numeric()
+    density_function = numeric.closedform.density_function
     curves = []
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
@@ -272,11 +271,12 @@ def _curve_rows(cfg: dict) -> Iterator[list]:
         for p_text, r_text, params, evaluate in curves:
             upper = float(support_endpoint(params.p))
             xs = [upper * i / (points + 1) for i in range(1, points + 1)]
-            # the grid plus a log sweep toward zero, where out-of-region
-            # negativity tends to hide, in one call; the sweep only sets the flag
-            sweep = [upper * 10.0 ** (-j) for j in range(1, 13)]
+            # the grid plus the witness scan's log sweep toward zero, where
+            # out-of-region negativity tends to hide, in one call; the sweep
+            # only sets the flag, at the witness threshold
+            sweep = [upper * 10.0 ** (-j) for j in range(1, numeric.verify._SCAN_DECADES + 1)]
             values = evaluate(xs + sweep).tolist()
-            flag = 1 if min(values) < -_NEG_TOL else 0
+            flag = 1 if min(values) < -numeric.verify.WITNESS_TOL else 0
             for x, v in zip(xs, values):
                 yield [p_text, r_text, _fmt_float(x), _fmt_float(v), flag]
 

@@ -139,8 +139,6 @@ def measure_model(params: Params) -> MeasureModel:
     verdict = classify_binomial(params.p, params.r)
     if not verdict.positive_definite:
         raise RegionError(f"not a positive definite parameter pair: {params}")
-    if not params.k > params.l >= 1:
-        raise DomainError("measure construction needs rational p = k/l > 1")
     p = params.p
     r = as_scalar(params.r)
     upper = float(support_endpoint(p))

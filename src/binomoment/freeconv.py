@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Tuple
 
-from .core import DomainError, Scalar, as_scalar, is_exact
+from .core import DomainError, Scalar, as_scalar
 from .series import TruncatedSeries, binomial_series, raney_series
 
 __all__ = [
@@ -110,42 +110,32 @@ def from_s_transform(s: TruncatedSeries) -> TruncatedSeries:
     return chi.compositional_inverse() + 1
 
 
-def _scalar_power(base: Scalar, expo: Scalar) -> Scalar:
-    if base == 1:
-        return as_scalar(1)
-    if is_exact(base) and is_exact(expo) and expo.denominator == 1:
-        return base ** int(expo)
-    return float(base) ** float(expo)
-
-
-def _check_power_domain(w: Scalar, formal: bool, what: str) -> Scalar:
+def _check_power_domain(w: Scalar, what: str) -> Scalar:
     w = as_scalar(w)
     if not w > 0:
         raise DomainError(f"{what} needs a positive exponent")
-    if w < 1 and not formal:
-        raise DomainError(
-            f"{what} below 1 is a formal operation only; pass formal=True"
-        )
+    if w < 1:
+        raise DomainError(f"{what} needs an exponent of at least 1")
     return w
 
 
-def free_mult_power(m: TruncatedSeries, w: Scalar, formal: bool = False) -> TruncatedSeries:
-    """w-fold free multiplicative convolution power, S -> S^w.
+def free_mult_power(m: TruncatedSeries, w: Scalar) -> TruncatedSeries:
+    """w-fold free multiplicative convolution power, S -> S^w, for w >= 1.
 
-    Exponents below 1 need the ``formal`` flag: the result is then a
-    moment sequence identity with no claim that a measure realizes it.
     Non-integer exponents force the leading coefficient to float unless
     it equals 1.
     """
-    w = _check_power_domain(w, formal, "free multiplicative power")
+    w = _check_power_domain(w, "free multiplicative power")
     s = s_transform(m)
     s0 = s[0]
-    return from_s_transform((s / s0).pow_scalar(w) * _scalar_power(s0, w))
+    # Fraction ** Fraction is exact at an integer exponent, a float otherwise
+    s0_power = as_scalar(1) if s0 == 1 else s0**w
+    return from_s_transform((s / s0).pow_scalar(w) * s0_power)
 
 
-def free_add_power(m: TruncatedSeries, t: Scalar, formal: bool = False) -> TruncatedSeries:
-    """t-fold free additive convolution power, S(z) -> S(z/t)/t."""
-    t = _check_power_domain(t, formal, "free additive power")
+def free_add_power(m: TruncatedSeries, t: Scalar) -> TruncatedSeries:
+    """t-fold free additive convolution power, S(z) -> S(z/t)/t, for t >= 1."""
+    t = _check_power_domain(t, "free additive power")
     s = s_transform(m)
     scaled = TruncatedSeries(
         tuple(c / t ** (n + 1) for n, c in enumerate(s.coeffs))

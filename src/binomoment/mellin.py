@@ -72,10 +72,8 @@ def _symbol(params: Params) -> tuple:
     increasing inside 1..k, which holds exactly when -1 < r <= p-1
     (RegionError otherwise).
     """
+    support_endpoint(params.p)  # refuses p <= 1 and k > MAX_K before the loops
     k, l = params.k, params.l
-    if not k > l >= 1:
-        raise DomainError("symbol needs p = k/l > 1")
-    support_endpoint(params.p)  # refuses k > MAX_K before the loops
     r = params.r
     exact = is_exact(r)
 

@@ -3,10 +3,11 @@
 The double-exponential (tanh-sinh) rule of Takahasi and Mori, "Double
 exponential formulas for numerical integration" (1974), handles integrable
 algebraic singularities at either endpoint.  Every integral runs over
-(0, b), and integrands receive a stably computed distance to b so they can
-resolve behavior far below the float spacing of b itself.  Integrands take
-each level's nodes as arrays, and one sweep of a level serves every row of
-a vector-valued integrand.  Accumulation uses ``math.fsum`` over a fixed
+(0, b) to a plain float absolute tolerance of at least 1e-14, and
+integrands receive a stably computed distance to b so they can resolve
+behavior far below the float spacing of b itself.  Integrands take each
+level's nodes as arrays, and one sweep of a level serves every row of a
+vector-valued integrand.  Accumulation uses ``math.fsum`` over a fixed
 node order, so results are bit-reproducible from run to run.
 """
 from __future__ import annotations
@@ -21,20 +22,10 @@ import numpy as np
 from .core import DomainError
 
 __all__ = [
-    "QuadratureSpec",
     "IntegralResult",
     "integrate",
     "integrate_many",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    target_abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.target_abs_tol >= 1e-14:
-            raise DomainError("target_abs_tol must be >= 1e-14")
 
 
 @dataclass(frozen=True)
@@ -60,11 +51,11 @@ def _level_nodes(level: int):
 
     Level 0 is t = 0 and then t = j/2 for j = 1, 2, ... on the positive and
     then the negative side; level L >= 1 adds the odd multiples of
-    h = 2**-(L+1), again positive side first.  Returned as (positive, far,
-    near, weight) arrays with entries up to the factor half = b/2:
-    ``positive`` is u >= 0, where x sits near b; far and near are 1 -+ tanh(u).
-    Computed through libm point by point, so the nodes are bit for bit the
-    ones a scalar loop would build.
+    h = 2**-(L+1), again positive side first.  Returned as (lower, upper,
+    weight) arrays with entries up to the factor half = b/2: lower =
+    1 + tanh(u) and upper = 1 - tanh(u) are the node's distances to -1 and
+    to 1.  Computed through libm point by point, so the nodes are bit for
+    bit the ones a scalar loop would build.
     """
     h = 0.5 / 2**level
     step = 1 if level == 0 else 2
@@ -74,14 +65,16 @@ def _level_nodes(level: int):
     for t in ts:
         u = 0.5 * math.pi * math.sinh(t)
         e = math.exp(-2.0 * abs(u))  # in (0, 1]
-        # 1 -+ tanh(u) = 2e/(1+e) on the far side, 2/(1+e) on the near side
+        # 1 -+ tanh(|u|) = 2e/(1+e), 2/(1+e): the distances to the nearer
+        # and to the farther end
         sech2 = 4.0 * e / (1.0 + e) ** 2
-        rows.append((u >= 0.0, 2.0 * e / (1.0 + e), 2.0 / (1.0 + e),
-                     0.5 * math.pi * math.cosh(t) * sech2))
-    positive, far, near, weight = (np.array(col) for col in zip(*rows))
-    for arr in (positive, far, near, weight):
+        near, far = 2.0 * e / (1.0 + e), 2.0 / (1.0 + e)
+        lower, upper = (far, near) if u >= 0.0 else (near, far)
+        rows.append((lower, upper, 0.5 * math.pi * math.cosh(t) * sech2))
+    lower, upper, weight = (np.array(col) for col in zip(*rows))
+    for arr in (lower, upper, weight):
         arr.flags.writeable = False
-    return positive, far, near, weight
+    return lower, upper, weight
 
 
 def _sweep(f: Integrand, b: float, half: float, levels: Sequence[int], rows: int) -> list:
@@ -90,10 +83,7 @@ def _sweep(f: Integrand, b: float, half: float, levels: Sequence[int], rows: int
     Returns, per level, its rows as lists of floats.
     """
     tables = [_level_nodes(level) for level in levels]
-    positive, far, near, weight = (np.concatenate(col) for col in zip(*tables))
-    far, near, w = far * half, near * half, weight * half
-    dl = np.where(positive, near, far)
-    dr = np.where(positive, far, near)
+    dl, dr, w = (np.concatenate(col) * half for col in zip(*tables))
     x = np.where(dl <= dr, dl, b - dr)
     live = w != 0.0  # a zero weight leaves its node unevaluated
     values = np.zeros((rows, x.size))
@@ -113,8 +103,8 @@ class _Rule:
     the running total at later levels (at least 1e-300 either way).
     """
 
-    def __init__(self, spec: QuadratureSpec):
-        self.spec = spec
+    def __init__(self, tol: float):
+        self.tol = tol
         self.evals = 0
         self.level_vals = []
         self.total = 0.0
@@ -157,18 +147,19 @@ class _Rule:
         prev = self.prev_err
         est = err * err / prev if prev not in (0.0, math.inf) else err
         achieved = max(min(err, est), abs(self.level_vals[-1]) * 1e-16)
-        if err <= self.spec.target_abs_tol or achieved <= self.spec.target_abs_tol:
+        if err <= self.tol or achieved <= self.tol:
             self.result = IntegralResult(self.level_vals[-1], achieved, True, level, self.evals)
         elif level == _MAX_LEVELS:
             self.result = IntegralResult(self.level_vals[-1], err, False, level, self.evals)
         self.prev_err = err if err > 0 else prev
 
 
-def integrate_many(f: Integrand, b: float, specs: Sequence[QuadratureSpec]) -> tuple:
-    """Integrals over (0, b) of the rows of a vector-valued f, one per spec.
+def integrate_many(f: Integrand, b: float, tols: Sequence[float]) -> tuple:
+    """Integrals over (0, b) of the rows of a vector-valued f, one per tolerance.
 
-    f(x, dist_upper) gets a level's nodes as arrays and returns
-    one row of values per spec.  Each level is swept once, out to |t| =
+    f(x, dist_upper) gets a level's nodes as arrays and returns one row of
+    values per absolute tolerance in ``tols``, each at least 1e-14 (a
+    smaller one raises DomainError).  Each level is swept once, out to |t| =
     _T_MAX, while any row still needs it, and every row then applies its
     own stopping rule to its values; a row gets the value, error estimate,
     levels and evaluation count it would get on its own.
@@ -184,8 +175,10 @@ def integrate_many(f: Integrand, b: float, specs: Sequence[QuadratureSpec]) -> t
     """
     if not b > 0:
         raise DomainError("need b > 0")
+    if not all(tol >= 1e-14 for tol in tols):
+        raise DomainError("tolerance must be >= 1e-14")
     half = 0.5 * b
-    rules = [_Rule(spec) for spec in specs]
+    rules = [_Rule(tol) for tol in tols]
     level = 0
     while any(rule.result is None for rule in rules):
         levels = (0, 1, 2) if level == 0 else (level,)
@@ -197,10 +190,10 @@ def integrate_many(f: Integrand, b: float, specs: Sequence[QuadratureSpec]) -> t
     return tuple(rule.result for rule in rules)
 
 
-def integrate(f: Integrand, b: float, spec: QuadratureSpec) -> IntegralResult:
-    """Integral of f over (0, b) by the tanh-sinh rule.
+def integrate(f: Integrand, b: float, tol: float) -> IntegralResult:
+    """Integral of f over (0, b) by the tanh-sinh rule, to absolute tolerance ``tol``.
 
     f(x, dist_upper) gets each level's nodes as arrays and
     returns the integrand values there.
     """
-    return integrate_many(f, b, (spec,))[0]
+    return integrate_many(f, b, (tol,))[0]

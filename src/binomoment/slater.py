@@ -282,10 +282,8 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
     argument is numerator / D, which int division rounds correctly, as
     float() of the Fraction does.
     """
+    upper = float(support_endpoint(params.p))  # refuses p <= 1 and k > MAX_K first
     k, l = params.k, params.l
-    if not k > l >= 1:
-        raise DomainError("density expansion needs p = k/l > 1")
-    upper = float(support_endpoint(params.p))  # refuses k > MAX_K before the loops
     r = params.r
     exact = is_exact(r)
     ra = as_scalar(r)
@@ -349,15 +347,15 @@ def support_points(xs: Sequence[float], dist_upper: Optional[Sequence[float]],
                    upper: float) -> tuple:
     """(xs, distances to ``upper``) as lists of floats, all inside (0, upper).
 
-    Without ``dist_upper`` the distances are the plain differences.  An
-    explicit distance is authoritative: x itself may have rounded onto the
-    endpoint even though the true abscissa is interior.  Raises DomainError
-    at any point outside.
+    Without ``dist_upper`` the distances are the plain differences, and
+    upper - x > 0 holds in floats exactly when x < upper (never at nan or
+    inf).  An explicit distance is authoritative: x itself may have rounded
+    onto the endpoint even though the true abscissa is interior.  Either
+    way one test, x > 0 and a positive distance, raises DomainError at any
+    point outside.
     """
     xs = np.asarray(xs, dtype=float).tolist()
     if dist_upper is None:
-        if not all(0.0 < x < upper for x in xs):
-            raise DomainError(f"density defined on (0, {upper})")
         dists = [upper - x for x in xs]
     else:
         dists = np.asarray(dist_upper, dtype=float).tolist()

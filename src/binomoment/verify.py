@@ -22,7 +22,7 @@ from .core import (
     classify_binomial,
     gen_binomial,
 )
-from .quadrature import QuadratureSpec, integrate_many
+from .quadrature import integrate_many
 from .series import TruncatedSeries, binomial_series
 from .slater import build_slater_expansion, eval_density_many
 
@@ -111,8 +111,8 @@ def certify_measure(params: Params, n_max: int) -> dict:
             raise DomainError(f"moment n = {n} exceeds the float range") from None
     # each moment's absolute target scales with its magnitude, in step with
     # the relative acceptance threshold as the moments grow
-    specs = [QuadratureSpec(target_abs_tol=max(1e-11, 1e-9 * abs(target))) for target in targets]
-    results = integrate_many(moments, model.upper, specs)
+    tols = [max(1e-11, 1e-9 * abs(target)) for target in targets]
+    results = integrate_many(moments, model.upper, tols)
     rows = []
     for n, (target, res) in enumerate(zip(targets, results)):
         atom_part = model.atom_at_zero if n == 0 else 0.0
@@ -195,8 +195,6 @@ def find_negativity_witness(params: Params) -> Witness:
     """
     if classify_binomial(params.p, params.r).positive_definite:
         raise RegionError("parameters lie inside the positive-definite region")
-    if not params.k > params.l >= 1:
-        raise DomainError("witness search needs rational p = k/l > 1")
     found = scan_for_witness(params)
     if found is None:
         raise InconclusiveWitnessError(

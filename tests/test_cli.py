@@ -763,6 +763,23 @@ class TestUsage:
         assert err.startswith("error: ") and "Traceback" not in err
         assert time.perf_counter() - t0 < 2.0
 
+    @pytest.mark.parametrize("argv,message", [
+        *((f"{command} --p {p} --r 0", "support endpoint requires p > 1")
+          for command in ("density --x 1", "factorize", "sample --count 3")
+          for p in ("1", "1/2", "0", "-2")),
+        # in-region pairs, so the region check lets them through to the gate
+        *((f"certify --p {p} --r {r} --nmax 2", "support endpoint requires p > 1")
+          for p, r in (("1", "0"), ("0", "0"), ("-2", "-1"))),
+        # out-of-region pairs, for the same reason
+        *((f"witness --p {p} --r {r}", "support endpoint requires p > 1")
+          for p, r in (("1/2", "3"), ("1", "5"))),
+        *((f"{command} --p {MAX_K + 1} --r 0", f"p = k/l needs k <= {MAX_K}")
+          for command in ("density --x 1", "factorize", "sample --count 3", "certify --nmax 2")),
+    ])
+    def test_p_gate_has_one_message_per_rule(self, capsys, argv, message):
+        # support_endpoint is the only test of p, so every command says the same
+        assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
+
 
 def test_cli_import_leaves_the_thread_pool_unimported():
     # the sampler imports concurrent.futures when it runs; at import time

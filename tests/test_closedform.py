@@ -10,12 +10,12 @@ import pytest
 from binomoment.core import DomainError, Params, RegionError, gen_binomial, support_endpoint
 from binomoment.closedform import _is_elementary, eval_closed, measure_model
 from binomoment.slater import build_slater_expansion, eval_density
-from binomoment.quadrature import QuadratureSpec, integrate
+from binomoment.quadrature import integrate
 
 
 F = Fraction
 
-QUAD = QuadratureSpec(target_abs_tol=1e-12)
+TOL = 1e-12
 
 
 def central_grid(upper, count=200, margin=0.02):
@@ -183,7 +183,7 @@ class TestIntegerSequenceMoments:
             res = integrate(
                 lambda y, dr: (4.0 * y) ** n * eval_closed(params, y, dr),
                 math.sqrt(6.75),
-                QUAD,
+                TOL,
             )
             assert res.value == pytest.approx(float(lit), rel=1e-7)
 
@@ -198,7 +198,7 @@ class TestIntegerSequenceMoments:
             res = integrate(
                 lambda y, dr: (16.0 * y * y) ** n * eval_closed(params, y, dr),
                 math.sqrt(6.75),
-                QUAD,
+                TOL,
             )
             want = float(gen_binomial(F(3, 2), F(-1, 2), 2 * n)) * 16.0**n
             assert res.value == pytest.approx(want, rel=1e-7)
@@ -220,7 +220,7 @@ class TestMeasureModel:
     def test_total_mass_is_one(self, p, r):
         m = measure_model(Params(p, r))
         res = integrate(
-            lambda y, dr: m.density(y, dr), m.upper, QUAD
+            lambda y, dr: m.density(y, dr), m.upper, TOL
         )
         assert m.atom_at_zero + res.value == pytest.approx(1.0, abs=1e-9)
 
@@ -240,7 +240,7 @@ class TestMeasureModel:
         m = measure_model(Params(F(2), F(1, 2)))
         for n in (1, 2, 5):
             res = integrate(
-                lambda y, dr: y**n * m.density(y, dr), m.upper, QUAD
+                lambda y, dr: y**n * m.density(y, dr), m.upper, TOL
             )
             want = float(gen_binomial(F(2), F(1, 2), n))
             assert res.value == pytest.approx(want, rel=1e-9)

@@ -251,22 +251,22 @@ class TestFreeMultPower:
         want = binomial_series(F(2), F(-1), 12)
         assert got.coeffs[: got.order + 1] == want.coeffs[: got.order + 1]
 
-    def test_fractional_power_needs_formal_flag(self):
+    def test_power_below_one_is_refused(self):
         m = raney_series(F(2), 1, 6)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least 1"):
             free_mult_power(m, F(1, 2))
 
-    def test_formal_fractional_power_inverts_square(self):
+    def test_fractional_power_group_law(self):
         m = raney_series(F(3), 1, 9)
-        sq = free_mult_power(m, 2)
-        back = free_mult_power(sq, F(1, 2), formal=True)
-        n = back.order
-        assert back.coeffs[: n + 1] == m.coeffs[: n + 1]
+        got = free_mult_power(free_mult_power(m, 2), F(3, 2))
+        want = free_mult_power(m, 3)
+        assert got.order == want.order
+        assert got.coeffs == want.coeffs
 
     def test_rejects_nonpositive_power(self):
         m = raney_series(F(2), 1, 4)
-        with pytest.raises(DomainError):
-            free_mult_power(m, 0, formal=True)
+        with pytest.raises(DomainError, match="positive exponent"):
+            free_mult_power(m, 0)
 
 
 class TestFreeAddPower:
@@ -289,16 +289,17 @@ class TestFreeAddPower:
         want = binomial_series(p, F(0), 11)
         assert got.coeffs[:10] == want.coeffs[:10]
 
-    def test_fractional_power_needs_formal_flag(self):
+    def test_power_below_one_is_refused(self):
         m = raney_series(F(2), 1, 6)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least 1"):
             free_add_power(m, F(2, 3))
 
-    def test_formal_fractional_power_inverts_double(self):
+    def test_fractional_power_group_law(self):
         m = bernoulli_series(F(1, 4), 1, 9)
-        back = free_add_power(free_add_power(m, 2), F(1, 2), formal=True)
-        n = back.order
-        assert back.coeffs[: n + 1] == m.coeffs[: n + 1]
+        got = free_add_power(free_add_power(m, 2), F(3, 2))
+        want = free_add_power(m, 3)
+        assert got.order == want.order
+        assert got.coeffs == want.coeffs
 
 
 class TestDilate:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from binomoment import quadrature
-from binomoment.quadrature import QuadratureSpec, integrate_many
+from binomoment.core import DomainError
+from binomoment.quadrature import integrate_many
 
 
-def _one_level_at_a_time(f, b, specs):
+def _one_level_at_a_time(f, b, tols):
     """integrate_many with one call of f per level, level 0 on its own."""
     half = 0.5 * b
-    rules = [quadrature._Rule(spec) for spec in specs]
+    rules = [quadrature._Rule(tol) for tol in tols]
     level = 0
     while any(rule.result is None for rule in rules):
         (rows,) = quadrature._sweep(f, b, half, (level,), len(rules))
@@ -24,7 +25,7 @@ def _one_level_at_a_time(f, b, specs):
 
 
 #: one tolerance per row of ``_rows``, which then stop at levels 1, 4 and 3
-_SPECS = tuple(QuadratureSpec(target_abs_tol=tol) for tol in (1e-2, 1e-4, 1e-12))
+_TOLS = (1e-2, 1e-4, 1e-12)
 
 
 def _rows(x, dr):
@@ -45,23 +46,33 @@ def _nodes(levels):
     return sum(quadrature._level_nodes(level)[0].size for level in levels)
 
 
-@pytest.mark.parametrize("f,specs", [
-    (_rows, _SPECS),
-    # a one-row integrand broadcast to every spec
-    (lambda x, dr: np.cos(30.0 * x), _SPECS[:2]),
+@pytest.mark.parametrize("f,tols", [
+    (_rows, _TOLS),
+    # a one-row integrand broadcast to every tolerance
+    (lambda x, dr: np.cos(30.0 * x), _TOLS[:2]),
 ], ids=["rows", "broadcast"])
-def test_first_call_takes_levels_zero_to_two(f, specs):
+def test_first_call_takes_levels_zero_to_two(f, tols):
     # levels 0, 1 and 2 share the first call of f; the row that stops at
     # level 1 ignores its level 2 values, and every row still gets the
     # bits, levels and evaluation count that one level at a time gives it
     sizes = []
-    got = integrate_many(_counted(f, sizes), 2.0, specs)
-    assert got == _one_level_at_a_time(f, 2.0, specs)
-    assert len({res.levels for res in got}) == len(specs)
+    got = integrate_many(_counted(f, sizes), 2.0, tols)
+    assert got == _one_level_at_a_time(f, 2.0, tols)
+    assert len({res.levels for res in got}) == len(tols)
     assert min(res.levels for res in got) == 1
     assert len(sizes) == max(res.levels for res in got) - 1
     assert sizes[0] == _nodes((0, 1, 2))
 
+
+@pytest.mark.parametrize("tol", [1e-15, 0.0, -1.0, math.nan])
+def test_tolerance_below_the_floor_is_refused(tol):
+    # the 1e-14 floor is checked once, before f is called
+    def never(x, dr):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(DomainError, match="tolerance must be >= 1e-14"):
+        integrate_many(never, 1.0, [1e-10, tol])
+    integrate_many(lambda x, dr: np.ones_like(x), 1.0, [1e-14])
 
 
 class _ReferenceRule(quadrature._Rule):
@@ -102,7 +113,7 @@ class _ReferenceRule(quadrature._Rule):
         prev = self.prev_err
         est = err * err / prev if prev not in (0.0, math.inf) else err
         achieved = max(min(err, est), abs(self.level_vals[-1]) * 1e-16)
-        if err <= self.spec.target_abs_tol or achieved <= self.spec.target_abs_tol:
+        if err <= self.tol or achieved <= self.tol:
             self.result = quadrature.IntegralResult(
                 self.level_vals[-1], achieved, True, level, self.evals)
         elif level == quadrature._MAX_LEVELS:
@@ -135,8 +146,8 @@ def test_take_matches_the_value_by_value_scale(seed):
     # recomputed at every value stops it, and gives the same result bits;
     # every level is fed, past a row's stop too, to test more thresholds
     rng = random.Random(seed)
-    spec = QuadratureSpec(target_abs_tol=10.0 ** rng.uniform(-14, -2))
-    rule, ref = quadrature._Rule(spec), _ReferenceRule(spec)
+    tol = 10.0 ** rng.uniform(-14, -2)
+    rule, ref = quadrature._Rule(tol), _ReferenceRule(tol)
     magnitude = 10.0 ** rng.uniform(-300, 10)
     for level in range(quadrature._MAX_LEVELS + 1):
         row = _random_row(rng, 2 * rng.randint(0, 30) + (level == 0), magnitude)

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts and the public names of every module."""
 
 import ast
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -150,12 +151,23 @@ def test_traced_functions_resolve(span, module, attr):
 def test_cli_walltime_one_command(monkeypatch, capsys):
     script = SCRIPTS / "cli_walltime.py"
     src = str(ROOT / "src")
-    monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "1", "--only", "moments", src])
+    only = [arg for name in ("moments", "figure-raster", "usage-error") for arg in ("--only", name)]
+    monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "1", *only, src])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 0
     report = json.loads(capsys.readouterr().out)
-    (row,) = report["commands"]
-    assert row["name"] == "moments" and row["same_output"] is True
-    assert row["outcome"][0].startswith("0 ") and len(row["median_s"]) == 1
-    assert row["median_s"][0] > 0
+    rows = {row["name"]: row for row in report["commands"]}
+    assert list(rows) == ["moments", "figure-raster", "usage-error"]
+    for row in rows.values():
+        assert row["same_output"] is True and len(row["median_s"]) == 1
+        assert row["median_s"][0] > 0
+    # each outcome is "code out=... err=..." plus " file=..." for an {out} row;
+    # the CSV and the usage text are hashed, not the empty stdout of either
+    empty = hashlib.sha256(b"").hexdigest()[:16]
+    fields = {name: row["outcome"][0].split() for name, row in rows.items()}
+    assert fields["moments"][0] == "0" and fields["moments"][1] != f"out={empty}"
+    code, _, _, csv = fields["figure-raster"]
+    assert code == "0" and csv.startswith("file=") and csv != f"file={empty}"
+    code, _, err = fields["usage-error"]
+    assert code == "1" and err.startswith("err=") and err != f"err={empty}"

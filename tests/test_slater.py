@@ -23,7 +23,7 @@ from binomoment.core import (
     raney_number,
     support_endpoint,
 )
-from binomoment.quadrature import QuadratureSpec, integrate
+from binomoment.quadrature import integrate
 from binomoment.slater import (
     _TAIL_SWITCH,
     _pfq_sum,
@@ -37,7 +37,7 @@ from oracles import norlund_ratios, norlund_ratios_decimal, slater_fields, theta
 
 mp.mp.dps = 30
 
-SPEC = QuadratureSpec(target_abs_tol=1e-11)
+TOL = 1e-11
 
 
 def _mpq(q) -> mp.mpf:
@@ -430,7 +430,7 @@ def _density_mellin(p, r, sigma: float) -> float:
     res = integrate(
         lambda x, du: eval_density_many(exp, x, du) * x ** (sigma - 1.0),
         exp.domain_upper,
-        SPEC,
+        TOL,
     )
     assert res.converged
     return res.value
@@ -457,7 +457,7 @@ class TestMellinSymbol:
         # the atom 1/p at zero
         for p in (F(2), F(3), F(5, 2)):
             m = measure_model(Params(p, F(-1)))
-            res = integrate(lambda x, du: m.density(x, du), m.upper, SPEC)
+            res = integrate(lambda x, du: m.density(x, du), m.upper, TOL)
             assert res.value == pytest.approx(float((p - 1) / p), rel=1e-9)
             assert m.atom_at_zero == pytest.approx(float(1 / p), rel=1e-15)
 
@@ -689,6 +689,15 @@ class TestDensityValues:
             with pytest.raises(DomainError):
                 eval_density(exp, x)
 
+    @pytest.mark.parametrize("x", [0.0, -0.0, 6.75, math.nan, math.inf, -math.inf])
+    def test_support_points_refuse_points_outside(self, x):
+        # without distances one test, x > 0 and c - x > 0, refuses each of
+        # these; fl(c - x) > 0 holds exactly when x < c, never at nan or inf
+        with pytest.raises(DomainError, match=r"^density defined on \(0, 6\.75\)$"):
+            slater.support_points([1.0, x], None, 6.75)
+        below = math.nextafter(6.75, 0.0)
+        assert slater.support_points([below], None, 6.75) == ([below], [6.75 - below])
+
     def test_explicit_distance_is_authoritative(self):
         exp = build_slater_expansion(Params(F(2), F(0)))
         d = 1e-22  # x rounds onto the endpoint; the distance keeps it interior
@@ -725,7 +734,7 @@ class TestDensityValues:
                 res = integrate(
                     lambda x, du: eval_density_many(exp, x, du) * x**n,
                     exp.domain_upper,
-                    SPEC,
+                    TOL,
                 )
                 want = float(gen_binomial(p, r, n))
                 assert res.value == pytest.approx(want, rel=1e-8)
@@ -1036,13 +1045,13 @@ class TestRaneyDensity:
             w = _raney_density(p, r)
             upper = float(support_endpoint(p))
             for n in (0, 1, 3):
-                res = integrate(lambda x, du: _on_nodes(w, x, du) * x**n, upper, SPEC)
+                res = integrate(lambda x, du: _on_nodes(w, x, du) * x**n, upper, TOL)
                 want = float(raney_number(p, r, n))
                 assert res.value == pytest.approx(want, rel=1e-8), (p, r, n)
 
     def test_catalan_moments(self):
         w = _raney_density(F(2), F(1))
         for n in (1, 2, 4, 6):
-            res = integrate(lambda x, du: _on_nodes(w, x, du) * x**n, 4.0, SPEC)
+            res = integrate(lambda x, du: _on_nodes(w, x, du) * x**n, 4.0, TOL)
             want = float(raney_number(F(2), F(1), n))
             assert res.value == pytest.approx(want, rel=1e-8)

@@ -19,7 +19,7 @@ from binomoment.core import (
     gen_binomial,
     support_endpoint,
 )
-from binomoment.quadrature import QuadratureSpec, integrate
+from binomoment.quadrature import integrate
 from binomoment.series import TruncatedSeries, binomial_series
 from binomoment.verify import (
     CERTIFY_REL_TOL,
@@ -33,10 +33,10 @@ from binomoment.verify import (
 
 
 F = Fraction
-SPEC = QuadratureSpec(target_abs_tol=1e-10)
+TOL = 1e-10
 
 
-def integrate_density(m, n, spec):
+def integrate_density(m, n, tol):
     """Quadrature of x^n against the density part of a measure model.
 
     One moment at a time: the reference that certify's batched sweep must
@@ -48,7 +48,7 @@ def integrate_density(m, n, spec):
     def f(x, dr):
         return np.array([v**n for v in x.tolist()]) * m.density(x, dr)
 
-    return integrate(f, m.upper, spec)
+    return integrate(f, m.upper, tol)
 
 IN_REGION = (
     (F(2), F(0)),
@@ -80,31 +80,31 @@ OUT_OF_REGION = (
 class TestIntegrateDensity:
     def test_arcsine_third_moment(self):
         m = measure_model(Params(F(2), F(0)))
-        res = integrate_density(m, 3, SPEC)
+        res = integrate_density(m, 3, TOL)
         assert res.converged
         assert abs(res.value - 20.0) <= 1e-8
 
     def test_cubic_row_mass(self):
         m = measure_model(Params(F(3), F(0)))
-        res = integrate_density(m, 0, SPEC)
+        res = integrate_density(m, 0, TOL)
         assert abs(res.value - 1.0) <= 1e-10
 
     def test_fractional_row_second_moment(self):
         m = measure_model(Params(F(3, 2), F(-1, 2)))
-        res = integrate_density(m, 2, SPEC)
+        res = integrate_density(m, 2, TOL)
         assert abs(res.value - 15 / 8) <= 1e-10
 
     def test_atom_not_included(self):
         # the boundary row splits off an atom of mass 1/p; the density
         # part alone carries the rest
         m = measure_model(Params(F(3), F(-1)))
-        res = integrate_density(m, 0, SPEC)
+        res = integrate_density(m, 0, TOL)
         assert abs(res.value - 2 / 3) <= 1e-10
 
     def test_rejects_negative_order(self):
         m = measure_model(Params(F(2), F(0)))
         with pytest.raises(DomainError):
-            integrate_density(m, -1, SPEC)
+            integrate_density(m, -1, TOL)
 
     @pytest.mark.parametrize(
         "p,r,n",
@@ -112,8 +112,8 @@ class TestIntegrateDensity:
     )
     def test_tolerance_halving_self_consistency(self, p, r, n):
         m = measure_model(Params(p, r))
-        coarse = integrate_density(m, n, QuadratureSpec(target_abs_tol=1e-8))
-        fine = integrate_density(m, n, QuadratureSpec(target_abs_tol=5e-9))
+        coarse = integrate_density(m, n, 1e-8)
+        fine = integrate_density(m, n, 5e-9)
         scale = max(1.0, abs(coarse.value))
         assert abs(coarse.value - fine.value) <= coarse.error_estimate + 1e-15 * scale
 
@@ -166,8 +166,8 @@ class TestCertifyMeasure:
 
             return dataclasses.replace(model, density=density)
 
-        def counting_integrate_many(f, b, specs):
-            results.extend(original_integrate_many(f, b, specs))
+        def counting_integrate_many(f, b, tols):
+            results.extend(original_integrate_many(f, b, tols))
             return tuple(results)
 
         monkeypatch.setattr(verify, "measure_model", counting_model)
@@ -208,8 +208,8 @@ class TestCertifyMeasure:
         report = certify_measure(params, 6)
         for row in report["moments"]:
             target = float(gen_binomial(params.p, params.r, row["n"]))
-            spec = QuadratureSpec(target_abs_tol=max(1e-11, 1e-9 * abs(target)))
-            res = integrate_density(model, row["n"], spec)
+            tol = max(1e-11, 1e-9 * abs(target))
+            res = integrate_density(model, row["n"], tol)
             assert (row["quadrature"], row["error_estimate"], row["converged"]) == (
                 res.value, res.error_estimate, res.converged)
 
