@@ -21,6 +21,7 @@ floats and numpy arrays:
 
 - ``cli``        command-line interface; it imports the exact layer, and the
                  numeric layer only when a command that needs it runs
+- ``figure``     the ``figure`` command's CSV writer, imported only by it
 """
 from .core import (
     Branch,

@@ -55,10 +55,14 @@ def _is_elementary(params: Params) -> bool:
 def _quadratic(r: float, x: float, dist: float) -> float:
     # cos(r * arccos(sqrt(x/4))) / (pi * sqrt(x^(1-r) (4-x)))
     ang = math.acos(min(math.sqrt(x / 4.0), 1.0))
-    prod = x ** (1.0 - r) * dist
-    if prod >= sys.float_info.min:
+    try:
+        prod = x ** (1.0 - r) * dist
+    except OverflowError:
+        prod = math.inf
+    if sys.float_info.min <= prod < math.inf:
         return math.cos(r * ang) / (math.pi * math.sqrt(prod))
-    # x^(1-r) underflows at a subnormal x: take the root through its log
+    # x^(1-r) underflows at a subnormal x, or overflows at a small x when
+    # r > 1: take the root through its log
     try:
         root_inv = math.exp(-0.5 * ((1.0 - r) * math.log(x) + math.log(dist)))
     except OverflowError:

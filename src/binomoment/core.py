@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -27,6 +26,7 @@ __all__ = [
     "is_exact",
     "parse_scalar",
     "comparable",
+    "Record",
     "Params",
     "Branch",
     "RegionVerdict",
@@ -115,16 +115,48 @@ def comparable(x: Scalar) -> Scalar:
     return cand if float(cand) == x else x
 
 
-@dataclass(frozen=True)
-class Params:
+class Record:
+    """Immutable value compared, hashed and shown by the fields named in
+    ``_fields``, as a frozen dataclass is, without importing ``dataclasses``.
+
+    Equal only to an instance of the same class; the hash is that of the
+    tuple of field values; assigning or deleting an attribute raises
+    AttributeError.  A subclass's ``__init__`` sets its fields through
+    ``object.__setattr__``.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Params(Record):
     """Measure parameters: p = k/l exact and in lowest terms, r exact or float."""
 
-    p: Fraction
-    r: Scalar
+    _fields = ("p", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "r", as_scalar(self.r))
+    def __init__(self, p, r):
+        object.__setattr__(self, "p", Fraction(p))
+        object.__setattr__(self, "r", as_scalar(r))
 
     @property
     def k(self) -> int:
@@ -233,10 +265,12 @@ class Branch(Enum):
     OUTSIDE = "Outside"
 
 
-@dataclass(frozen=True)
-class RegionVerdict:
-    positive_definite: bool
-    branch: Branch
+class RegionVerdict(Record):
+    _fields = ("positive_definite", "branch")
+
+    def __init__(self, positive_definite: bool, branch: Branch):
+        object.__setattr__(self, "positive_definite", positive_definite)
+        object.__setattr__(self, "branch", branch)
 
 
 def classify_binomial(p: Scalar, r: Scalar) -> RegionVerdict:

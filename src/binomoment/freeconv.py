@@ -14,7 +14,9 @@ binomial and Raney moment sequences is exposed for the command line and
 the tests.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
+
+import functools
 from fractions import Fraction
 from typing import Callable, Tuple
 
@@ -155,12 +157,29 @@ def dilate(m: TruncatedSeries, c: Scalar) -> TruncatedSeries:
 # -- named convolution identities ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """A named convolution identity with a zero-argument checker."""
+@functools.lru_cache(maxsize=None)
+def _identity_check() -> type:
+    # IdentityCheck stays a dataclass, so dataclasses.replace works on the
+    # suite's items, but is built on first use: importing dataclasses (and
+    # the inspect it loads) would add to every command's start-up
+    from dataclasses import dataclass
 
-    name: str
-    run: Callable[[], bool]
+    @dataclass(frozen=True)
+    class IdentityCheck:
+        """A named convolution identity with a zero-argument checker."""
+
+        name: str
+        run: Callable[[], bool]
+
+    IdentityCheck.__qualname__ = "IdentityCheck"
+    return IdentityCheck
+
+
+def __getattr__(name: str):
+    # PEP 562: ``freeconv.IdentityCheck`` and ``from ... import IdentityCheck``
+    if name == "IdentityCheck":
+        return _identity_check()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _rows_agree(a: TruncatedSeries, b: TruncatedSeries) -> bool:
@@ -283,6 +302,7 @@ def _check_bernoulli_general(order: int) -> bool:
 
 def identity_suite(order: int = 12) -> Tuple[IdentityCheck, ...]:
     """The named convolution identities checked by tests and the CLI."""
+    IdentityCheck = _identity_check()
     return (
         IdentityCheck("boolean-row", lambda: _check_boolean_row(order)),
         IdentityCheck("raney-monotonic", lambda: _check_raney_monotonic(order)),

@@ -18,7 +18,6 @@ the exact operation on the floats' values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
@@ -26,6 +25,7 @@ from typing import Callable
 
 from .core import (
     DomainError,
+    Record,
     Scalar,
     as_scalar,
     gen_binomial,
@@ -92,16 +92,16 @@ def _miller(q: list, a: int, b: int, order: int) -> list:
     return e
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Power series truncated at a fixed order, coefficients exact or float."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(as_scalar(c) for c in self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs):
+        coeffs = tuple(as_scalar(c) for c in coeffs)
+        if not coeffs:
             raise DomainError("series needs at least the constant coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- construction ------------------------------------------------------
 

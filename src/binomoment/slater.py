@@ -332,6 +332,10 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
         b_vec = tuple((k + h - j) / k for j in range(1, k + 1) if j != h)
         exponent = (rf + h) / k - 1.0 / l
         terms.append(SlaterTerm(coef, a_vec, b_vec, exponent))
+    if not math.isfinite(gamma_factor):
+        # every coefficient is a pole's zero, which the term check skips;
+        # inf times those zeros would be nan
+        raise DomainError(f"density prefactor at p = {params.p}, r = {params.r} overflows")
     return SlaterExpansion(
         k=k,
         l=l,

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import hashlib
 import json
 import math
@@ -126,6 +127,42 @@ class TestDensity:
         )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("r,x", [("11/2", "1e-100"), ("5", "1e-100"), ("30", "4e-12")])
+    def test_quadratic_form_past_the_power_range(self, capsys, r, x):
+        # x^(1-r) (4-x) overflows at p = 2, r > 1 and small x, and the density
+        # is finite: its root comes from the log, as where the product underflows
+        code, out, err = run(capsys, "density", "--p", "2", "--r", r, "--x", x)
+        assert (code, err) == (0, "")
+        if r == "11/2":
+            mp = pytest.importorskip("mpmath")
+            with mp.workdps(50):
+                xm, rm = mp.mpf(x), mp.mpf(11) / 2
+                want = mp.cos(rm * mp.acos(mp.sqrt(xm / 4))) / (
+                    mp.pi * mp.sqrt(xm ** (1 - rm) * (4 - xm)))
+            assert float(out) == pytest.approx(float(want), rel=1e-12)
+        assert math.isfinite(float(out))
+
+    def test_curve_figure_sweeps_past_the_power_range(self, tmp_path, capsys):
+        # the negativity sweep toward zero reaches 4e-12 at p = 2, r = 30
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"9": {"kind": "curves", "points": 3, "pairs": [["2", "30"]]}}))
+        out = tmp_path / "fig.csv"
+        assert run(capsys, "figure", "--id", "9", "--out", str(out), "--params", str(cfg)) == (
+            0, "", "")
+        rows = out.read_text().splitlines()
+        assert rows[0] == "p,r,x,V,has_negative" and len(rows) == 4
+
+    @pytest.mark.parametrize("argv,r", [
+        (["density", "--p", "5/2", "--r", "1e20", "--x", "1"], "1e+20"),
+        (["density", "--p", "5/2", "--r", "1e17", "--x", "1"], "1e+17"),
+        (["witness", "--p", "5/2", "--r", "1e300"], "1e+300"),
+    ])
+    def test_prefactor_past_the_float_range(self, capsys, argv, r):
+        # every Slater coefficient is a pole's zero and the prefactor is inf:
+        # an error, not the nan of inf * 0
+        assert run(capsys, *argv) == (
+            1, "", f"error: density prefactor at p = 5/2, r = {r} overflows\n")
 
     def test_out_of_region_pair_still_evaluates(self, capsys):
         # the density function exists (with negative values) outside the
@@ -840,6 +877,48 @@ def test_exact_commands_leave_the_numeric_layer_unimported():
     assert seen["certify"] == [0, list(_NUMERIC_MODULES)]
 
 
+#: modules a fresh ``import binomoment.cli`` leaves unloaded
+_START_UP_UNLOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json",
+                      "binomoment.figure", "numpy")
+
+_START_UP_PROBE = """
+import contextlib, io, sys
+held = set(sys.modules)  # what python -c pass holds, site's preloads included
+from binomoment.cli import main
+
+def loaded():
+    return [m for m in sys.argv[1].split(",") if m in sys.modules and m not in held]
+
+seen = [loaded()]
+for argv in (["moments", "--p", "7/2", "--r", "1", "--n", "20"],
+             ["classify", "--p", "3/2", "--r", "1", "--family", "binomial"],
+             ["conv-verify"],
+             ["figure", "--id", "1", "--out", sys.argv[2]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen.append([argv[0], code, loaded()])
+print(seen)
+"""
+
+
+def test_cli_import_loads_no_dataclasses_json_or_figure_code(tmp_path):
+    # start-up is most of an exact command's time: the records of the exact
+    # layer are plain classes, json loads with the commands that print it,
+    # the figure code with figure, and IdentityCheck with the identity suite
+    proc = _run_cli_child(_START_UP_PROBE, ",".join(_START_UP_UNLOADED),
+                          str(tmp_path / "raster.csv"), text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported, moments, classify, conv_verify, figure = ast.literal_eval(proc.stdout)
+    assert imported == []
+    assert moments == ["moments", 0, []]
+    assert classify == ["classify", 0, []]
+    assert conv_verify[:2] == ["conv-verify", 0] and "dataclasses" in conv_verify[2]
+    assert not {"json", "binomoment.figure"} & set(conv_verify[2])
+    # the raster figure runs without numpy
+    assert figure[:2] == ["figure", 0]
+    assert {"json", "binomoment.figure"} <= set(figure[2]) and "numpy" not in figure[2]
+
+
 _EMPTY = hashlib.sha256(b"").hexdigest()
 
 #: the usage line of the whole program, printed before every error that is
@@ -938,10 +1017,15 @@ def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
      _TOP_USAGE + b"error: argument command: invalid choice: '2' " + _COMMAND_CHOICES),
     (["witness", "--p", "2", "--r", "0"], 1, _EMPTY,
      b"error: parameters lie inside the positive-definite region\n"),
+    # a value, or one error line, with no traceback and no numpy warning
+    (["density", "--p", "2", "--r", "11/2", "--x", "1e-100"], 0,
+     "af465eb7cd29c4998d87015c3a553b9dc5f4d4db4aab100a2c24087fba8d60ca", b""),
+    (["density", "--p", "5/2", "--r", "1e20", "--x", "1"], 1, _EMPTY,
+     b"error: density prefactor at p = 5/2, r = 1e+20 overflows\n"),
 ], ids=["help", *[f"{name}-help" for name in _HELP_DIGESTS], "help-after-options",
         "usage-error", *[f"{argv[0]}-usage-error" for argv, _ in _COMMAND_ERRORS], "unknown-option",
         "stray-positional", "unknown-command", "no-arguments", "option-before-command",
-        "witness-in-region"])
+        "witness-in-region", "density-power-overflow", "density-prefactor-overflow"])
 def test_fresh_process_output_is_pinned(argv, code, out_digest, err):
     # help, usage and error text of a fresh process, as the parser and the
     # handlers print them whichever modules are loaded

@@ -13,6 +13,7 @@ from binomoment.core import (
     DomainError,
     GammaPoleError,
     Params,
+    RegionVerdict,
     as_scalar,
     classify_binomial,
     classify_raney,
@@ -304,6 +305,44 @@ class TestScalarPlumbing:
         q = Params(F(3, 2), F(1, 2))
         assert (q.k, q.l) == (3, 2)
         assert Params(F(3, 2), 0.5).r == 0.5
+
+    # repr text and hashes as the frozen dataclasses printed and hashed them;
+    # hashes of Fraction and float tuples do not depend on the hash seed
+    @pytest.mark.parametrize("record,text,hashed", [
+        (Params(F(5, 2), 3), "Params(p=Fraction(5, 2), r=Fraction(3, 1))",
+         1787416419777828426),
+        (Params(3, 0.25), "Params(p=Fraction(3, 1), r=0.25)", -603050458411167441),
+    ])
+    def test_params_record(self, record, text, hashed):
+        assert repr(record) == text
+        assert hash(record) == hashed
+        assert record == Params(record.p, record.r) == Params(p=record.p, r=record.r)
+        assert Params(2, 1.0) == Params(2, 1)
+        assert record != (record.p, record.r)
+        assert record.__eq__((record.p, record.r)) is NotImplemented
+
+    def test_region_verdict_record(self):
+        verdict = classify_binomial(F(5, 2), 1)
+        assert repr(verdict) == (
+            "RegionVerdict(positive_definite=True, branch=<Branch.MAIN: 'MainBranch'>)")
+        # an Enum hashes by its name, a str, so only the form of the hash is pinned
+        assert hash(verdict) == hash((True, Branch.MAIN))
+        assert verdict == RegionVerdict(True, Branch.MAIN)
+        assert verdict != RegionVerdict(False, Branch.MAIN)
+        assert {verdict, RegionVerdict(True, Branch.MAIN)} == {verdict}
+
+    @pytest.mark.parametrize("record,field", [
+        (Params(F(5, 2), 3), "p"),
+        (Params(F(5, 2), 3), "k"),
+        (RegionVerdict(True, Branch.MAIN), "branch"),
+    ])
+    def test_records_refuse_assignment(self, record, field):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
     def test_as_scalar_rejects_junk(self):
         with pytest.raises(TypeError):

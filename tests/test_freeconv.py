@@ -373,6 +373,21 @@ class TestIdentitySuite:
         for check in identity_suite(order=8):
             assert check.run(), check.name
 
+    def test_checks_are_dataclasses(self):
+        # the bench tracer swaps each check's run with dataclasses.replace
+        import dataclasses
+
+        from binomoment.freeconv import IdentityCheck
+
+        for check in identity_suite():
+            assert type(check) is IdentityCheck
+            ran = []
+            swapped = dataclasses.replace(check, run=lambda: ran.append(1) or True)
+            assert (swapped.name, swapped.run(), ran) == (check.name, True, [1])
+            assert repr(check).startswith(f"IdentityCheck(name={check.name!r}, run=")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                check.name = "other"
+
     def test_holds_at_order_40(self):
         # the integer kernels keep the identities exact well past order 12
         for check in identity_suite(order=40):

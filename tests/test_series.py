@@ -136,6 +136,36 @@ def exact_coeffs(min_size=1, max_size=9):
     return st.lists(mixed_fracs, min_size=min_size, max_size=max_size)
 
 
+class TestRecord:
+    # repr text and hashes as the frozen dataclass printed and hashed them
+    @pytest.mark.parametrize("series,text,hashed", [
+        (binomial_series(2, 1, 3),
+         "TruncatedSeries(coeffs=(Fraction(1, 1), Fraction(3, 1), Fraction(10, 1), "
+         "Fraction(35, 1)))", -8495531598405585059),
+        (TruncatedSeries((1.0, 0.5)), "TruncatedSeries(coeffs=(1.0, 0.5))",
+         4257318633221398199),
+    ])
+    def test_equality_hash_and_repr(self, series, text, hashed):
+        assert repr(series) == text
+        assert hash(series) == hashed
+        assert series == TruncatedSeries(list(series.coeffs))
+        assert series == TruncatedSeries(coeffs=series.coeffs)
+        assert series != series.coeffs
+        assert series != TruncatedSeries(series.coeffs + (0,))
+
+    def test_refuses_assignment(self):
+        series = TruncatedSeries((1, 2))
+        with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+            series.coeffs = (3,)
+        with pytest.raises(AttributeError, match="cannot delete field 'coeffs'"):
+            del series.coeffs
+        assert series.coeffs == (1, 2)
+
+    def test_needs_a_coefficient(self):
+        with pytest.raises(DomainError, match="at least the constant coefficient"):
+            TruncatedSeries(())
+
+
 class TestIntegerKernels:
     """Exact operations against plain-Fraction list references."""
 
