@@ -33,7 +33,8 @@ from pathlib import Path
 #: (name, argv): the exact commands, a usage error (exit code 1) and a
 #: command's help, then those that load the numeric layer, among them a
 #: certify at p = 1 (exit code 1), last three certify runs at large k (the
-#: first fails with exit code 1); the "-float-r" rows give r as a float;
+#: first fails with exit code 1); the "-float-r" rows give r as a float,
+#: "density-p2-small-x" is the elementary p = 2 row close to x = 0;
 #: "{out}" is a file in a scratch directory
 COMMANDS = (
     ("moments", ["moments", "--p", "3", "--r", "1", "--n", "10"]),
@@ -51,6 +52,9 @@ COMMANDS = (
     ("witness", ["witness", "--p", "3/2", "--r", "1"]),
     ("witness-float-r", ["witness", "--p", "5/2", "--r", "3.1234567"]),
     ("density", ["density", "--p", "7/2", "--r", "1", "--x", "0.7"]),
+    ("density-grid", ["density", "--p", "7/2", "--r", "1", "--grid", "0.1,5,7"]),
+    ("density-p2-small-x", ["density", "--p", "2", "--r", "1", "--x", "1e-20"]),
+    ("factorize", ["factorize", "--p", "7/2", "--r", "1"]),
     ("certify-k128", ["certify", "--p", "128", "--r", "0", "--nmax", "1"]),
     ("certify-k127", ["certify", "--p", "127/2", "--r", "1", "--nmax", "10"]),
     ("certify-k100", ["certify", "--p", "100/3", "--r", "0", "--nmax", "10"]),

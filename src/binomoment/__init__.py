@@ -22,6 +22,12 @@ floats and numpy arrays:
 - ``cli``        command-line interface; it imports the exact layer, and the
                  numeric layer only when a command that needs it runs
 - ``figure``     the ``figure`` command's CSV writer, imported only by it
+
+Every record of both layers (parameters, region verdicts, series, density
+expansions, measure models, factorizations, integrals, witnesses) is a
+``core.Record``, declared by its field names.  ``freeconv.IdentityCheck``
+alone is a frozen dataclass, built on first use, so that
+``dataclasses.replace`` can swap the checker of an identity.
 """
 from .core import (
     Branch,

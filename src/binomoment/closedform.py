@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +19,7 @@ import numpy as np
 from .core import (
     DomainError,
     Params,
+    Record,
     RegionError,
     as_scalar,
     classify_binomial,
@@ -53,21 +53,28 @@ def _is_elementary(params: Params) -> bool:
 
 
 def _quadratic(r: float, x: float, dist: float) -> float:
-    # cos(r * arccos(sqrt(x/4))) / (pi * sqrt(x^(1-r) (4-x)))
-    ang = math.acos(min(math.sqrt(x / 4.0), 1.0))
+    # cos(r * arccos(sqrt(x/4))) / (pi * sqrt(x^(1-r) (4-x))); at odd integer
+    # r the cosine vanishes as x -> 0, where the angle nears pi/2 and rounds
+    # its digits away, so below x = 2 it is taken through the smaller angle
+    # arcsin(.) = pi/2 - arccos(.), as (-1)**((r-1)/2) sin(r * arcsin(.))
+    root = min(math.sqrt(x) / 2.0, 1.0)
+    if r % 2 == 1 and x < 2.0:
+        factor = (-1.0 if (r - 1) % 4 else 1.0) * math.sin(r * math.asin(root))
+    else:
+        factor = math.cos(r * math.acos(root))
     try:
         prod = x ** (1.0 - r) * dist
     except OverflowError:
         prod = math.inf
     if sys.float_info.min <= prod < math.inf:
-        return math.cos(r * ang) / (math.pi * math.sqrt(prod))
+        return factor / (math.pi * math.sqrt(prod))
     # x^(1-r) underflows at a subnormal x, or overflows at a small x when
     # r > 1: take the root through its log
     try:
         root_inv = math.exp(-0.5 * ((1.0 - r) * math.log(x) + math.log(dist)))
     except OverflowError:
         raise DomainError(f"density at x = {x!r} exceeds the float range") from None
-    return math.cos(r * ang) / math.pi * root_inv
+    return factor / math.pi * root_inv
 
 
 def _algebraic(row: tuple, l: int, upper: float, x: float, dist: float) -> float:
@@ -102,8 +109,7 @@ def eval_closed(params: Params, xs: Sequence[float],
     return np.array(values, dtype=float)
 
 
-@dataclass(frozen=True)
-class MeasureModel:
+class MeasureModel(Record):
     """A measure on [0, upper]: an atom at 0 plus a density.
 
     ``density`` is an evaluator (xs, dists_to_upper) -> array of values on
@@ -111,9 +117,7 @@ class MeasureModel:
     the endpoint at full precision.
     """
 
-    atom_at_zero: float
-    density: Callable[[Sequence[float], Sequence[float]], np.ndarray]
-    upper: float
+    _fields = ("atom_at_zero", "density", "upper")  # float, evaluator, float
 
 
 def density_function(params: Params) -> Callable[..., np.ndarray]:

@@ -116,16 +116,25 @@ def comparable(x: Scalar) -> Scalar:
 
 
 class Record:
-    """Immutable value compared, hashed and shown by the fields named in
-    ``_fields``, as a frozen dataclass is, without importing ``dataclasses``.
+    """Immutable value declared by the field names in ``_fields``, and built,
+    compared, hashed and shown by them, as a frozen dataclass is, without
+    importing ``dataclasses``.
 
-    Equal only to an instance of the same class; the hash is that of the
-    tuple of field values; assigning or deleting an attribute raises
-    AttributeError.  A subclass's ``__init__`` sets its fields through
-    ``object.__setattr__``.
+    Fields are given by position or by name, each once, or TypeError is
+    raised.  Equal only to an instance of the same class; the hash is that
+    of the tuple of field values; assigning or deleting an attribute raises
+    AttributeError.  A subclass that converts or checks its arguments does
+    so in its own ``__init__`` and then calls ``super().__init__``.
     """
 
     _fields: Tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+            raise TypeError(f"{self.__class__.__qualname__} takes the fields "
+                            f"{', '.join(names)} once each, by position or by name")
+        vars(self).update(zip(names, args), **kwargs)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -155,8 +164,7 @@ class Params(Record):
     _fields = ("p", "r")
 
     def __init__(self, p, r):
-        object.__setattr__(self, "p", Fraction(p))
-        object.__setattr__(self, "r", as_scalar(r))
+        super().__init__(Fraction(p), as_scalar(r))
 
     @property
     def k(self) -> int:
@@ -266,11 +274,7 @@ class Branch(Enum):
 
 
 class RegionVerdict(Record):
-    _fields = ("positive_definite", "branch")
-
-    def __init__(self, positive_definite: bool, branch: Branch):
-        object.__setattr__(self, "positive_definite", positive_definite)
-        object.__setattr__(self, "branch", branch)
+    _fields = ("positive_definite", "branch")  # bool, Branch
 
 
 def classify_binomial(p: Scalar, r: Scalar) -> RegionVerdict:

@@ -118,11 +118,9 @@ def _curve_rows(cfg: dict) -> Iterator[list]:
         for p_text, r_text, params, evaluate in curves:
             upper = float(support_endpoint(params.p))
             xs = [upper * i / (points + 1) for i in range(1, points + 1)]
-            # the grid plus the witness scan's log sweep toward zero, where
-            # out-of-region negativity tends to hide, in one call; the sweep
-            # only sets the flag, at the witness threshold
-            sweep = [upper * 10.0 ** (-j) for j in range(1, numeric.verify._SCAN_DECADES + 1)]
-            values = evaluate(xs + sweep).tolist()
+            # the grid plus the witness scan's log sweep in one call; the
+            # sweep only sets the flag, at the witness threshold
+            values = evaluate(xs + numeric.verify.scan_abscissae(upper)).tolist()
             flag = 1 if min(values) < -numeric.verify.WITNESS_TOL else 0
             for x, v in zip(xs, values):
                 yield [p_text, r_text, _fmt_float(x), _fmt_float(v), flag]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +16,8 @@ import numpy as np
 from .core import (
     DomainError,
     Params,
+    Record,
     RegionError,
-    Scalar,
     as_scalar,
     is_exact,
     support_endpoint,
@@ -33,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BetaFactor:
+class BetaFactor(Record):
     """Modified beta distribution on [0, 1].
 
     With shape pair (u, v) and root index l the density is
@@ -43,23 +41,20 @@ class BetaFactor:
     mass at 1 exactly.
     """
 
-    u: float
-    v: float
-    l: int
+    _fields = ("u", "v", "l")  # float, float, int
 
-    def __post_init__(self):
-        if not self.u > 0.0:
+    def __init__(self, u, v, l):
+        if not u > 0.0:
             raise DomainError("beta factor needs u > 0")
-        if self.v < 0.0:
+        if v < 0.0:
             raise DomainError("beta factor needs v >= 0")
-        if not (isinstance(self.l, int) and self.l >= 1):
+        if not (isinstance(l, int) and l >= 1):
             raise DomainError("beta factor needs integer l >= 1")
+        super().__init__(u, v, l)
 
 
-@dataclass(frozen=True)
-class MellinFactorization:
-    factors: tuple
-    dilation: Scalar  # support endpoint c(p)
+class MellinFactorization(Record):
+    _fields = ("factors", "dilation")  # tuple of BetaFactor, support endpoint c(p)
 
 
 def _symbol(params: Params) -> tuple:

@@ -13,13 +13,12 @@ node order, so results are bit-reproducible from run to run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, Record
 
 __all__ = [
     "IntegralResult",
@@ -28,13 +27,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    value: float
-    error_estimate: float
-    converged: bool
-    levels: int
-    evaluations: int
+class IntegralResult(Record):
+    _fields = ("value", "error_estimate", "converged", "levels", "evaluations")
 
 
 # integrands are called f(x, dist_upper) on arrays of nodes; the distance to

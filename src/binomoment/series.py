@@ -101,7 +101,7 @@ class TruncatedSeries(Record):
         coeffs = tuple(as_scalar(c) for c in coeffs)
         if not coeffs:
             raise DomainError("series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     # -- construction ------------------------------------------------------
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cached_property
 from typing import Optional, Sequence
@@ -24,6 +23,7 @@ import numpy as np
 from .core import (
     DomainError,
     Params,
+    Record,
     as_scalar,
     at_pole,
     gamma_real,
@@ -151,29 +151,20 @@ def _pfq_sum(nums, dens, zs):
 # density expansion
 
 
-@dataclass(frozen=True)
-class SlaterTerm:
-    coef: float
-    a_vec: tuple
-    b_vec: tuple
-    exponent: float  # power of z multiplying the pFq value
+class SlaterTerm(Record):
+    # exponent: power of z multiplying the pFq value
+    _fields = ("coef", "a_vec", "b_vec", "exponent")
 
 
-@dataclass(frozen=True)
-class SlaterExpansion:
+class SlaterExpansion(Record):
     """gamma_factor * z**(-1/l) * G^{k,0}_{k,k}(z | alphas; betas), z = (x/c)**l.
 
     ``terms`` is Slater's sum for G about z = 0; ``endpoint_coeffs`` are
     the coefficients of Norlund's expansion about z = 1, built on first use.
+    ``domain_upper`` is the support endpoint c.
     """
 
-    k: int
-    l: int
-    gamma_factor: float
-    terms: tuple
-    domain_upper: float  # support endpoint c
-    alphas: tuple
-    betas: tuple
+    _fields = ("k", "l", "gamma_factor", "terms", "domain_upper", "alphas", "betas")
 
     @cached_property
     def endpoint_coeffs(self) -> tuple:

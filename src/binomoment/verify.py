@@ -8,8 +8,7 @@ certificates outside the positive-definite region.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .core import (
     DomainError,
     InconclusiveWitnessError,
     Params,
+    Record,
     RegionError,
     classify_binomial,
     gen_binomial,
@@ -33,6 +33,7 @@ __all__ = [
     "CERTIFY_REL_TOL",
     "certify_measure",
     "hankel_matrix_min_eig",
+    "scan_abscissae",
     "scan_for_witness",
     "find_negativity_witness",
 ]
@@ -46,8 +47,7 @@ CERTIFY_REL_TOL = 1e-7
 WITNESS_KINDS = ("NegativeDensityPoint", "NegativeEvenMoment", "NegativeHankel")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Numerical certificate that a moment sequence is not positive definite.
 
     ``location`` is an abscissa for the density kind and an index (moment
@@ -55,15 +55,14 @@ class Witness:
     quantity and must be negative beyond WITNESS_TOL.
     """
 
-    kind: str
-    location: Union[float, int]
-    value: float
+    _fields = ("kind", "location", "value")  # str, float or int, float
 
-    def __post_init__(self):
-        if self.kind not in WITNESS_KINDS:
-            raise DomainError(f"unknown witness kind: {self.kind!r}")
-        if not self.value < -WITNESS_TOL:
+    def __init__(self, kind, location, value):
+        if kind not in WITNESS_KINDS:
+            raise DomainError(f"unknown witness kind: {kind!r}")
+        if not value < -WITNESS_TOL:
             raise DomainError("witness value must be negative beyond tolerance")
+        super().__init__(kind, location, value)
 
 
 def _powers(x: np.ndarray, n_max: int) -> np.ndarray:
@@ -158,6 +157,12 @@ _SCAN_DECADES = 12
 _SCAN_HANKEL_MAX = 6
 
 
+def scan_abscissae(c: float) -> list:
+    """The witness scan's log sweep c*10^-j, j = 1..12, toward x = 0, where
+    out-of-region negativity tends to hide; c is the support endpoint."""
+    return [c * 10.0 ** (-j) for j in range(1, _SCAN_DECADES + 1)]
+
+
 def scan_for_witness(params: Params) -> Optional[Witness]:
     """Fixed-budget negativity scan with no region gating.
 
@@ -167,8 +172,7 @@ def scan_for_witness(params: Params) -> Optional[Witness]:
     budget ran out and proves nothing.
     """
     expansion = build_slater_expansion(params)
-    c = expansion.domain_upper
-    xs = [c * 10.0 ** (-j) for j in range(1, _SCAN_DECADES + 1)]
+    xs = scan_abscissae(expansion.domain_upper)
     for x, v in zip(xs, eval_density_many(expansion, xs).tolist()):
         if v < -WITNESS_TOL:
             return Witness("NegativeDensityPoint", x, v)

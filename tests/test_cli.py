@@ -451,9 +451,9 @@ _EXACT_DIGESTS = {
 #: across (0, c), the smallest subnormal abscissa and c (1 - 1e-12)
 _DENSITY_DIGESTS = {
     "density --p 2 --r 1 --grid 0.000001,3.999999,801":
-        "426bd1672e4f8c779e2457fc7ee7a8e49ad4918df0d7d705a4fda068de512e27",
+        "a225281055da7fa246ef6a2e0d7e9abc1efb9213ce6245aed19ffdce2f93c785",
     "density --p 2 --r 1 --x 5e-324":
-        "589d38e0f3a87f58de5770fcb1252ac281dc3e9753a0862ae9c25509aeb79e35",
+        "e623523ed19ce73e9a75315aba4871184e02a15e8b0023a2652931bd536ed35e",
     "density --p 2 --r 1 --x 3.999999999996":
         "a27221c70deac38065c4a217d5854abb33c95248829fdc1180cd3415822e27b7",
     "density --p 2 --r 1/2 --grid 0.000001,3.999999,801":
@@ -882,7 +882,7 @@ _START_UP_UNLOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json"
                       "binomoment.figure", "numpy")
 
 _START_UP_PROBE = """
-import contextlib, io, sys
+import ast, contextlib, io, sys
 held = set(sys.modules)  # what python -c pass holds, site's preloads included
 from binomoment.cli import main
 
@@ -890,10 +890,7 @@ def loaded():
     return [m for m in sys.argv[1].split(",") if m in sys.modules and m not in held]
 
 seen = [loaded()]
-for argv in (["moments", "--p", "7/2", "--r", "1", "--n", "20"],
-             ["classify", "--p", "3/2", "--r", "1", "--family", "binomial"],
-             ["conv-verify"],
-             ["figure", "--id", "1", "--out", sys.argv[2]]):
+for argv in ast.literal_eval(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     seen.append([argv[0], code, loaded()])
@@ -901,14 +898,24 @@ print(seen)
 """
 
 
-def test_cli_import_loads_no_dataclasses_json_or_figure_code(tmp_path):
-    # start-up is most of an exact command's time: the records of the exact
-    # layer are plain classes, json loads with the commands that print it,
-    # the figure code with figure, and IdentityCheck with the identity suite
-    proc = _run_cli_child(_START_UP_PROBE, ",".join(_START_UP_UNLOADED),
-                          str(tmp_path / "raster.csv"), text=True)
+def _start_up_probe(*commands) -> list:
+    # the modules of _START_UP_UNLOADED that a fresh process holds after
+    # importing cli and then after each command, run in that order
+    proc = _run_cli_child(_START_UP_PROBE, ",".join(_START_UP_UNLOADED), repr(commands),
+                          text=True)
     assert proc.returncode == 0, proc.stderr
-    imported, moments, classify, conv_verify, figure = ast.literal_eval(proc.stdout)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_cli_import_loads_no_dataclasses_json_or_figure_code(tmp_path):
+    # start-up is most of an exact command's time: the records are plain
+    # classes, json loads with the commands that print it, the figure code
+    # with figure, and IdentityCheck, the one dataclass, with the identity suite
+    imported, moments, classify, conv_verify, figure = _start_up_probe(
+        ["moments", "--p", "7/2", "--r", "1", "--n", "20"],
+        ["classify", "--p", "3/2", "--r", "1", "--family", "binomial"],
+        ["conv-verify"],
+        ["figure", "--id", "1", "--out", str(tmp_path / "raster.csv")])
     assert imported == []
     assert moments == ["moments", 0, []]
     assert classify == ["classify", 0, []]
@@ -917,6 +924,10 @@ def test_cli_import_loads_no_dataclasses_json_or_figure_code(tmp_path):
     # the raster figure runs without numpy
     assert figure[:2] == ["figure", 0]
     assert {"json", "binomoment.figure"} <= set(figure[2]) and "numpy" not in figure[2]
+    # the numeric layer's records are no dataclasses either
+    _, density = _start_up_probe(["density", "--p", "7/2", "--r", "1", "--x", "0.7"])
+    assert density[:2] == ["density", 0] and "numpy" in density[2]
+    assert not {"dataclasses", "json", "binomoment.figure"} & set(density[2])
 
 
 _EMPTY = hashlib.sha256(b"").hexdigest()

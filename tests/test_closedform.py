@@ -65,17 +65,32 @@ class TestSpotValues:
         got = closed(F(2), F(0), 4.0, d)
         assert got == pytest.approx(1.0 / (math.pi * math.sqrt(4.0 * d)), rel=1e-12)
 
-    @pytest.mark.parametrize("r", [F(-9, 10), F(-1, 2), F(0), F(1, 2)])
+    @pytest.mark.parametrize("r", [F(-9, 10), F(-1, 2), F(0), F(1, 2), F(1)])
     def test_quadratic_row_at_subnormal_abscissae(self, r):
         # x^(1-r) (4-x) falls below the smallest normal float, or to zero,
-        # while the density stays finite; against 40 digits
+        # while the density stays finite, and at r = 1 vanishes like sqrt(x);
+        # against 40 digits, the working precision raised so that the angle,
+        # within sqrt(x)/2 of pi/2, keeps them
         for x in (1e-300, 1e-310, 2e-323, 5e-324):
-            with mpmath.workdps(40):
+            with mpmath.workdps(400):
                 mx, mr = mpmath.mpf(x), mpmath.mpf(r.numerator) / r.denominator
                 want = mpmath.cos(mr * mpmath.acos(mpmath.sqrt(mx / 4))) / (
                     mpmath.pi * mpmath.sqrt(mx ** (1 - mr) * (4 - mx))
                 )
             assert closed(F(2), r, x) == pytest.approx(float(want), rel=1e-12), (r, x)
+
+    @pytest.mark.parametrize("r", [-1, 1, 3, 5])
+    def test_odd_quadratic_rows_toward_zero(self, r):
+        # at odd r the factor cos(r acos(sqrt(x)/2)) vanishes as x -> 0, like
+        # r sqrt(x)/2; against 60 digits, the working precision raised by j
+        # so that the angle, within sqrt(x)/2 of pi/2, keeps them
+        for j in range(1, 51):
+            x = 10.0**-j
+            with mpmath.workdps(60 + j):
+                mx = mpmath.mpf(x)
+                want = float(mpmath.cos(r * mpmath.acos(mpmath.sqrt(mx) / 2)) / (
+                    mpmath.pi * mpmath.sqrt(mx ** (1 - r) * (4 - mx))))
+            assert abs(closed(F(2), F(r), x) - want) <= 4 * math.ulp(want), (r, j)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError, match="exceeds the float range"):

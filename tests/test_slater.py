@@ -626,7 +626,7 @@ def _oracle_grid() -> tuple:
 
 class TestExpansionOracle:
     def test_small_k_grid_matches_fraction_arithmetic(self):
-        # every coprime k/l with k <= 19: dataclass equality, so every
+        # every coprime k/l with k <= 19: record equality, so every
         # coefficient, parameter and exponent keeps its bits
         zeroed = 0
         for params, built in _oracle_grid():

@@ -1,6 +1,5 @@
 """Tests for measure certification and negativity witnesses."""
 
-import dataclasses
 import json
 import math
 import time
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 from binomoment import verify
-from binomoment.closedform import measure_model
+from binomoment.closedform import MeasureModel, measure_model
 from binomoment.core import (
     DomainError,
     Params,
@@ -164,7 +163,7 @@ class TestCertifyMeasure:
                 seen.update(zip(xs.tolist(), dist_upper.tolist()))
                 return model.density(xs, dist_upper)
 
-            return dataclasses.replace(model, density=density)
+            return MeasureModel(model.atom_at_zero, density, model.upper)
 
         def counting_integrate_many(f, b, tols):
             results.extend(original_integrate_many(f, b, tols))
@@ -194,7 +193,7 @@ class TestCertifyMeasure:
                 calls.append(xs.size)
                 return model.density(xs, dist_upper)
 
-            return dataclasses.replace(model, density=density)
+            return MeasureModel(model.atom_at_zero, density, model.upper)
 
         monkeypatch.setattr(verify, "measure_model", counting_model)
         report = certify_measure(Params(p, r), 10)
