@@ -34,10 +34,12 @@ from pathlib import Path
 #: command's help, then those that load the numeric layer, among them a
 #: certify at p = 1 (exit code 1), last three certify runs at large k (the
 #: first fails with exit code 1); the "-float-r" rows give r as a float,
-#: "density-p2-small-x" is the elementary p = 2 row close to x = 0;
-#: "{out}" is a file in a scratch directory
+#: "density-p2-small-x" is the elementary p = 2 row close to x = 0 and
+#: "density-p2-log-branch" that row where x^(1-r) (4-x) leaves the normal
+#: range; "{out}" is a file in a scratch directory
 COMMANDS = (
     ("moments", ["moments", "--p", "3", "--r", "1", "--n", "10"]),
+    ("moments-raney", ["moments", "--p", "5/2", "--r", "1/2", "--n", "40", "--raney"]),
     ("series", ["series", "--p", "3", "--r", "1", "--order", "10"]),
     ("series-float-r", ["series", "--p", "4", "--r", "0.1234567", "--order", "20", "--json"]),
     ("classify", ["classify", "--p", "3/2", "--r", "1", "--family", "binomial"]),
@@ -54,7 +56,9 @@ COMMANDS = (
     ("density", ["density", "--p", "7/2", "--r", "1", "--x", "0.7"]),
     ("density-grid", ["density", "--p", "7/2", "--r", "1", "--grid", "0.1,5,7"]),
     ("density-p2-small-x", ["density", "--p", "2", "--r", "1", "--x", "1e-20"]),
+    ("density-p2-log-branch", ["density", "--p", "2", "--r", "-1", "--x", "1e-310"]),
     ("factorize", ["factorize", "--p", "7/2", "--r", "1"]),
+    ("factorize-float-r", ["factorize", "--p", "7/2", "--r", "0.1234567"]),
     ("certify-k128", ["certify", "--p", "128", "--r", "0", "--nmax", "1"]),
     ("certify-k127", ["certify", "--p", "127/2", "--r", "1", "--nmax", "10"]),
     ("certify-k100", ["certify", "--p", "100/3", "--r", "0", "--nmax", "10"]),

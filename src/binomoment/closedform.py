@@ -69,12 +69,19 @@ def _quadratic(r: float, x: float, dist: float) -> float:
     if sys.float_info.min <= prod < math.inf:
         return factor / (math.pi * math.sqrt(prod))
     # x^(1-r) underflows at a subnormal x, or overflows at a small x when
-    # r > 1: take the root through its log
+    # r > 1: 1/sqrt(x^(1-r)) is taken as h*h with h = x^((r-1)/4), which is
+    # in range wherever the density is and is rounded once, where exp of a
+    # log near -700 would carry that log's rounding into the value; the
+    # division comes before the second h, so no product in between leaves
+    # the float range before the value does
     try:
-        root_inv = math.exp(-0.5 * ((1.0 - r) * math.log(x) + math.log(dist)))
+        h = x ** ((r - 1.0) / 4.0)
+        value = factor * h / (math.pi * math.sqrt(dist)) * h
     except OverflowError:
-        raise DomainError(f"density at x = {x!r} exceeds the float range") from None
-    return factor / math.pi * root_inv
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"density at x = {x!r} exceeds the float range")
+    return value
 
 
 def _algebraic(row: tuple, l: int, upper: float, x: float, dist: float) -> float:

@@ -2,9 +2,10 @@
 
 Exact rationals ride on ``fractions.Fraction``; floats are kept apart and mixed
 arithmetic promotes to float.  This module provides the generalized binomial
-coefficient C(n*p + r, n), the Raney companion r/(n*p+r)*C(n*p+r, n), the
-support endpoint p**p*(p-1)**(1-p), the positive-definiteness region
-classifiers, and a real-axis gamma function with explicit pole handling.
+coefficient C(n*p + r, n) and the Raney companion r/(n*p+r)*C(n*p+r, n), both
+from one falling-factorial kernel, the support endpoint p**p*(p-1)**(1-p), the
+positive-definiteness region classifiers, and a real-axis gamma function with
+explicit pole handling.
 """
 from __future__ import annotations
 
@@ -213,6 +214,29 @@ def _float_quotient(factors, n: int) -> float:
     return num / den
 
 
+def _falling_quotient(p: Scalar, r: Scalar, n: int, raney: bool) -> Scalar:
+    # lead * prod_{j=1}^{n-1} (n*p + r - j) / n!, with lead = n*p + r for the
+    # binomial and lead = r for the Raney number; 1 at n = 0
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    p = as_scalar(p)
+    r = as_scalar(r)
+    exact = is_exact(p) and is_exact(r)
+    if n == 0:
+        return Fraction(1) if exact else 1.0
+    try:
+        top = p * n + r
+        lead = r if raney else top
+        if exact:
+            t, q = top.numerator, top.denominator
+            num = lead.numerator * math.prod(t - j * q for j in range(1, n))
+            return Fraction(num, lead.denominator * q ** (n - 1) * math.factorial(n))
+        return _float_quotient([lead] + [top - j for j in range(1, n)], n)
+    except OverflowError:
+        what = "Raney number" if raney else "C(n*p + r, n)"
+        raise DomainError(f"{what} at n = {n} exceeds the float range") from None
+
+
 def gen_binomial(p: Scalar, r: Scalar, n: int) -> Scalar:
     """Generalized binomial coefficient C(n*p + r, n) via the falling factorial.
 
@@ -223,19 +247,7 @@ def gen_binomial(p: Scalar, r: Scalar, n: int) -> Scalar:
     stays at one ulp regardless of n; a value past the float range raises
     DomainError.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    p = as_scalar(p)
-    r = as_scalar(r)
-    if is_exact(p) and is_exact(r):
-        top = p * n + r
-        t, q = top.numerator, top.denominator
-        return Fraction(math.prod(t - j * q for j in range(n)), q**n * math.factorial(n))
-    try:
-        top = p * n + r
-        return _float_quotient([top - j for j in range(n)], n)
-    except OverflowError:
-        raise DomainError(f"C(n*p + r, n) at n = {n} exceeds the float range") from None
+    return _falling_quotient(p, r, n, raney=False)
 
 
 def raney_number(p: Scalar, r: Scalar, n: int) -> Scalar:
@@ -244,26 +256,11 @@ def raney_number(p: Scalar, r: Scalar, n: int) -> Scalar:
     Computed as r * prod_{j=1}^{n-1} (n*p+r-j) / n!, which stays finite when
     n*p + r = 0 (there the binomial vanishes and the quotient is taken in its
     cancelled form).  Equals 1 at n = 0 and the delta-at-zero sequence for r = 0.
-    Exact inputs give one integer product and one division, float inputs one
-    rounding, as in ``gen_binomial``.
+    The same kernel as ``gen_binomial`` with r in place of the factor n*p + r:
+    one integer product and one division for exact inputs, one rounding for
+    float inputs.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    p = as_scalar(p)
-    r = as_scalar(r)
-    exact = is_exact(p) and is_exact(r)
-    if n == 0:
-        return Fraction(1) if exact else 1.0
-    if exact:
-        top = p * n + r
-        t, q = top.numerator, top.denominator
-        num = r.numerator * math.prod(t - j * q for j in range(1, n))
-        return Fraction(num, r.denominator * q ** (n - 1) * math.factorial(n))
-    try:
-        top = p * n + r
-        return _float_quotient([r] + [top - j for j in range(1, n)], n)
-    except OverflowError:
-        raise DomainError(f"Raney number at n = {n} exceeds the float range") from None
+    return _falling_quotient(p, r, n, raney=True)
 
 
 class Branch(Enum):

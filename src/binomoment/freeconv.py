@@ -9,9 +9,13 @@ arithmetic whenever the inputs are exact.
 
 The transforms: Boolean convolution power, monotonic convolution, the
 S-transform with its inverse (carrying free multiplicative and additive
-convolution powers), and dilation.  A small suite of named convolution identities between
-binomial and Raney moment sequences is exposed for the command line and
-the tests.
+convolution powers), and dilation.  The paper's nine convolution
+identities (Boolean and monotonic links between binomial and Raney rows,
+the S-transform of the r = 0 row, binomial rows as free powers of a
+Bernoulli law) are one table, ``_IDENTITIES``: each name maps to a
+function of the order that yields (computed, expected) series pairs, and
+``identity_suite`` turns every entry into a check with one comparison,
+for the command line and the tests.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ def bernoulli_series(alpha: Scalar, a: Scalar, order: int) -> TruncatedSeries:
     return TruncatedSeries((as_scalar(1),) + tuple(weight * a**n for n in range(1, order + 1)))
 
 
-def _check_mass(m: TruncatedSeries) -> None:
+def _require_unit_mass(m: TruncatedSeries) -> None:
     # every transform takes the moment series of a (possibly signed)
     # probability law, whose total mass m_0 is 1
     if not m[0] == 1:
@@ -63,7 +67,7 @@ def boolean_power(m: TruncatedSeries, u: Scalar) -> TruncatedSeries:
     The quotient is a well-defined series for every u since the
     denominator has constant term 1.
     """
-    _check_mass(m)
+    _require_unit_mass(m)
     u = as_scalar(u)
     if not u > 0:
         raise DomainError("Boolean power needs u > 0")
@@ -72,8 +76,8 @@ def boolean_power(m: TruncatedSeries, u: Scalar) -> TruncatedSeries:
 
 def monotonic_convolve(m1: TruncatedSeries, m2: TruncatedSeries) -> TruncatedSeries:
     """Monotonic convolution through M(z) = M_1(z*M_2(z)) * M_2(z)."""
-    _check_mass(m1)
-    _check_mass(m2)
+    _require_unit_mass(m1)
+    _require_unit_mass(m2)
     n = min(m1.order, m2.order)
     big1 = m1.truncate(n)
     big2 = m2.truncate(n)
@@ -90,7 +94,7 @@ def s_transform(m: TruncatedSeries) -> TruncatedSeries:
     the transform is S(z) = chi(z)*(1+z)/z.  One order is consumed by
     the division, so the result has order one less than the input.
     """
-    _check_mass(m)
+    _require_unit_mass(m)
     if m.order < 1 or m[1] == 0:
         raise DomainError("S-transform needs a nonzero first moment")
     chi = (m - 1).compositional_inverse()
@@ -112,7 +116,7 @@ def from_s_transform(s: TruncatedSeries) -> TruncatedSeries:
     return chi.compositional_inverse() + 1
 
 
-def _check_power_domain(w: Scalar, what: str) -> Scalar:
+def _require_exponent(w: Scalar, what: str) -> Scalar:
     w = as_scalar(w)
     if not w > 0:
         raise DomainError(f"{what} needs a positive exponent")
@@ -127,7 +131,7 @@ def free_mult_power(m: TruncatedSeries, w: Scalar) -> TruncatedSeries:
     Non-integer exponents force the leading coefficient to float unless
     it equals 1.
     """
-    w = _check_power_domain(w, "free multiplicative power")
+    w = _require_exponent(w, "free multiplicative power")
     s = s_transform(m)
     s0 = s[0]
     # Fraction ** Fraction is exact at an integer exponent, a float otherwise
@@ -137,7 +141,7 @@ def free_mult_power(m: TruncatedSeries, w: Scalar) -> TruncatedSeries:
 
 def free_add_power(m: TruncatedSeries, t: Scalar) -> TruncatedSeries:
     """t-fold free additive convolution power, S(z) -> S(z/t)/t, for t >= 1."""
-    t = _check_power_domain(t, "free additive power")
+    t = _require_exponent(t, "free additive power")
     s = s_transform(m)
     scaled = TruncatedSeries(
         tuple(c / t ** (n + 1) for n, c in enumerate(s.coeffs))
@@ -147,7 +151,7 @@ def free_add_power(m: TruncatedSeries, t: Scalar) -> TruncatedSeries:
 
 def dilate(m: TruncatedSeries, c: Scalar) -> TruncatedSeries:
     """Pushforward under x -> c*x: the n-th moment picks up c^n."""
-    _check_mass(m)
+    _require_unit_mass(m)
     c = as_scalar(c)
     if not c > 0:
         raise DomainError("dilation needs c > 0")
@@ -187,31 +191,29 @@ def _rows_agree(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     return a.truncate(n).coeffs == b.truncate(n).coeffs
 
 
-def _check_boolean_row(order: int) -> bool:
+# each identity is a function of the order that yields its (computed,
+# expected) series pairs one at a time, so a check stops computing at the
+# first pair that disagrees
+
+
+def _boolean_row(order: int):
     # binomial row r=0 equals the p-fold Boolean power of Raney r=1
     for p in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        got = boolean_power(raney_series(p, 1, order), p)
-        if not _rows_agree(got, binomial_series(p, 0, order)):
-            return False
-    return True
+        yield boolean_power(raney_series(p, 1, order), p), binomial_series(p, 0, order)
 
 
-def _check_raney_monotonic(order: int) -> bool:
+def _raney_monotonic(order: int):
     # Raney(p, a) |> Raney(p+b, b) = Raney(p+b, a+b)
     for p, a, b in (
         (Fraction(2), Fraction(1), Fraction(1)),
         (Fraction(5, 2), Fraction(1, 2), Fraction(1)),
         (Fraction(3), Fraction(2), Fraction(3, 2)),
     ):
-        got = monotonic_convolve(
-            raney_series(p, a, order), raney_series(p + b, b, order)
-        )
-        if not _rows_agree(got, raney_series(p + b, a + b, order)):
-            return False
-    return True
+        got = monotonic_convolve(raney_series(p, a, order), raney_series(p + b, b, order))
+        yield got, raney_series(p + b, a + b, order)
 
 
-def _check_binomial_monotonic(order: int) -> bool:
+def _binomial_monotonic(order: int):
     # Binomial(p,0)^{Boolean (p+s)/p} |> Raney(p+s,s) = Binomial(p+s,s),
     # the diagonal transport of the binomial rows: boosting the Boolean
     # parameter of the r = 0 row from p to p+s and then convolving with
@@ -223,19 +225,15 @@ def _check_binomial_monotonic(order: int) -> bool:
     ):
         base = boolean_power(binomial_series(p, 0, order), (p + s) / p)
         got = monotonic_convolve(base, raney_series(p + s, s, order))
-        if not _rows_agree(got, binomial_series(p + s, s, order)):
-            return False
-    return True
+        yield got, binomial_series(p + s, s, order)
 
 
-def _check_mixed_factorization(order: int) -> bool:
+def _mixed_factorization(order: int):
     # Binomial(p, r) = Raney(p-r, 1)^{Boolean p} |> Raney(p, r)
     for p, r in ((Fraction(3), Fraction(1)), (Fraction(5, 2), Fraction(1, 2))):
         left = boolean_power(raney_series(p - r, 1, order), p)
         got = monotonic_convolve(left, raney_series(p, r, order))
-        if not _rows_agree(got, binomial_series(p, r, order)):
-            return False
-    return True
+        yield got, binomial_series(p, r, order)
 
 
 def _nu0_s_reference(p: Fraction, order: int) -> TruncatedSeries:
@@ -248,69 +246,69 @@ def _nu0_s_reference(p: Fraction, order: int) -> TruncatedSeries:
     return ((z * (q / p) + 1) / (z + 1)).pow_scalar(q) / p
 
 
-def _check_s_formula_row0(order: int) -> bool:
+def _s_formula_row0(order: int):
     # closed form of the S-transform of the r=0 binomial row
     for p in (Fraction(2), Fraction(3)):
         got = s_transform(binomial_series(p, 0, order))
-        if not _rows_agree(got, _nu0_s_reference(p, got.order)):
-            return False
-    return True
+        yield got, _nu0_s_reference(p, got.order)
 
 
-def _check_defining_relation(order: int) -> bool:
+def _defining_relation(order: int):
     # M(z/(1+z) S(z)) = 1+z for computed S-transforms, coefficientwise
-    rows = (
+    for m in (
         raney_series(Fraction(2), 1, order),
         binomial_series(Fraction(3), 1, order),
         bernoulli_series(Fraction(1, 3), 2, order),
-    )
-    for m in rows:
+    ):
         s = s_transform(m)
         one_plus_z = TruncatedSeries.identity(s.order) + 1
-        resid = m.truncate(s.order).compose(s.shift_up() / one_plus_z) - one_plus_z
-        if any(c != 0 for c in resid.coeffs):
-            return False
-    return True
+        yield m.truncate(s.order).compose(s.shift_up() / one_plus_z), one_plus_z
 
 
-def _check_bernoulli_mult(order: int) -> bool:
+def _bernoulli_mult(order: int):
     # binomial row (2,-1) as dilated free mult. square of the symmetric
     # two-point law
     bern = bernoulli_series(Fraction(1, 2), 1, order)
-    got = dilate(free_mult_power(bern, 2), 4)
-    return _rows_agree(got, binomial_series(Fraction(2), -1, order))
+    yield dilate(free_mult_power(bern, 2), 4), binomial_series(Fraction(2), -1, order)
 
 
-def _check_bernoulli_add(order: int) -> bool:
+def _bernoulli_add(order: int):
     # binomial row (2,0), the arcsine law, as dilated free additive square
     # of the same two-point law
     bern = bernoulli_series(Fraction(1, 2), 1, order)
-    got = dilate(free_add_power(bern, 2), 2)
-    return _rows_agree(got, binomial_series(Fraction(2), 0, order))
+    yield dilate(free_add_power(bern, 2), 2), binomial_series(Fraction(2), 0, order)
 
 
-def _check_bernoulli_general(order: int) -> bool:
+def _bernoulli_general(order: int):
     # binomial row (3,0) from two-point law via additive and mult. powers:
     # the (1/3, 2/3) law, free additive power p/(p-1), then multiplicative
     # power p-1, then dilation by p
     p = Fraction(3)
     bern = bernoulli_series(1 / p, 1, order)
     boosted = free_mult_power(free_add_power(bern, p / (p - 1)), p - 1)
-    got = dilate(boosted, p)
-    return _rows_agree(got, binomial_series(p, 0, order))
+    yield dilate(boosted, p), binomial_series(p, 0, order)
+
+
+#: name -> pairs(order), in the order ``conv-verify --all`` prints them
+_IDENTITIES = {
+    "boolean-row": _boolean_row,
+    "raney-monotonic": _raney_monotonic,
+    "binomial-monotonic": _binomial_monotonic,
+    "mixed-factorization": _mixed_factorization,
+    "s-formula-row0": _s_formula_row0,
+    "defining-relation": _defining_relation,
+    "bernoulli-mult": _bernoulli_mult,
+    "bernoulli-add": _bernoulli_add,
+    "bernoulli-general": _bernoulli_general,
+}
+
+
+def _holds(pairs: Callable, order: int) -> bool:
+    return all(_rows_agree(a, b) for a, b in pairs(order))
 
 
 def identity_suite(order: int = 12) -> Tuple[IdentityCheck, ...]:
     """The named convolution identities checked by tests and the CLI."""
     IdentityCheck = _identity_check()
-    return (
-        IdentityCheck("boolean-row", lambda: _check_boolean_row(order)),
-        IdentityCheck("raney-monotonic", lambda: _check_raney_monotonic(order)),
-        IdentityCheck("binomial-monotonic", lambda: _check_binomial_monotonic(order)),
-        IdentityCheck("mixed-factorization", lambda: _check_mixed_factorization(order)),
-        IdentityCheck("s-formula-row0", lambda: _check_s_formula_row0(order)),
-        IdentityCheck("defining-relation", lambda: _check_defining_relation(order)),
-        IdentityCheck("bernoulli-mult", lambda: _check_bernoulli_mult(order)),
-        IdentityCheck("bernoulli-add", lambda: _check_bernoulli_add(order)),
-        IdentityCheck("bernoulli-general", lambda: _check_bernoulli_general(order)),
-    )
+    return tuple(IdentityCheck(name, functools.partial(_holds, pairs, order))
+                 for name, pairs in _IDENTITIES.items())

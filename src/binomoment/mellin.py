@@ -18,7 +18,6 @@ from .core import (
     Params,
     Record,
     RegionError,
-    as_scalar,
     is_exact,
     support_endpoint,
 )
@@ -69,17 +68,10 @@ def _symbol(params: Params) -> tuple:
     """
     support_endpoint(params.p)  # refuses p <= 1 and k > MAX_K before the loops
     k, l = params.k, params.l
-    r = params.r
-    exact = is_exact(r)
-
-    def frac(num, den):
-        return Fraction(num, den) if exact else num / den
-
-    betas = tuple(frac(as_scalar(r) + j, k) for j in range(1, k + 1))
-    if exact:
-        jprime = [math.floor(Fraction(i * k, l) - Fraction(r)) for i in range(1, l + 1)]
-    else:
-        jprime = [math.floor(i * k / l - r) for i in range(1, l + 1)]
+    r = params.r  # a Fraction or a float, and so is each quotient below
+    betas = tuple((r + j) / k for j in range(1, k + 1))
+    # exact for an exact r; for a float r, i*k/l correctly rounded, minus r
+    jprime = [math.floor(Fraction(i * k, l) - r) for i in range(1, l + 1)]
     ok = all(jprime[i] < jprime[i + 1] for i in range(l - 1))
     if not (ok and 1 <= jprime[0] and jprime[-1] <= k):
         raise RegionError("tilde reindexing needs -1 < r <= p-1")
@@ -90,7 +82,7 @@ def _symbol(params: Params) -> tuple:
     bounds = [0] + jprime + [k + 1]
     for i in range(l + 1):
         for j in range(bounds[i] + 1, bounds[i + 1]):
-            tilde[j] = frac(as_scalar(r) + j - i, k - l)
+            tilde[j] = (r + j - i) / (k - l)
     return l, betas, tuple(tilde[1:])
 
 

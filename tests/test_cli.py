@@ -84,11 +84,14 @@ class TestDensity:
             assert float(out) > 0.0
 
     def test_density_past_the_float_range(self, capsys):
-        # x^(1-r) (4-x) underflows at p = 2, r = -1/2, and the density is
-        # finite; at r = -1 and near r = -1 at p = 7/2 it exceeds 1.8e308
+        # x^(1-r) (4-x) underflows at p = 2, r = -1/2 and r = -1, and the
+        # density is finite, 1/(4 pi sqrt(x)) at r = -1; at r = -3, where it
+        # is about 2e484, and near r = -1 at p = 7/2 it exceeds 1.8e308
         code, out, err = run(capsys, "density", "--p", "2", "--r", "-1/2", "--x", "2e-323")
         assert (code, err) == (0, "") and float(out) > 1e240
-        for p, r in (("2", "-1"), ("7/2", "-9/10")):
+        code, out, err = run(capsys, "density", "--p", "2", "--r", "-1", "--x", "5e-324")
+        assert (code, out, err) == (0, "3.5801218447293268e+160\n", "")
+        for p, r in (("2", "-3"), ("7/2", "-9/10")):
             code, out, err = run(capsys, "density", "--p", p, "--r", r, "--x", "5e-324")
             assert (code, out) == (1, ""), (p, r)
             assert "error: density at x = 5e-324 exceeds the float range" in err
@@ -1028,9 +1031,10 @@ def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
      _TOP_USAGE + b"error: argument command: invalid choice: '2' " + _COMMAND_CHOICES),
     (["witness", "--p", "2", "--r", "0"], 1, _EMPTY,
      b"error: parameters lie inside the positive-definite region\n"),
-    # a value, or one error line, with no traceback and no numpy warning
+    # a value, or one error line, with no traceback and no numpy warning;
+    # the value is -1.1253953951963814e-226 (400 digits: ...63826e-226)
     (["density", "--p", "2", "--r", "11/2", "--x", "1e-100"], 0,
-     "af465eb7cd29c4998d87015c3a553b9dc5f4d4db4aab100a2c24087fba8d60ca", b""),
+     "4add8654203685bd947d39cde5b25db8a3a9e46bbce23784d7758012e626aa1b", b""),
     (["density", "--p", "5/2", "--r", "1e20", "--x", "1"], 1, _EMPTY,
      b"error: density prefactor at p = 5/2, r = 1e+20 overflows\n"),
 ], ids=["help", *[f"{name}-help" for name in _HELP_DIGESTS], "help-after-options",

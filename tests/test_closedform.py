@@ -65,10 +65,11 @@ class TestSpotValues:
         got = closed(F(2), F(0), 4.0, d)
         assert got == pytest.approx(1.0 / (math.pi * math.sqrt(4.0 * d)), rel=1e-12)
 
-    @pytest.mark.parametrize("r", [F(-9, 10), F(-1, 2), F(0), F(1, 2), F(1)])
+    @pytest.mark.parametrize("r", [F(-9, 10), F(-1, 2), F(0), F(1, 2), F(1), F(-1)])
     def test_quadratic_row_at_subnormal_abscissae(self, r):
         # x^(1-r) (4-x) falls below the smallest normal float, or to zero,
-        # while the density stays finite, and at r = 1 vanishes like sqrt(x);
+        # while the density stays finite, at r = 1 vanishing like sqrt(x) and
+        # at r = -1 growing like 1/(4 pi sqrt(x));
         # against 40 digits, the working precision raised so that the angle,
         # within sqrt(x)/2 of pi/2, keeps them
         for x in (1e-300, 1e-310, 2e-323, 5e-324):
@@ -82,9 +83,11 @@ class TestSpotValues:
     @pytest.mark.parametrize("r", [-1, 1, 3, 5])
     def test_odd_quadratic_rows_toward_zero(self, r):
         # at odd r the factor cos(r acos(sqrt(x)/2)) vanishes as x -> 0, like
-        # r sqrt(x)/2; against 60 digits, the working precision raised by j
-        # so that the angle, within sqrt(x)/2 of pi/2, keeps them
-        for j in range(1, 51):
+        # r sqrt(x)/2, down to the subnormals, past where x^(1-r) (4-x) leaves
+        # the normal range (x near 1e-154 at r = -1 and 3, 1e-77 at r = 5);
+        # against 60 digits, the working precision raised by j so that the
+        # angle, within sqrt(x)/2 of pi/2, keeps them
+        for j in range(1, 324):
             x = 10.0**-j
             with mpmath.workdps(60 + j):
                 mx = mpmath.mpf(x)
@@ -92,9 +95,22 @@ class TestSpotValues:
                     mpmath.pi * mpmath.sqrt(mx ** (1 - r) * (4 - mx))))
             assert abs(closed(F(2), F(r), x) - want) <= 4 * math.ulp(want), (r, j)
 
-    def test_domain_errors(self):
+    def test_quadratic_row_up_to_the_float_max(self):
+        # at r = -3 the density nears -3/(4 pi) x^(-3/2) as x -> 0: within a
+        # factor 2 pi of the float max below about x = 4e-206, still finite at
+        # x = 1.5e-206, and past -1.8e308 at x = 1.2e-206
+        with mpmath.workdps(400):
+            mx = mpmath.mpf(1.5e-206)
+            want = float(mpmath.cos(-3 * mpmath.acos(mpmath.sqrt(mx) / 2)) / (
+                mpmath.pi * mpmath.sqrt(mx**4 * (4 - mx))))
+        assert abs(closed(F(2), F(-3), 1.5e-206) - want) <= 4 * math.ulp(want)
         with pytest.raises(DomainError, match="exceeds the float range"):
-            closed(F(2), F(-1), 5e-324)
+            closed(F(2), F(-3), 1.2e-206)
+
+    def test_domain_errors(self):
+        # at r = -3 the density near x = 5e-324 is about 2e484
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            closed(F(2), F(-3), 5e-324)
         for x in (0.0, 6.75, -1.0, 7.0):
             with pytest.raises(DomainError):
                 closed(F(3), F(0), x)

@@ -393,6 +393,38 @@ class TestIdentitySuite:
         for check in identity_suite(order=40):
             assert check.run(), check.name
 
+    #: identity -> a constructor or transform it runs through in ``freeconv``
+    _BREAKERS = {
+        "boolean-row": "boolean_power",
+        "raney-monotonic": "monotonic_convolve",
+        "binomial-monotonic": "raney_series",
+        "mixed-factorization": "binomial_series",
+        "s-formula-row0": "binomial_series",
+        "defining-relation": "s_transform",
+        "bernoulli-mult": "free_mult_power",
+        "bernoulli-add": "free_add_power",
+        "bernoulli-general": "bernoulli_series",
+    }
+
+    def test_every_identity_has_a_breaker(self):
+        assert sorted(self._BREAKERS) == sorted(c.name for c in identity_suite())
+
+    @pytest.mark.parametrize("name", sorted(_BREAKERS))
+    def test_each_identity_can_fail(self, monkeypatch, name):
+        # raising one coefficient of what the named function returns must
+        # make the check report False, not pass or raise
+        import binomoment.freeconv as freeconv
+
+        make = getattr(freeconv, self._BREAKERS[name])
+
+        def bumped(*args, **kwargs):
+            c = make(*args, **kwargs).coeffs
+            return TruncatedSeries(c[:2] + (c[2] + 1,) + c[3:])
+
+        monkeypatch.setattr(freeconv, self._BREAKERS[name], bumped)
+        check, = (c for c in identity_suite() if c.name == name)
+        assert check.run() is False
+
 
 class TestRaneyLinkage:
     def test_raney_rows_are_lambert_powers(self):

@@ -151,14 +151,15 @@ def test_traced_functions_resolve(span, module, attr):
 def test_cli_walltime_one_command(monkeypatch, capsys):
     script = SCRIPTS / "cli_walltime.py"
     src = str(ROOT / "src")
-    only = [arg for name in ("moments", "figure-raster", "usage-error") for arg in ("--only", name)]
+    names = ("moments", "moments-raney", "figure-raster", "usage-error")
+    only = [arg for name in names for arg in ("--only", name)]
     monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "1", *only, src])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 0
     report = json.loads(capsys.readouterr().out)
     rows = {row["name"]: row for row in report["commands"]}
-    assert list(rows) == ["moments", "figure-raster", "usage-error"]
+    assert list(rows) == list(names)
     for row in rows.values():
         assert row["same_output"] is True and len(row["median_s"]) == 1
         assert row["median_s"][0] > 0
@@ -166,7 +167,8 @@ def test_cli_walltime_one_command(monkeypatch, capsys):
     # the CSV and the usage text are hashed, not the empty stdout of either
     empty = hashlib.sha256(b"").hexdigest()[:16]
     fields = {name: row["outcome"][0].split() for name, row in rows.items()}
-    assert fields["moments"][0] == "0" and fields["moments"][1] != f"out={empty}"
+    for name in ("moments", "moments-raney"):
+        assert fields[name][0] == "0" and fields[name][1] != f"out={empty}", name
     code, _, _, csv = fields["figure-raster"]
     assert code == "0" and csv.startswith("file=") and csv != f"file={empty}"
     code, _, err = fields["usage-error"]
