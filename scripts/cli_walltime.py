@@ -36,7 +36,9 @@ from pathlib import Path
 #: first fails with exit code 1); the "-float-r" rows give r as a float,
 #: "density-p2-small-x" is the elementary p = 2 row close to x = 0 and
 #: "density-p2-log-branch" that row where x^(1-r) (4-x) leaves the normal
-#: range; "{out}" is a file in a scratch directory
+#: range; the "-near-pole" rows take an exact r that puts a gamma argument
+#: of a Slater coefficient 2e-10 from a pole; "{out}" is a file in a
+#: scratch directory
 COMMANDS = (
     ("moments", ["moments", "--p", "3", "--r", "1", "--n", "10"]),
     ("moments-raney", ["moments", "--p", "5/2", "--r", "1/2", "--n", "40", "--raney"]),
@@ -62,6 +64,8 @@ COMMANDS = (
     ("certify-k128", ["certify", "--p", "128", "--r", "0", "--nmax", "1"]),
     ("certify-k127", ["certify", "--p", "127/2", "--r", "1", "--nmax", "10"]),
     ("certify-k100", ["certify", "--p", "100/3", "--r", "0", "--nmax", "10"]),
+    ("density-near-pole", ["density", "--p", "5/2", "--r", "1/1000000000", "--x", "1"]),
+    ("certify-near-pole", ["certify", "--p", "3", "--r", "1/1000000000", "--nmax", "10"]),
 )
 
 _ENTRY = "import sys; from binomoment.cli import main; sys.exit(main())"

@@ -18,8 +18,8 @@ first call of ``main``, serves every later call in the process.
 
 Exit codes: 0 success, 1 domain or region errors (including usage), 2
 verification failure, 3 inconclusive witness search.  Exact values print
-as integers or fractions, floats with 17 significant digits, so output
-is byte-identical across platforms for a fixed argument vector.
+as integers or fractions, floats with 17 significant digits.  ``sample``'s
+bytes are the same on any core count; across CPUs only l >= 3 roots vary.
 """
 from __future__ import annotations
 
@@ -58,9 +58,7 @@ def _to_float(value, what: str) -> float:
 
 
 def _fmt(x) -> str:
-    if is_exact(x):
-        return str(x)
-    return f"{float(x):.17g}"
+    return str(x) if is_exact(x) else _fmt_float(x)
 
 
 def _fmt_float(x: float) -> str:
@@ -144,7 +142,6 @@ def _cmd_sample(args) -> int:
     draws = mellin.sample(fact, args.count, args.seed)
     if args.binary:
         sys.stdout.buffer.write(memoryview(draws.astype("<f8", copy=False)))
-        sys.stdout.buffer.flush()
     else:
         sys.stdout.write("\n".join(_fmt_float(v) for v in draws) + "\n")
     return 0
@@ -226,10 +223,10 @@ def _grid_spec(text: str) -> Tuple[float, float, int]:
     return a, b, count
 
 
-def _add_pr(sub, r_required: bool = True):
+def _add_pr(sub):
     sub.add_argument("--p", type=parse_scalar, required=True,
                      help=f"first parameter; accepts {_SCALAR_HELP}")
-    sub.add_argument("--r", type=parse_scalar, required=r_required,
+    sub.add_argument("--r", type=parse_scalar, required=True,
                      help="second parameter; same syntax as --p")
 
 
@@ -320,7 +317,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser().parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left: the rest goes to devnull, not a traceback
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (_UsageError, DomainError, RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -51,7 +51,7 @@ class RegionError(ValueError):
 
 
 class GammaPoleError(DomainError):
-    """Gamma requested at (or within 1e-8 of) a nonpositive integer."""
+    """Gamma requested at a nonpositive integer, or for a float within 1e-8 of one."""
 
 
 class InconclusiveWitnessError(RuntimeError):
@@ -360,8 +360,7 @@ def _sinpi(x: float) -> float:
 def at_pole(arg: Scalar) -> bool:
     """Whether arg sits at (or within GAMMA_POLE_TOL of) a nonpositive integer."""
     if is_exact(arg):
-        a = Fraction(arg)
-        return a.denominator == 1 and a <= 0
+        return Fraction(arg).denominator == 1 and arg <= 0
     near = round(arg)
     return near <= 0 and abs(arg - near) < GAMMA_POLE_TOL
 
@@ -372,17 +371,22 @@ def gamma_real(x: Scalar) -> float:
     Reflection handles x < 0.5; below x of about -170.6, where Gamma(1 - x)
     leaves the float range, it is taken in logs and the value falls through
     the subnormals to a signed zero.  Relative error stays below 1e-13 for
-    |x| <= 50.  Raises GammaPoleError within GAMMA_POLE_TOL of a nonpositive
-    integer, and DomainError where Gamma leaves the float range (x above
-    about 171.6).
+    |x| <= 50.  Raises GammaPoleError where at_pole(x) holds for x as given
+    (an exact -1/10**9 evaluates; an exact -1/10**400, whose float is a
+    pole, is -inf), and DomainError above x of about 171.6.
     """
-    x = float(x)
+    if at_pole(x):
+        raise GammaPoleError(f"gamma pole at x={float(x)!r}")
+    return _gamma(float(x))
+
+
+def _gamma(x: float) -> float:  # gamma_real without its pole test
     if x < 0.5:
-        if at_pole(x):
-            raise GammaPoleError(f"gamma pole at x={x!r}")
         s = _sinpi(x)
         try:
-            return math.pi / (s * gamma_real(1.0 - x))
+            return math.pi / (s * _gamma(1.0 - x))
+        except ZeroDivisionError:  # sin(pi x) rounds to 0: IEEE's signed infinity
+            return math.copysign(math.inf, s)
         except DomainError:
             log_value = math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
             return math.copysign(math.exp(log_value), s)

@@ -97,11 +97,8 @@ def factorize(params: Params) -> MellinFactorization:
     l, betas, alphas_tilde = _symbol(params)
     factors = []
     for at, b in zip(alphas_tilde, betas):
-        v = at - b
-        if is_exact(v):
-            vf = float(v)
-        else:
-            vf = 0.0 if abs(v) < 1e-12 else float(v)
+        v = at - b  # a float v within 1e-12 of 0 is the point mass at 1
+        vf = 0.0 if not is_exact(v) and abs(v) < 1e-12 else float(v)
         factors.append(BetaFactor(u=float(b), v=vf, l=l))
     return MellinFactorization(factors=tuple(factors), dilation=support_endpoint(params.p))
 

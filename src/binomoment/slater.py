@@ -24,9 +24,9 @@ from .core import (
     DomainError,
     Params,
     Record,
+    _gamma,
     as_scalar,
     at_pole,
-    gamma_real,
     is_exact,
     support_endpoint,
 )
@@ -286,7 +286,7 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
     except (OverflowError, ZeroDivisionError):  # a power leaves the float range
         log_factor = (pf - rf - 1.0) * math.log(pf - 1.0) - (pf - rf - 0.5) * math.log(pf)
         gamma_factor = l * math.exp(log_factor) / root if log_factor < 709.0 else math.inf
-    gamma_num = {d: gamma_real(d / k) for d in range(1 - k, k) if d}
+    gamma_num = {d: _gamma(d / k) for d in range(1 - k, k) if d}
     if exact:
         # D * alpha_j as integers, D a common denominator of every alpha_j - beta_h
         rn, rd = ra.numerator, ra.denominator
@@ -295,10 +295,11 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
                   for j in range(1, k + 1)]
     terms = []
     for h in range(1, k + 1):
-        # alpha_j - beta_h for j = 1..k: poles here zero the coefficient
+        # alpha_j - beta_h, j = 1..k: one pole decision each; a pole zeroes the coefficient
         if exact:
             shift = l * (k - l) * (rn + h * rd)
             nums = [a - shift for a in scaled]
+            # at_pole's exact rule, on D * (alpha_j - beta_h)
             pole = any(n <= 0 and n % den == 0 for n in nums)
             den_args = [n / den for n in nums]
         else:
@@ -311,7 +312,7 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
         else:
             num = math.prod(gamma_num[j - h] for j in range(1, k + 1) if j != h)
             try:
-                coef = num / math.prod(gamma_real(a) for a in den_args)
+                coef = num / math.prod(_gamma(a) for a in den_args)
             except (OverflowError, ZeroDivisionError):
                 coef = math.inf
             if not math.isfinite(coef * gamma_factor):

@@ -107,6 +107,17 @@ class TestDensity:
         assert values[0] == pytest.approx(values[2], rel=1e-7)
         assert values[1] == pytest.approx(values[2], rel=1e-7)
 
+    def test_exact_r_next_to_a_pole_line_evaluates(self, capsys):
+        # r = 10**-400 puts gamma arguments of Slater coefficients at -1e-400,
+        # -0.0 as floats: those terms are the pole's zero and the value is
+        # that of r = 0; at r = 10**-9 the arguments are -2e-10 and evaluate
+        argv = ["density", "--p", "5/2", "--x", "1", "--r"]
+        code, out, err = run(capsys, *argv, "1/1" + "0" * 400)
+        assert (code, out, err) == (0, "0.15081329966478954\n", "")
+        code, out, err = run(capsys, *argv, "1/1000000000")
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(0.15081329966478954, rel=1e-9)
+
     def test_single_point_arcsine(self, capsys):
         code, out, _ = run(capsys, "density", "--p", "2", "--r", "0", "--x", "2")
         assert code == 0
@@ -550,6 +561,12 @@ class TestCertify:
         text = json.dumps(report, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == _CERTIFY_DIGESTS[(p, r)]
 
+    def test_exact_r_next_to_a_pole_line_certifies(self, capsys):
+        # a gamma argument of a Slater coefficient is -2e-10 at (3, 10**-9)
+        code, out, err = run(capsys, "certify", "--p", "3", "--r", "1/1000000000", "--nmax", "10")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
     def test_unconverged_series_names_the_abscissa(self, capsys):
         # at k = 128 the direct series near z = 0.89 leave the float range
         # before they converge; the error names z = (x/c)**l and x itself
@@ -591,6 +608,14 @@ class TestWitness:
     def test_found(self, capsys):
         code, out, _ = run(capsys, "witness", "--p", "3/2", "--r", "1")
         assert code == 0
+        assert out.startswith("NegativeDensityPoint location=")
+
+    def test_exact_r_just_past_a_pole_line(self, capsys):
+        # r = 2 + 10**-9 is out of the region at p = 5/2, and a gamma
+        # argument of a Slater coefficient is -2e-10, inside the float rule's
+        # pole tolerance but, as an exact value, not a pole
+        code, out, err = run(capsys, "witness", "--p", "5/2", "--r", "2000000001/1000000000")
+        assert (code, err) == (0, "")
         assert out.startswith("NegativeDensityPoint location=")
 
     def test_in_region_exits_one(self, capsys):
@@ -1048,3 +1073,18 @@ def test_fresh_process_output_is_pinned(argv, code, out_digest, err):
     assert proc.returncode == code
     assert hashlib.sha256(proc.stdout).hexdigest() == out_digest
     assert proc.stderr == err
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the reader of a long moments row goes away after a few bytes, as
+    # `binomoment moments ... | head -c 10` does
+    src = str(Path(binomoment.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["moments", "--p", "3", "--r", "0", "--n", "1000"]  # about 400 kB of digits
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from binomoment.cli import main; sys.exit(main())",
+         *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b"1 3 15 84 "
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")

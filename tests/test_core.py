@@ -260,10 +260,28 @@ class TestGammaReal:
         rhs = x * gamma_real(x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0, -3.0 + 5e-9])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0, -3.0 + 5e-9, -1e-9, F(-2), -2])
     def test_pole_errors(self, x):
-        with pytest.raises(GammaPoleError):
+        with pytest.raises(GammaPoleError, match=f"^gamma pole at x={float(x)!r}$"):
             gamma_real(x)
+
+    @pytest.mark.parametrize("x", [F(1, 10**9), F(-1, 10**9), F(-1, 10**12), F(-2) - F(1, 10**9),
+                                   F(-3) + F(1, 10**12), F(-7) + F(1, 10**9)])
+    def test_exact_argument_next_to_a_pole_evaluates(self, x):
+        # at_pole's exact rule: only a nonpositive integer is a pole, however
+        # close the float of x lies to one; x and the reflection's reduction
+        # of it are good to about 1.1e-16 max(1, |x|), so Gamma, about 1/d at
+        # a distance d from the pole, is good to that over d
+        d = abs(x - round(x))
+        with mp.workdps(40):
+            want = mp.gamma(mp.mpf(x.numerator) / x.denominator)
+        bound = 1e-13 + 2.3e-16 * max(1, abs(float(x))) / float(d)
+        assert gamma_real(x) == pytest.approx(float(want), rel=bound)
+
+    def test_exact_argument_whose_float_is_a_pole(self):
+        # -1/10**400 rounds to -0.0: Gamma takes the pole's signed infinity
+        assert gamma_real(F(-1, 10**400)) == -math.inf
+        assert gamma_real(F(1, 10**400)) == math.inf
 
     def test_near_but_not_at_pole_evaluates(self):
         assert math.isfinite(gamma_real(-3.0 + 1e-7))

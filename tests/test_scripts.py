@@ -54,8 +54,11 @@ def test_public_names_resolve(name):
 
 ROOT = SCRIPTS.parent
 
-#: public names that stay with no caller in src/, bench/ or scripts/
-UNCALLED_EXCEPTIONS = set()
+#: public names that stay with no caller in src/, bench/ or scripts/:
+#: gamma_real is the library's checked gamma, at_pole's rule on the
+#: argument as given; the density expansion decides each pole itself and
+#: calls the unchecked core._gamma, so nothing in the program calls it
+UNCALLED_EXCEPTIONS = {"gamma_real"}
 
 
 def _all_entries(tree: ast.Module) -> list:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binomoment import slater
+from binomoment import core, slater
 from binomoment.closedform import measure_model
 from binomoment.mellin import _symbol
 from binomoment.core import (
@@ -18,7 +18,6 @@ from binomoment.core import (
     DomainError,
     Params,
     RegionError,
-    gamma_real,
     gen_binomial,
     raney_number,
     support_endpoint,
@@ -589,9 +588,10 @@ class TestExpansionStructure:
         assert digest == _PINNED_EXPANSION_DIGEST
 
 
-#: the library's gamma, remembered: the oracle asks it for the same
-#: arguments across a grid, and a value read twice is the same value
-_gamma = functools.cache(gamma_real)
+#: the library's gamma without its pole test, remembered: the oracle makes
+#: its own pole decision, then asks it for the same arguments across a grid,
+#: and a value read twice is the same value
+_gamma = functools.cache(core._gamma)
 
 
 def _fraction_oracle(params: Params) -> SlaterExpansion:
@@ -726,6 +726,27 @@ class TestDensityValues:
             want = scale * z ** (mp.mpf(-1) / exp.l) * mp.meijerg([[], alphas], [betas, []], z)
             assert v == pytest.approx(float(want), rel=1e-13), (p, r, x)
             assert v == eval_density(exp, x)
+
+    @pytest.mark.parametrize("r", [F(-1) + F(1, 10**j) for j in (7, 9, 12)] + [
+        F(1, 10**9), F(-1, 10**9), F(1, 2) + F(1, 10**9), F(1, 2) - F(1, 10**9),
+        F(1) + F(1, 10**9), F(1) - F(1, 10**9)])
+    def test_exact_r_next_to_a_pole_line(self, r):
+        # a gamma argument of a Slater coefficient lies within 1e-9 of a pole,
+        # inside the float rule's tolerance; exact r decides it exactly, so
+        # the term stays and the density is the G-function's at 40 digits
+        for p in (F(5, 2), F(7, 3), F(3)):
+            exp = build_slater_expansion(Params(p, r))
+            alphas, betas = _meijer_parameters(p, r, r)
+            with mp.workdps(40):
+                c = _mpq(p) ** _mpq(p) * (_mpq(p) - 1) ** (1 - _mpq(p))
+                scale = exp.l * mp.fprod(map(mp.gamma, alphas)) / (
+                    c * mp.fprod(map(mp.gamma, betas)))
+                xs = [t * float(c) for t in (0.01, 0.3, 0.97)]
+                for x, v in zip(xs, eval_density_many(exp, xs)):
+                    z = (mp.mpf(x) / c) ** exp.l
+                    want = scale * z ** (mp.mpf(-1) / exp.l) * mp.meijerg(
+                        [[], alphas], [betas, []], z)
+                    assert v == pytest.approx(float(want), rel=1e-13), (p, r, x)
 
     def test_integer_moments_recovered(self):
         for p, r in ((F(3), F(1)), (F(5, 2), F(1, 2))):
