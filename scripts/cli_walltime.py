@@ -37,8 +37,9 @@ from pathlib import Path
 #: "density-p2-small-x" is the elementary p = 2 row close to x = 0 and
 #: "density-p2-log-branch" that row where x^(1-r) (4-x) leaves the normal
 #: range; the "-near-pole" rows take an exact r that puts a gamma argument
-#: of a Slater coefficient 2e-10 from a pole; "{out}" is a file in a
-#: scratch directory
+#: of a Slater coefficient 2e-10 from a pole, and "density-float-near-pole"
+#: a float r that puts one 5e-9 from a pole, inside the float pole
+#: tolerance; "{out}" is a file in a scratch directory
 COMMANDS = (
     ("moments", ["moments", "--p", "3", "--r", "1", "--n", "10"]),
     ("moments-raney", ["moments", "--p", "5/2", "--r", "1/2", "--n", "40", "--raney"]),
@@ -65,6 +66,7 @@ COMMANDS = (
     ("certify-k127", ["certify", "--p", "127/2", "--r", "1", "--nmax", "10"]),
     ("certify-k100", ["certify", "--p", "100/3", "--r", "0", "--nmax", "10"]),
     ("density-near-pole", ["density", "--p", "5/2", "--r", "1/1000000000", "--x", "1"]),
+    ("density-float-near-pole", ["density", "--p", "5/2", "--r", "1.499999975", "--x", "1"]),
     ("certify-near-pole", ["certify", "--p", "3", "--r", "1/1000000000", "--nmax", "10"]),
 )
 

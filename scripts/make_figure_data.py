@@ -29,7 +29,8 @@ def run(out_dir: pathlib.Path) -> int:
         if code != 0:
             print(f"figure {fig_id} failed with exit code {code}", file=sys.stderr)
             return code
-        n_rows = sum(1 for _ in target.open()) - 1
+        with target.open() as fh:
+            n_rows = sum(1 for _ in fh) - 1
         print(f"figure {fig_id}: wrote {n_rows} rows to {target}")
     return 0
 

@@ -3,16 +3,16 @@
 Library layout.  The exact layer is exact on rational inputs and imports no
 numpy:
 
-- ``core``       scalars, parameters, binomial/Raney numbers, region classifiers,
-                 the real gamma function and its pole test
+- ``core``       scalars, parameters, binomial/Raney numbers, region classifiers
 - ``series``     exact truncated power series and the generating functions
 - ``freeconv``   moment-series transforms and convolution identities
 
 The numeric layer evaluates, integrates and samples the densities, in
 floats and numpy arrays:
 
-- ``slater``     the binomial density expansion; one array kernel sums its series
-                 at many points at once, Norlund's series near the endpoint
+- ``slater``     the binomial density expansion, with the real gamma function and
+                 the pole rule of its coefficients; one array kernel sums its
+                 series at many points at once, Norlund's series near the endpoint
 - ``closedform`` elementary densities (p = 2, and a table of six algebraic rows),
                  the choice between them and the expansion, and measure models
 - ``mellin``     gamma-quotient symbol, beta-factor Mellin factorizations, sampling
@@ -32,7 +32,6 @@ alone is a frozen dataclass, built on first use, so that
 from .core import (
     Branch,
     DomainError,
-    GammaPoleError,
     Params,
     RegionError,
     RegionVerdict,
@@ -40,7 +39,6 @@ from .core import (
     as_scalar,
     classify_binomial,
     classify_raney,
-    gamma_real,
     gen_binomial,
     is_exact,
     parse_scalar,
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Branch",
     "DomainError",
-    "GammaPoleError",
     "Params",
     "RegionError",
     "RegionVerdict",
@@ -61,7 +58,6 @@ __all__ = [
     "as_scalar",
     "classify_binomial",
     "classify_raney",
-    "gamma_real",
     "gen_binomial",
     "is_exact",
     "parse_scalar",

@@ -3,9 +3,8 @@
 Exact rationals ride on ``fractions.Fraction``; floats are kept apart and mixed
 arithmetic promotes to float.  This module provides the generalized binomial
 coefficient C(n*p + r, n) and the Raney companion r/(n*p+r)*C(n*p+r, n), both
-from one falling-factorial kernel, the support endpoint p**p*(p-1)**(1-p), the
-positive-definiteness region classifiers, and a real-axis gamma function with
-explicit pole handling.
+from one falling-factorial kernel, the support endpoint p**p*(p-1)**(1-p), and
+the positive-definiteness region classifiers.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ __all__ = [
     "Scalar",
     "DomainError",
     "RegionError",
-    "GammaPoleError",
     "InconclusiveWitnessError",
     "as_scalar",
     "is_exact",
@@ -37,8 +35,6 @@ __all__ = [
     "classify_binomial",
     "binomial_band",
     "classify_raney",
-    "at_pole",
-    "gamma_real",
 ]
 
 
@@ -48,10 +44,6 @@ class DomainError(ValueError):
 
 class RegionError(ValueError):
     """Parameter pair outside the region an operation requires."""
-
-
-class GammaPoleError(DomainError):
-    """Gamma requested at a nonpositive integer, or for a float within 1e-8 of one."""
 
 
 class InconclusiveWitnessError(RuntimeError):
@@ -318,94 +310,3 @@ def classify_raney(p: Scalar, r: Scalar) -> RegionVerdict:
     if rc == 0:
         return RegionVerdict(True, Branch.RANEY_ZERO)
     return RegionVerdict(False, Branch.OUTSIDE)
-
-
-# 15-term rational core (g = 607/128) for the gamma function; standard
-# published coefficient set, accurate to ~1e-15 relative in double precision.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEF = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-#: Distance to a nonpositive integer below which gamma_real refuses to evaluate.
-GAMMA_POLE_TOL = 1e-8
-
-
-def _sinpi(x: float) -> float:
-    # sin(pi*x) with the integer part of x reduced exactly, so reflection
-    # stays accurate for arguments like -19.5.
-    m = math.floor(x)
-    f = x - m
-    if f > 0.5:
-        s = math.sin(math.pi * (1.0 - f))
-    else:
-        s = math.sin(math.pi * f)
-    return -s if (m & 1) else s
-
-
-def at_pole(arg: Scalar) -> bool:
-    """Whether arg sits at (or within GAMMA_POLE_TOL of) a nonpositive integer."""
-    if is_exact(arg):
-        return Fraction(arg).denominator == 1 and arg <= 0
-    near = round(arg)
-    return near <= 0 and abs(arg - near) < GAMMA_POLE_TOL
-
-
-def gamma_real(x: Scalar) -> float:
-    """Gamma on the real axis via the fixed-coefficient rational core.
-
-    Reflection handles x < 0.5; below x of about -170.6, where Gamma(1 - x)
-    leaves the float range, it is taken in logs and the value falls through
-    the subnormals to a signed zero.  Relative error stays below 1e-13 for
-    |x| <= 50.  Raises GammaPoleError where at_pole(x) holds for x as given
-    (an exact -1/10**9 evaluates; an exact -1/10**400, whose float is a
-    pole, is -inf), and DomainError above x of about 171.6.
-    """
-    if at_pole(x):
-        raise GammaPoleError(f"gamma pole at x={float(x)!r}")
-    return _gamma(float(x))
-
-
-def _gamma(x: float) -> float:  # gamma_real without its pole test
-    if x < 0.5:
-        s = _sinpi(x)
-        try:
-            return math.pi / (s * _gamma(1.0 - x))
-        except ZeroDivisionError:  # sin(pi x) rounds to 0: IEEE's signed infinity
-            return math.copysign(math.inf, s)
-        except DomainError:
-            log_value = math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
-            return math.copysign(math.exp(log_value), s)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 15):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    try:
-        return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-    except OverflowError:
-        pass
-    # from x of about 142.9 the power leaves the float range before exp(-t)
-    # scales it down: take it as two half-powers on either side of exp(-t)
-    try:
-        half = t ** (0.5 * (z + 0.5))
-        value = math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"gamma at x = {x!r} exceeds the float range")
-    return value

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import json
+import os
+import stat
 from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
@@ -142,6 +144,13 @@ def write_figure(args) -> int:
         fh = open(args.out, "w", newline="")
     except OSError as exc:
         raise DomainError(f"cannot write {args.out}: {exc}") from exc
-    with fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    try:
+        with fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    except BaseException:
+        # a curve that fails leaves no truncated file; a link, device or
+        # pipe that --out names is left as it is
+        if stat.S_ISREG(os.lstat(args.out).st_mode):
+            os.remove(args.out)
+        raise
     return 0

@@ -8,7 +8,10 @@ On z <= 0.9 the pFq series are summed by their term recurrence in an array
 kernel that takes many series at many z in one pass; on 1 - z <= 0.1, where
 the k series slow down, the density comes instead from Norlund's expansion
 of the Meijer G-function the k terms add up to, in powers of 1 - z, with
-coefficients from a recurrence run in ``decimal``.
+coefficients from a recurrence run in ``decimal``.  The expansion's
+coefficients are quotients of real gamma values, from a Lanczos gamma that
+tests no pole; ``build_slater_expansion`` decides, once per denominator
+argument, whether it is a pole, and a pole zeroes its coefficient.
 """
 from __future__ import annotations
 
@@ -24,9 +27,7 @@ from .core import (
     DomainError,
     Params,
     Record,
-    _gamma,
     as_scalar,
-    at_pole,
     is_exact,
     support_endpoint,
 )
@@ -148,6 +149,84 @@ def _pfq_sum(nums, dens, zs):
 
 
 # ---------------------------------------------------------------------------
+# gamma on the real axis
+
+
+# 15-term rational core (g = 607/128) for the gamma function; standard
+# published coefficient set, accurate to ~1e-15 relative in double precision.
+_LANCZOS_G = 607.0 / 128.0
+_LANCZOS_COEF = (
+    0.99999999999999709182,
+    57.156235665862923517,
+    -59.597960355475491248,
+    14.136097974741747174,
+    -0.49191381609762019978,
+    0.33994649984811888699e-4,
+    0.46523628927048575665e-4,
+    -0.98374475304879564677e-4,
+    0.15808870322491248884e-3,
+    -0.21026444172410488319e-3,
+    0.21743961811521264320e-3,
+    -0.16431810653676389022e-3,
+    0.84418223983852743293e-4,
+    -0.26190838401581408670e-4,
+    0.36899182659531622704e-5,
+)
+
+
+def _sinpi(x: float) -> float:
+    # sin(pi*x) with the integer part of x reduced exactly, so reflection
+    # stays accurate for arguments like -19.5.
+    m = math.floor(x)
+    f = x - m
+    if f > 0.5:
+        s = math.sin(math.pi * (1.0 - f))
+    else:
+        s = math.sin(math.pi * f)
+    return -s if (m & 1) else s
+
+
+def _gamma(x: float) -> float:
+    """Gamma on the real axis via the fixed-coefficient rational core.
+
+    Tests no pole: ``build_slater_expansion`` decides those.  Reflection
+    handles x < 0.5, and where sin(pi x) rounds to 0 the value is IEEE's
+    signed infinity; below x of about -170.6, where Gamma(1 - x) leaves the
+    float range, it is taken in logs and the value falls through the
+    subnormals to a signed zero.  Relative error stays below 1e-13 for
+    |x| <= 50.  Raises DomainError above x of about 171.6.
+    """
+    if x < 0.5:
+        s = _sinpi(x)
+        try:
+            return math.pi / (s * _gamma(1.0 - x))
+        except ZeroDivisionError:  # sin(pi x) rounds to 0: IEEE's signed infinity
+            return math.copysign(math.inf, s)
+        except DomainError:
+            log_value = math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
+            return math.copysign(math.exp(log_value), s)
+    z = x - 1.0
+    acc = _LANCZOS_COEF[0]
+    for i in range(1, 15):
+        acc += _LANCZOS_COEF[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    try:
+        return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    except OverflowError:
+        pass
+    # from x of about 142.9 the power leaves the float range before exp(-t)
+    # scales it down: take it as two half-powers on either side of exp(-t)
+    try:
+        half = t ** (0.5 * (z + 0.5))
+        value = math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"gamma at x = {x!r} exceeds the float range")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # density expansion
 
 
@@ -164,7 +243,7 @@ class SlaterExpansion(Record):
     ``domain_upper`` is the support endpoint c.
     """
 
-    _fields = ("k", "l", "gamma_factor", "terms", "domain_upper", "alphas", "betas")
+    _fields = ("l", "gamma_factor", "terms", "domain_upper", "alphas", "betas")
 
     @cached_property
     def endpoint_coeffs(self) -> tuple:
@@ -259,6 +338,11 @@ def _norlund_coeffs(alphas, betas) -> list:
     raise DomainError(f"Norlund series needs over {_ENDPOINT_TERMS} terms")
 
 
+#: distance to a nonpositive integer below which a float gamma argument of
+#: a Slater coefficient counts as a pole
+_POLE_TOL = 1e-8
+
+
 def build_slater_expansion(params: Params) -> SlaterExpansion:
     """Construct the k-term hypergeometric expansion of the density V at (p, r).
 
@@ -271,7 +355,8 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
     beta_h is an integer numerator over one common denominator D: it is a
     pole when the numerator is <= 0 and a multiple of D, and its gamma
     argument is numerator / D, which int division rounds correctly, as
-    float() of the Fraction does.
+    float() of the Fraction does.  For float r an alpha_j - beta_h is a
+    pole when it lies within _POLE_TOL of a nonpositive integer.
     """
     upper = float(support_endpoint(params.p))  # refuses p <= 1 and k > MAX_K first
     k, l = params.k, params.l
@@ -299,14 +384,15 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
         if exact:
             shift = l * (k - l) * (rn + h * rd)
             nums = [a - shift for a in scaled]
-            # at_pole's exact rule, on D * (alpha_j - beta_h)
+            # a nonpositive integer, on D * (alpha_j - beta_h)
             pole = any(n <= 0 and n % den == 0 for n in nums)
             den_args = [n / den for n in nums]
         else:
             den_args = [j / l - (ra + h) / k for j in range(1, l + 1)] + [
                 (ra + j - l) / (k - l) - (ra + h) / k for j in range(l + 1, k + 1)
             ]
-            pole = any(at_pole(a) for a in den_args)
+            # a float within _POLE_TOL of a nonpositive integer
+            pole = any((near := round(a)) <= 0 and abs(a - near) < _POLE_TOL for a in den_args)
         if pole:
             coef = 0.0
         else:
@@ -329,7 +415,6 @@ def build_slater_expansion(params: Params) -> SlaterExpansion:
         # inf times those zeros would be nan
         raise DomainError(f"density prefactor at p = {params.p}, r = {params.r} overflows")
     return SlaterExpansion(
-        k=k,
         l=l,
         gamma_factor=gamma_factor,
         terms=tuple(terms),

@@ -98,7 +98,8 @@ class TestDensity:
 
     def test_pole_tolerance_is_the_gamma_one(self, capsys):
         # r within 2.5e-9 of 3/2 puts a gamma argument of a Slater coefficient
-        # inside gamma_real's pole tolerance, so the term is the pole's zero
+        # inside the float pole tolerance of build_slater_expansion, so the
+        # term is the pole's zero
         values = []
         for r in ("1.499999975", "1.4999999975", "3/2"):
             code, out, err = run(capsys, "density", "--p", "5/2", "--r", r, "--x", "1")
@@ -756,6 +757,29 @@ class TestFigure:
         assert code == 1
         assert err.startswith("error: ")
         assert not out_path.exists()
+
+    def test_failing_curve_leaves_no_file(self, tmp_path, capsys):
+        # the first pair's rows are written before the second pair's series
+        # leave the float range
+        config = {"7": {"kind": "curves", "points": 50, "pairs": [["7/2", "1"], ["128", "0"]]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "o.csv"
+        code, _, err = run(
+            capsys, "figure", "--id", "7", "--out", str(out_path),
+            "--params", str(cfg_path),
+        )
+        assert code == 1
+        assert err.startswith("error: 128F127 series terms leave the float range at z = ")
+        assert not out_path.exists()
+        # only a regular file is removed: a link named by --out stays
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        code, _, _ = run(
+            capsys, "figure", "--id", "7", "--out", str(link), "--params", str(cfg_path),
+        )
+        assert code == 1
+        assert link.is_symlink()
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         out_path = tmp_path / "missing-dir" / "fig2.csv"

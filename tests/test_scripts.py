@@ -4,15 +4,18 @@ import ast
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import binomoment
+from binomoment.cli import main as cli_main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -42,6 +45,27 @@ def test_certify_all_reports_a_failing_pair_and_goes_on(monkeypatch, capsys):
     assert "worst relative error: none (no pair certified)" in out
 
 
+def test_make_figure_data_writes_each_figure(tmp_path):
+    # a fresh interpreter that turns every unclosed file into an error: the
+    # script writes the six CSVs of ``figure --id i`` and warns of nothing
+    out_dir, ref_dir = tmp_path / "data", tmp_path / "ref"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SCRIPTS.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", str(SCRIPTS / "make_figure_data.py"),
+         "--out-dir", str(out_dir)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    namespace = runpy.run_path(str(SCRIPTS / "make_figure_data.py"))
+    ref_dir.mkdir()
+    for fig_id, name in namespace["FIGURE_FILES"].items():
+        ref = ref_dir / name
+        assert cli_main(["figure", "--id", str(fig_id), "--out", str(ref)]) == 0
+        assert (out_dir / name).read_bytes() == ref.read_bytes(), fig_id
+
+
 @pytest.mark.parametrize(
     "name",
     ["binomoment"] + [f"binomoment.{m.name}" for m in pkgutil.iter_modules(binomoment.__path__)],
@@ -53,13 +77,6 @@ def test_public_names_resolve(name):
 
 
 ROOT = SCRIPTS.parent
-
-#: public names that stay with no caller in src/, bench/ or scripts/:
-#: gamma_real is the library's checked gamma, at_pole's rule on the
-#: argument as given; the density expansion decides each pole itself and
-#: calls the unchecked core._gamma, so nothing in the program calls it
-UNCALLED_EXCEPTIONS = {"gamma_real"}
-
 
 def _all_entries(tree: ast.Module) -> list:
     """The string nodes of a module's ``__all__`` list."""
@@ -126,8 +143,7 @@ def test_every_public_name_has_a_caller():
         names = {elt.value for elt in _all_entries(trees[path])}
         public |= names | _members(trees[path], names)
     uncalled = {name for name in public if name.split(".")[-1] not in used}
-    assert sorted(uncalled - UNCALLED_EXCEPTIONS) == []
-    assert UNCALLED_EXCEPTIONS <= uncalled
+    assert sorted(uncalled) == []
 
 
 def _traced_table() -> tuple:

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binomoment import core, slater
+from binomoment import slater
 from binomoment.closedform import measure_model
 from binomoment.mellin import _symbol
 from binomoment.core import (
-    GAMMA_POLE_TOL,
     DomainError,
     Params,
     RegionError,
@@ -84,7 +83,7 @@ class TestPfq:
         # the kernel checks no parameter: a lower parameter near, not at, a
         # pole is summed like any other
         assert math.isfinite(_pfq([0.5], [-2.5], 0.3)[0])
-        assert math.isfinite(_pfq([0.5, 0.5], [-2 - 2 * GAMMA_POLE_TOL], 0.3)[0])
+        assert math.isfinite(_pfq([0.5, 0.5], [-2 - 2 * slater._POLE_TOL], 0.3)[0])
 
     def test_expansion_terms_fit_the_kernel(self):
         # the kernel's contract: every Slater term has one more upper than
@@ -343,7 +342,7 @@ class TestPfqKernel:
         monkeypatch.setattr(slater, "_pfq_sum", lambda *args: calls.append(args) or kernel(*args))
         eval_density_many(exp, xs)
         group = max(1, slater._PASS_ROWS // 200)
-        assert 1 <= len(calls) <= math.ceil(exp.k / group) < exp.k
+        assert 1 <= len(calls) <= math.ceil(len(exp.alphas) / group) < len(exp.alphas)
 
     def test_error_precedence_is_term_by_term(self):
         # summed one term at a time, each term's series comes before its
@@ -591,15 +590,15 @@ class TestExpansionStructure:
 #: the library's gamma without its pole test, remembered: the oracle makes
 #: its own pole decision, then asks it for the same arguments across a grid,
 #: and a value read twice is the same value
-_gamma = functools.cache(core._gamma)
+_gamma = functools.cache(slater._gamma)
 
 
 def _fraction_oracle(params: Params) -> SlaterExpansion:
     # the expansion as built with Fraction arithmetic, from the same gammas
     gamma_factor, terms, alphas, betas = slater_fields(
-        params.k, params.l, params.r, _gamma, GAMMA_POLE_TOL)
+        params.k, params.l, params.r, _gamma, slater._POLE_TOL)
     return SlaterExpansion(
-        k=params.k, l=params.l, gamma_factor=gamma_factor,
+        l=params.l, gamma_factor=gamma_factor,
         terms=tuple(SlaterTerm(*t) for t in terms),
         domain_upper=float(support_endpoint(params.p)), alphas=alphas, betas=betas)
 
